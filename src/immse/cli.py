@@ -273,21 +273,9 @@ def cmd_verify(args) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
-def _backward_filter(dy: np.ndarray, nu: float, snr: float,
-                     dtstep: float) -> np.ndarray:
-    """Anticausal filter means; entry k estimates X at t_k from the future."""
-    n = dy.size
-    out = np.zeros(n + 1)
-    bh = np.zeros(1)
-    for k in range(n):
-        bh = ct._wonham_step(bh, dy[n - 1 - k], nu, snr, dtstep)
-        out[n - 1 - k] = bh[0]
-    return out
-
-
 def _dump_telegraph_path(path, model, dump_file: str) -> None:
     fwd = ct.wonham_filter(path, model.snr, model.nu)
-    bwd = _backward_filter(path.dy, model.nu, model.snr, path.dt)
+    bwd = ct.wonham_filter(path, model.snr, model.nu, backward=True)
     smooth = ct.yao_smoother(fwd, bwd)
     n = path.dy.size
     rows = [(_fmt(k * path.dt), _fmt(path.x[k]), _fmt(path.dy[k]),
@@ -391,8 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="snr grid in dB, converted as 10^(dB/10)")
     p_curve.add_argument("--bits", action="store_true",
                          help="report information in bits instead of nats")
-    p_curve.add_argument("--threads", type=int, default=1,
-                         help="1 guarantees canonical bit-exact output")
     p_curve.add_argument("--out", default="curve.csv")
     p_curve.set_defaults(fn=cmd_curve)
 
@@ -411,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--paths", type=int, default=200_000)
     p_verify.add_argument("--dt", type=float, default=1e-3)
     p_verify.add_argument("--horizon", type=float, default=10.0)
-    p_verify.add_argument("--threads", type=int, default=1)
     p_verify.add_argument("--out", help="JSON report path (default stdout)")
     p_verify.set_defaults(fn=cmd_verify)
 
@@ -425,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="SDE step (default respects the stability bound)")
     p_sim.add_argument("--horizon", type=float, default=10.0)
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--threads", type=int, default=1)
     p_sim.add_argument("--dump", help="write one sample-path CSV here")
     p_sim.add_argument("--out", help="summary JSON path (default stdout)")
     p_sim.set_defaults(fn=cmd_simulate)

@@ -15,7 +15,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import NonConvergence, StepTooLarge
-from .laws import InputLaw, moments, sample_with_rng
+from .laws import InputLaw, moments, require_finite, sample_with_rng
 from .quadrature import McConfig, QuadratureSpec, gauss_hermite
 from .report import Report
 from .scalar import ScalarChannel, fd_step, mmse as scalar_mmse
@@ -28,6 +28,7 @@ class TelegraphModel:
     snr: float
 
     def __post_init__(self):
+        require_finite(nu=self.nu, snr=self.snr)
         if self.nu <= 0:
             raise ValueError("nu must be positive")
         if self.snr < 0:
@@ -300,20 +301,36 @@ def _wonham_step(xh: np.ndarray, dy: np.ndarray, nu: float, snr: float,
     return np.clip(xh, -1.0 + 1e-12, 1.0 - 1e-12)
 
 
-def wonham_filter(path: SamplePath, snr: float, nu: float) -> np.ndarray:
-    """Causal posterior mean sequence; entry k estimates X at t_k = k*dt.
+def _wonham_pass(dy: np.ndarray, nu: float, snr: float, dt: float,
+                 backward: bool = False):
+    """Run the Wonham filter over the steps of ``dy`` (paths x steps).
+
+    Yields (k, xh) after each step, xh holding every path's filter mean of X
+    at t_k.  Forward passes start at t_0 and read the increments in order;
+    backward (anticausal) passes start at t_n and read them reversed.  Both
+    start from the stationary prior mean 0.
+    """
+    n = dy.shape[1]
+    xh = np.zeros(dy.shape[0])
+    for k in (range(n - 1, -1, -1) if backward else range(n)):
+        xh = _wonham_step(xh, dy[:, k], nu, snr, dt)
+        yield (k if backward else k + 1), xh
+
+
+def wonham_filter(path: SamplePath, snr: float, nu: float,
+                  backward: bool = False) -> np.ndarray:
+    """Posterior mean sequence; entry k estimates X at t_k = k*dt.
 
     Euler-Maruyama integration of the filter SDE
     dX̂ = -[2 nu X̂ + snr X̂ (1 - X̂²)] dt + sqrt(snr) (1 - X̂²) dY
-    from the stationary prior mean X̂_0 = 0.
+    from the stationary prior mean X̂_0 = 0.  With ``backward`` the same
+    filter runs on the reversed increments, so entry k estimates X at t_k
+    from the observations after t_k (the anticausal filter).
     """
     _check_step(nu, snr, path.dt)
-    n = path.dy.size
-    out = np.zeros(n + 1)
-    xh = np.zeros(1)
-    for k in range(n):
-        xh = _wonham_step(xh, path.dy[k], nu, snr, path.dt)
-        out[k + 1] = xh[0]
+    out = np.zeros(path.dy.size + 1)
+    for k, xh in _wonham_pass(path.dy[None, :], nu, snr, path.dt, backward):
+        out[k] = xh[0]
     return out
 
 
@@ -368,20 +385,16 @@ def wonham_ensemble(m: TelegraphModel, mc: McConfig,
         x_edges, dy = _telegraph_paths(nu, snr, n_steps, dt, p, rng)
         # forward filter, storing the trajectory for the smoother combine
         fwd = np.zeros((p, n_steps + 1), dtype=np.float32)
-        xh = np.zeros(p)
-        for k in range(n_steps):
-            xh = _wonham_step(xh, dy[:, k], nu, snr, dt)
-            fwd[:, k + 1] = xh
+        for k, xh in _wonham_pass(dy, nu, snr, dt):
+            fwd[:, k] = xh
         err_c = (x_edges[:, k0:k1 + 1] - fwd[:, k0:k1 + 1]) ** 2
         cms.append(err_c.mean(axis=1))
-        # backward filter on reversed increments; bh_k estimates X at t_{n-k}
+        # backward filter on reversed increments; bh estimates X at t_idx
+        # from the future
         bwd_err_acc = np.zeros(p)
         sm_err_acc = np.zeros(p)
-        bh = np.zeros(p)
         n_anti = 0
-        for k in range(n_steps):
-            bh = _wonham_step(bh, dy[:, n_steps - 1 - k], nu, snr, dt)
-            idx = n_steps - 1 - k      # bh now estimates X at t_idx from the future
+        for idx, bh in _wonham_pass(dy, nu, snr, dt, backward=True):
             if idx <= n_steps - k0:
                 bwd_err_acc += (x_edges[:, idx] - bh) ** 2
                 n_anti += 1
@@ -410,7 +423,7 @@ def spectral_quantities(spectrum: OUSpectrum, snr: float):
     """(mi_rate, mmse_nc, cmmse) by frequency quadrature of the spectrum.
 
     mi_rate = (1/4pi) ∫ log(1 + snr S) dw, mmse = (1/2pi) ∫ S/(1+snr S) dw,
-    cmmse = 2 * mi_rate / snr evaluated through its own log-integrand.
+    cmmse = 2 * mi_rate / snr.
     """
     if snr == 0:
         return 0.0, spectrum.variance, spectrum.variance
@@ -425,9 +438,8 @@ def spectral_quantities(spectrum: OUSpectrum, snr: float):
     opts = dict(epsabs=1e-12, epsrel=1e-12, limit=400)
     log_int, _ = integrate.quad(log_term, 0.0, np.inf, **opts)
     mmse_nc, _ = integrate.quad(wiener_term, 0.0, np.inf, **opts)
-    log_int2, _ = integrate.quad(log_term, 0.0, np.inf, **opts)
     mi_rate = log_int / (2.0 * np.pi)
-    return mi_rate, mmse_nc / np.pi, log_int2 / (np.pi * snr)
+    return mi_rate, mmse_nc / np.pi, log_int / (np.pi * snr)
 
 
 def ou_closed_forms(spectrum: OUSpectrum, snr: float):

@@ -7,10 +7,15 @@ Four families are supported:
 * ``GaussianMixture`` -- a finite mixture of Gaussians,
 * ``GriddedDensity`` -- a piecewise-linear density tabulated on a grid.
 
-Every law exposes exact (or trapezoid, for gridded laws) raw moments up to
-order four and deterministic seeded sampling.  The first three families are
-closed under convolution with a Gaussian, which the channel modules exploit:
-the output density is an exact Gaussian mixture.
+``components`` views every law as a finite Gaussian mixture, and the scalar
+channel and its quadrature compute through that view only: atoms are
+zero-variance components, and a gridded density is atoms at its grid points
+weighted by the trapezoid rule, so every sum over its components is a
+trapezoid integral over the grid.  This module is the only one that knows the
+gridded format.  Raw moments up to order four are exact (trapezoid, for
+gridded laws); sampling is deterministic given a seed.  The first three
+families are closed under convolution with a Gaussian: their output density
+is an exact Gaussian mixture.
 """
 from __future__ import annotations
 
@@ -21,6 +26,13 @@ import numpy as np
 
 PROB_ATOL = 1e-12
 PDF_ATOL = 1e-8
+
+
+def require_finite(**values) -> None:
+    """Raise ValueError naming the first argument that holds NaN or inf."""
+    for name, value in values.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -43,6 +55,7 @@ class DiscreteAtoms:
         object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
         if self.values.ndim != 1 or self.probs.shape != self.values.shape:
             raise ValueError("values and probs must be 1D arrays of equal length")
+        require_finite(values=self.values, probs=self.probs)
         if np.any(self.probs < 0):
             raise ValueError("probabilities must be nonnegative")
         if abs(self.probs.sum() - 1.0) > PROB_ATOL:
@@ -56,6 +69,7 @@ class Gaussian:
     variance: float
 
     def __post_init__(self):
+        require_finite(mean=self.mean, variance=self.variance)
         if self.variance <= 0:
             raise ValueError("variance must be positive")
 
@@ -73,6 +87,8 @@ class GaussianMixture:
         object.__setattr__(self, "variances", np.asarray(self.variances, dtype=float))
         if not (self.weights.shape == self.means.shape == self.variances.shape):
             raise ValueError("weights, means, variances must have equal shapes")
+        require_finite(weights=self.weights, means=self.means,
+                       variances=self.variances)
         if np.any(self.weights < 0):
             raise ValueError("weights must be nonnegative")
         if abs(self.weights.sum() - 1.0) > PROB_ATOL:
@@ -97,6 +113,7 @@ class GriddedDensity:
         object.__setattr__(self, "pdf", np.asarray(self.pdf, dtype=float))
         if self.grid.ndim != 1 or self.pdf.shape != self.grid.shape:
             raise ValueError("grid and pdf must be 1D arrays of equal length")
+        require_finite(grid=self.grid, pdf=self.pdf)
         if self.grid.size < 2 or np.any(np.diff(self.grid) <= 0):
             raise ValueError("grid must be strictly increasing with >= 2 points")
         if np.any(self.pdf < 0):
@@ -120,31 +137,40 @@ def standard_gaussian_law() -> Gaussian:
     return Gaussian(0.0, 1.0)
 
 
-def _gaussian_raw_moments(mean: float, var: float, order: int) -> list:
-    """Raw moments E X^k, k = 0..order, of N(mean, var) via the recursion
-    M_k = mean*M_{k-1} + (k-1)*var*M_{k-2}."""
-    out = [1.0, float(mean)]
+def gaussian_raw_moments(mean, var, order: int) -> list:
+    """Raw moments E V^k, k = 0..order, of V ~ N(mean, var), elementwise over
+    arrays, via the recursion M_k = mean*M_{k-1} + (k-1)*var*M_{k-2}."""
+    out = [np.ones_like(mean), mean]
     for k in range(2, order + 1):
         out.append(mean * out[k - 1] + (k - 1) * var * out[k - 2])
     return out[: order + 1]
 
 
+def components(law: InputLaw):
+    """View ``law`` as a Gaussian mixture: (weights, means, variances) arrays.
+
+    Atoms map to zero-variance components.  A gridded density maps to atoms
+    at its grid points with trapezoid weights pdf_i * (h_{i-1} + h_i) / 2
+    (h_i the grid spacings, zero beyond the ends), not renormalised, so that
+    a sum over components is the trapezoid integral over the grid.
+    """
+    if isinstance(law, DiscreteAtoms):
+        return law.probs, law.values, np.zeros_like(law.values)
+    if isinstance(law, Gaussian):
+        return (np.array([1.0]), np.array([law.mean]), np.array([law.variance]))
+    if isinstance(law, GaussianMixture):
+        return law.weights, law.means, law.variances
+    if isinstance(law, GriddedDensity):
+        h = np.diff(law.grid)
+        span = np.concatenate(([0.0], h)) + np.concatenate((h, [0.0]))
+        return law.pdf * span / 2.0, law.grid, np.zeros_like(law.grid)
+    raise TypeError(f"unsupported law type: {type(law)!r}")
+
+
 def moments(law: InputLaw) -> Moments:
     """Mean, variance and raw third/fourth moments of ``law``."""
-    if isinstance(law, DiscreteAtoms):
-        raw = [float(np.sum(law.probs * law.values ** k)) for k in range(5)]
-    elif isinstance(law, Gaussian):
-        raw = _gaussian_raw_moments(law.mean, law.variance, 4)
-    elif isinstance(law, GaussianMixture):
-        raw = [0.0] * 5
-        for w, m, v in zip(law.weights, law.means, law.variances):
-            comp = _gaussian_raw_moments(m, v, 4)
-            for k in range(5):
-                raw[k] += w * comp[k]
-    elif isinstance(law, GriddedDensity):
-        raw = [float(np.trapezoid(law.grid ** k * law.pdf, law.grid)) for k in range(5)]
-    else:
-        raise TypeError(f"unsupported law type: {type(law)!r}")
+    w, m, v = components(law)
+    raw = [float(w @ mk) for mk in gaussian_raw_moments(m, v, 4)]
     mean = raw[1]
     return Moments(mean=mean, variance=raw[2] - mean ** 2, third=raw[3], fourth=raw[4])
 
@@ -154,18 +180,11 @@ def variance(law: InputLaw) -> float:
 
 
 def gaussian_components(law: InputLaw):
-    """View ``law`` as a Gaussian mixture: (weights, means, variances) arrays.
+    """``components`` of the laws that are exact Gaussian mixtures.
 
-    Atoms map to zero-variance components.  Returns None for gridded laws,
-    which have no finite mixture representation.
+    Returns None for gridded laws, whose atom view is a discretisation.
     """
-    if isinstance(law, DiscreteAtoms):
-        return law.probs, law.values, np.zeros_like(law.values)
-    if isinstance(law, Gaussian):
-        return (np.array([1.0]), np.array([law.mean]), np.array([law.variance]))
-    if isinstance(law, GaussianMixture):
-        return law.weights, law.means, law.variances
-    return None
+    return None if isinstance(law, GriddedDensity) else components(law)
 
 
 def convolve(law_a: InputLaw, law_b: InputLaw) -> InputLaw:

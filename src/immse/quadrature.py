@@ -1,16 +1,19 @@
-"""Quadrature backbone: Gauss-Hermite expectations over the channel output.
+"""Quadrature backbone: expectations over the channel output.
 
 The central primitive is ``integrate_output(f, law, snr, spec)`` which
-evaluates E[f(Y)] = ∫ f(y) p_Y(y) dy for Y = sqrt(snr)*X + N.  Rather than
-building one global y-grid, the expectation is decomposed as E_X ⊗ E_N:
+evaluates E[f(Y)] = ∫ f(y) p_Y(y) dy for Y = sqrt(snr)*X + N.  Every law is
+seen as a Gaussian mixture (``laws.components``), so the output density is
+sum_j w_j N(y; sqrt(snr)*m_j, 1 + snr*v_j).  The rule depends on the law type:
 
-* atom / Gaussian / mixture laws: the output density is an exact Gaussian
-  mixture, and each component expectation is a Gauss-Hermite sum,
-* gridded laws: trapezoid over the input grid tensored with Gauss-Hermite
-  over the noise.
+* atom / Gaussian / mixture laws: one Gauss-Hermite sum per component,
+* gridded laws: composite 12-point Gauss-Legendre on a y-window around the
+  output mean, against that density.  A gridded law has one component per
+  grid point, so per-component Gauss-Hermite would evaluate f that many
+  times more often.
 
-Refinement doubles the Gauss-Hermite order until two successive levels agree
-to ``adaptive_tol``; NonConvergence is raised when the order cap is reached.
+Refinement doubles the rule's size (Gauss-Hermite order + 1, or the number of
+y-panels) until two successive levels agree to ``adaptive_tol``;
+NonConvergence is raised when the size cap is reached.
 """
 from __future__ import annotations
 
@@ -21,7 +24,9 @@ import numpy as np
 from scipy.special import roots_hermite
 
 from .errors import NonConvergence
-from .laws import GriddedDensity, InputLaw, gaussian_components
+from .laws import GriddedDensity, InputLaw, components, moments
+
+Y_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -68,23 +73,34 @@ def normal_expectation(g, mean: float, var: float, order: int) -> float:
     return float(w @ g(mean + np.sqrt(var) * z))
 
 
-def _fixed_order_expectation(f, law: InputLaw, snr: float, order: int,
-                             spec: QuadratureSpec) -> float:
+def by_rows(fn, y: np.ndarray):
+    """``fn(y)`` evaluated on blocks of at most Y_CHUNK outputs and joined.
+
+    Per-component kernels build (y.size, n_components) arrays; blocking keeps
+    them bounded for gridded laws, which have one component per grid point.
+    ``fn`` returns an array, or a tuple of arrays, with one entry per y.
+    """
+    if y.size <= Y_CHUNK:
+        return fn(y)
+    parts = [fn(y[lo:lo + Y_CHUNK]) for lo in range(0, y.size, Y_CHUNK)]
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(col) for col in zip(*parts))
+    return np.concatenate(parts)
+
+
+def _hermite_rule(f, law: InputLaw, snr: float, size: int,
+                  spec: QuadratureSpec) -> float:
+    """Gauss-Hermite of order size - 1 under each mixture component."""
     root_snr = np.sqrt(snr)
-    comps = gaussian_components(law)
-    if comps is not None:
-        w, m, v = comps
-        total = 0.0
-        z, gw = gauss_hermite(order)
-        for wk, mk, vk in zip(w, m, v):
-            if wk == 0.0:
-                continue
-            sd = np.sqrt(1.0 + snr * vk)
-            total += wk * float(gw @ f(root_snr * mk + sd * z))
-        return total
-    if isinstance(law, GriddedDensity):
-        raise TypeError("gridded laws use the y-window composite rule")
-    raise TypeError(f"unsupported law type: {type(law)!r}")
+    w, m, v = components(law)
+    total = 0.0
+    z, gw = gauss_hermite(size - 1)
+    for wk, mk, vk in zip(w, m, v):
+        if wk == 0.0:
+            continue
+        sd = np.sqrt(1.0 + snr * vk)
+        total += wk * float(gw @ f(root_snr * mk + sd * z))
+    return total
 
 
 @lru_cache(maxsize=16)
@@ -92,39 +108,33 @@ def _gauss_legendre(order: int):
     return np.polynomial.legendre.leggauss(order)
 
 
-def _gridded_window(law: GriddedDensity, snr: float, spec: QuadratureSpec):
-    x, pdf = law.grid, law.pdf
-    mean = np.trapezoid(x * pdf, x)
-    var = max(np.trapezoid(x ** 2 * pdf, x) - mean ** 2, 0.0)
-    center = np.sqrt(snr) * mean
-    half = spec.y_cutoff * np.sqrt(1.0 + snr * var)
-    return center - half, center + half
-
-
-def _gridded_density(law: GriddedDensity, snr: float, y: np.ndarray) -> np.ndarray:
-    """Output density for a gridded input, trapezoid over the input grid."""
-    x, pdf = law.grid, law.pdf
+def _output_density(law: InputLaw, snr: float, y: np.ndarray) -> np.ndarray:
+    """p_Y(y) summed over the law's mixture components."""
+    w, m, v = components(law)
+    out_var = 1.0 + snr * v
     rs = np.sqrt(snr)
-    out = np.empty_like(y)
-    chunk = 2048
-    for lo in range(0, y.size, chunk):
-        ys = y[lo:lo + chunk, None]
-        kern = np.exp(-0.5 * (ys - rs * x[None, :]) ** 2) / np.sqrt(2 * np.pi)
-        out[lo:lo + chunk] = np.trapezoid(kern * pdf[None, :], x, axis=1)
-    return out
+
+    def block(ys):
+        kern = (np.exp(-0.5 * (ys[:, None] - rs * m[None, :]) ** 2 / out_var)
+                / np.sqrt(2 * np.pi * out_var))
+        return kern @ w
+
+    return by_rows(block, y)
 
 
-def _gridded_expectation(f, law: GriddedDensity, snr: float, panels: int,
-                         spec: QuadratureSpec) -> float:
+def _window_rule(f, law: InputLaw, snr: float, panels: int,
+                 spec: QuadratureSpec) -> float:
     """E[f(Y)] = ∫ f(y) p_Y(y) dy on the y-window, composite 12-point Gauss-Legendre."""
-    a, b = _gridded_window(law, snr, spec)
-    edges = np.linspace(a, b, panels + 1)
+    mom = moments(law)
+    center = np.sqrt(snr) * mom.mean
+    reach = spec.y_cutoff * np.sqrt(1.0 + snr * max(mom.variance, 0.0))
+    edges = np.linspace(center - reach, center + reach, panels + 1)
     nodes, weights = _gauss_legendre(12)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
     y = (mid[:, None] + half * nodes[None, :]).ravel()
     w = (half * np.broadcast_to(weights, (panels, weights.size))).ravel()
-    dens = _gridded_density(law, snr, y)
+    dens = _output_density(law, snr, y)
     return float(np.sum(w * f(y) * dens))
 
 
@@ -137,26 +147,17 @@ def integrate_output(f, law: InputLaw, snr: float,
     if snr < 0:
         raise ValueError("snr must be nonnegative")
     if isinstance(law, GriddedDensity):
-        panels, cap = 64, 2048
-        prev = _gridded_expectation(f, law, snr, panels, spec)
-        while True:
-            panels *= 2
-            if panels > cap:
-                raise NonConvergence(
-                    f"y-window quadrature stalled above tol={spec.adaptive_tol:g}")
-            cur = _gridded_expectation(f, law, snr, panels, spec)
-            if abs(cur - prev) < spec.adaptive_tol:
-                return cur
-            prev = cur
-    order = spec.hermite_order
-    prev = _fixed_order_expectation(f, law, snr, order, spec)
+        rule, size, cap = _window_rule, 64, 2048
+    else:
+        rule, size, cap = _hermite_rule, spec.hermite_order + 1, spec.max_order + 1
+    prev = rule(f, law, snr, size, spec)
     while True:
-        order = 2 * order + 1
-        if order > spec.max_order:
+        size *= 2
+        if size > cap:
             raise NonConvergence(
                 f"output quadrature stalled above tol={spec.adaptive_tol:g} "
-                f"at order {order}")
-        cur = _fixed_order_expectation(f, law, snr, order, spec)
+                f"at size {size // 2} (panels, or Gauss-Hermite order + 1)")
+        cur = rule(f, law, snr, size, spec)
         if abs(cur - prev) < spec.adaptive_tol:
             return cur
         prev = cur

@@ -18,9 +18,9 @@ import numpy as np
 from scipy import integrate
 from scipy.special import expit, logsumexp
 
-from .laws import (Gaussian, GriddedDensity, InputLaw, Moments,
-                   gaussian_components, moments)
-from .quadrature import QuadratureSpec, McConfig, integrate_output
+from .laws import (Gaussian, GriddedDensity, InputLaw, Moments, components,
+                   gaussian_raw_moments, moments, require_finite)
+from .quadrature import QuadratureSpec, McConfig, by_rows, integrate_output
 from .report import Report
 
 LOG_2PI = np.log(2.0 * np.pi)
@@ -35,6 +35,7 @@ class ScalarChannel:
     quad: QuadratureSpec = field(default_factory=QuadratureSpec)
 
     def __post_init__(self):
+        require_finite(snr=self.snr)
         if self.snr < 0:
             raise ValueError("snr must be nonnegative")
 
@@ -63,15 +64,12 @@ class McEstimate:
 def _component_log_weights(ch: ScalarChannel, y: np.ndarray):
     """Log posterior component weights and per-component posterior (mean, var).
 
-    For mixture-representable laws each component j contributes an output
-    Gaussian N(sqrt(snr)*m_j, 1 + snr*v_j); conditioning within a component is
-    Gaussian algebra.  Returns (logw, mu, var) with shapes (m, K), where logw
-    is unnormalized.
+    Each mixture component j of the law (``laws.components``) contributes an
+    output Gaussian N(sqrt(snr)*m_j, 1 + snr*v_j); conditioning within a
+    component is Gaussian algebra.  Returns (logw, mu, var) with shapes
+    (m, K), where logw is unnormalized.
     """
-    comps = gaussian_components(ch.law)
-    if comps is None:
-        raise TypeError("law has no finite mixture representation")
-    w, m, v = comps
+    w, m, v = components(ch.law)
     s = ch.snr
     rs = np.sqrt(s)
     out_var = 1.0 + s * v
@@ -87,36 +85,16 @@ def _component_log_weights(ch: ScalarChannel, y: np.ndarray):
 
 def _posterior_stats(ch: ScalarChannel, y: np.ndarray):
     """Conditional mean and conditional variance of X given Y=y (vectorized)."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if isinstance(ch.law, GriddedDensity):
-        return _posterior_stats_gridded(ch, y)
-    logw, mu, pv = _component_log_weights(ch, y)
-    logw = logw - logw.max(axis=1, keepdims=True)
-    wgt = np.exp(logw)
-    wgt /= wgt.sum(axis=1, keepdims=True)
-    xhat = np.sum(wgt * mu, axis=1)
-    var = np.sum(wgt * (pv + (mu - xhat[:, None]) ** 2), axis=1)
-    return xhat, var
+    def block(ys):
+        logw, mu, pv = _component_log_weights(ch, ys)
+        logw = logw - logw.max(axis=1, keepdims=True)
+        wgt = np.exp(logw)
+        wgt /= wgt.sum(axis=1, keepdims=True)
+        xhat = np.sum(wgt * mu, axis=1)
+        var = np.sum(wgt * (pv + (mu - xhat[:, None]) ** 2), axis=1)
+        return xhat, var
 
-
-def _posterior_stats_gridded(ch: ScalarChannel, y: np.ndarray):
-    x, pdf = ch.law.grid, ch.law.pdf
-    rs = np.sqrt(ch.snr)
-    xhat = np.empty_like(y)
-    var = np.empty_like(y)
-    chunk = 2048
-    for lo in range(0, y.size, chunk):
-        ys = y[lo:lo + chunk, None]
-        loglik = -0.5 * (ys - rs * x[None, :]) ** 2
-        loglik -= loglik.max(axis=1, keepdims=True)
-        wgt = np.exp(loglik) * pdf[None, :]
-        norm = np.trapezoid(wgt, x, axis=1)
-        norm = np.where(norm > 0, norm, 1.0)
-        mean = np.trapezoid(wgt * x[None, :], x, axis=1) / norm
-        e2 = np.trapezoid(wgt * x[None, :] ** 2, x, axis=1) / norm
-        xhat[lo:lo + chunk] = mean
-        var[lo:lo + chunk] = np.maximum(e2 - mean ** 2, 0.0)
-    return xhat, var
+    return by_rows(block, np.atleast_1d(np.asarray(y, dtype=float)))
 
 
 def conditional_mean(ch: ScalarChannel, y):
@@ -131,50 +109,25 @@ def posterior_variance(ch: ScalarChannel, y):
     return float(var[0]) if np.isscalar(y) or np.ndim(y) == 0 else var
 
 
-def _gaussian_raw_moment(mu: np.ndarray, var: np.ndarray, i: int) -> np.ndarray:
-    prev2, prev1 = np.ones_like(mu), mu.copy()
-    if i == 0:
-        return prev2
-    for k in range(2, i + 1):
-        prev2, prev1 = prev1, mu * prev1 + (k - 1) * var * prev2
-    return prev1
-
-
 def q_moment(ch: ScalarChannel, y: float, i: int) -> float:
     """E[X^i * p_{Y|X}(y | X)]; i = 0 gives the output density at y."""
     if i < 0:
         raise ValueError("i must be >= 0")
     ya = np.atleast_1d(np.asarray(y, dtype=float))
-    if isinstance(ch.law, GriddedDensity):
-        x, pdf = ch.law.grid, ch.law.pdf
-        rs = np.sqrt(ch.snr)
-        kern = np.exp(-0.5 * (ya[:, None] - rs * x[None, :]) ** 2) / np.sqrt(2 * np.pi)
-        vals = np.trapezoid(kern * x[None, :] ** i * pdf[None, :], x, axis=1)
-        return float(vals[0])
     logw, mu, pv = _component_log_weights(ch, ya)
     logw = logw - 0.5 * LOG_2PI
-    mom = _gaussian_raw_moment(mu, pv, i)
+    mom = gaussian_raw_moments(mu, pv, i)[i]
     val, sign = logsumexp(logw, b=mom, axis=1, return_sign=True)
     return float(sign[0] * np.exp(val[0]))
 
 
 def log_output_density(ch: ScalarChannel, y) -> np.ndarray:
-    """log p_Y(y), stable in the tails for mixture-representable laws."""
-    ya = np.atleast_1d(np.asarray(y, dtype=float))
-    if isinstance(ch.law, GriddedDensity):
-        x, pdf = ch.law.grid, ch.law.pdf
-        rs = np.sqrt(ch.snr)
-        out = np.empty_like(ya)
-        chunk = 2048
-        for lo in range(0, ya.size, chunk):
-            loglik = (-0.5 * (ya[lo:lo + chunk, None] - rs * x[None, :]) ** 2
-                      - 0.5 * LOG_2PI)
-            peak = loglik.max(axis=1, keepdims=True)
-            dens = np.trapezoid(np.exp(loglik - peak) * pdf[None, :], x, axis=1)
-            out[lo:lo + chunk] = peak[:, 0] + np.log(np.maximum(dens, 1e-300))
-        return out
-    logw, _, _ = _component_log_weights(ch, ya)
-    return logsumexp(logw - 0.5 * LOG_2PI, axis=1)
+    """log p_Y(y), stable in the tails."""
+    def block(ys):
+        logw, _, _ = _component_log_weights(ch, ys)
+        return logsumexp(logw - 0.5 * LOG_2PI, axis=1)
+
+    return by_rows(block, np.atleast_1d(np.asarray(y, dtype=float)))
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +310,9 @@ def lemma1_low_snr(law: InputLaw, deltas,
 def posterior_sample(ch: ScalarChannel, y: np.ndarray,
                      rng: np.random.Generator) -> np.ndarray:
     """One exact draw from P(X | Y=y_i) for each y_i (mixture laws only)."""
+    if isinstance(ch.law, GriddedDensity):
+        raise TypeError("gridded laws have no exact posterior draws; their "
+                        "atom view is a discretisation")
     y = np.asarray(y, dtype=float)
     logw, mu, pv = _component_log_weights(ch, y)
     logw = logw - logw.max(axis=1, keepdims=True)

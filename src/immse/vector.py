@@ -155,14 +155,15 @@ def _atom_posterior_logweights(model: VectorChannelModel, y: np.ndarray):
 
 
 def _atom_mc_sweep(model: VectorChannelModel, mc: McConfig, stats_fn,
-                   chunk: int = 50_000):
-    """Stream MC draws of (X, N), hand posterior weights to stats_fn per chunk."""
+                   chunk: int = 50_000) -> list:
+    """Stream MC draws of (X, N); return stats_fn's result for each chunk."""
     atoms = model.input
     if not isinstance(atoms, AtomSet):
         raise TypeError("atom engines require an AtomSet input")
     rng = np.random.default_rng(mc.seed)
     eff = model.effective_matrix
     l_dim = eff.shape[0]
+    out = []
     remaining = mc.n_paths
     while remaining > 0:
         n = min(chunk, remaining)
@@ -171,7 +172,8 @@ def _atom_mc_sweep(model: VectorChannelModel, mc: McConfig, stats_fn,
         noise = rng.standard_normal((n, l_dim))
         y = atoms.points[idx] @ eff.T + noise
         logw = _atom_posterior_logweights(model, y)
-        stats_fn(idx, noise, y, logw)
+        out.append(stats_fn(idx, noise, y, logw))
+    return out
 
 
 def _normalized(logw: np.ndarray) -> np.ndarray:
@@ -182,31 +184,26 @@ def _normalized(logw: np.ndarray) -> np.ndarray:
 def atom_mmse(model: VectorChannelModel, mc: McConfig = McConfig()) -> McEstimate:
     """MC estimate of E ||H X - E[H X | Y]||^2 with exact per-draw posteriors."""
     hx = model.input.points @ model.H.T                     # (n_atoms, L)
-    acc = []
 
     def stats(idx, noise, y, logw):
         w = _normalized(logw)
         mean = w @ hx                                       # (n, L)
         dev = hx[None, :, :] - mean[:, None, :]
-        acc.append(np.einsum("nk,nkl,nkl->n", w, dev, dev))
+        return np.einsum("nk,nkl,nkl->n", w, dev, dev)
 
-    _atom_mc_sweep(model, mc, stats)
-    vals = np.concatenate(acc)
+    vals = np.concatenate(_atom_mc_sweep(model, mc, stats))
     return McEstimate(float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(vals.size)),
                       vals.size)
 
 
 def atom_mi(model: VectorChannelModel, mc: McConfig = McConfig()) -> McEstimate:
     """MC estimate of I(X;Y) = E[log p(Y|X) - log p(Y)] (nats)."""
-    acc = []
-
     def stats(idx, noise, y, logw):
         # log p(y|x_true) - log p(y); the Gaussian normalizer cancels.
         ll_true = -0.5 * np.einsum("nl,nl->n", noise, noise)
-        acc.append(ll_true - logsumexp(logw, axis=1))
+        return ll_true - logsumexp(logw, axis=1)
 
-    _atom_mc_sweep(model, mc, stats)
-    vals = np.concatenate(acc)
+    vals = np.concatenate(_atom_mc_sweep(model, mc, stats))
     return McEstimate(float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(vals.size)),
                       vals.size)
 
@@ -214,6 +211,24 @@ def atom_mi(model: VectorChannelModel, mc: McConfig = McConfig()) -> McEstimate:
 def _atom_conditional_mean_x(model: VectorChannelModel, y: np.ndarray) -> np.ndarray:
     w = _normalized(_atom_posterior_logweights(model, y))
     return w @ model.input.points
+
+
+def _posterior_cov_sums(model: VectorChannelModel, mc: McConfig):
+    """Sums over MC draws of Cov(X | Y) (K x K), of g gᵀ (L x L) and of |g|²,
+    where g = A X̂ - y is the score of p_Y at the draw (A = H S)."""
+    eff = model.effective_matrix
+    points = model.input.points
+
+    def stats(idx, noise, y, logw):
+        w = _normalized(logw)
+        mean = w @ points                                   # (n, K)
+        dev = points[None, :, :] - mean[:, None, :]
+        g = mean @ eff.T - y
+        return (np.einsum("nk,nki,nkj->ij", w, dev, dev), g.T @ g,
+                float(np.einsum("nl,nl->", g, g)))
+
+    cov, outer, sq = zip(*_atom_mc_sweep(model, mc, stats))
+    return sum(cov), sum(outer), sum(sq)
 
 
 def fisher_matrix(model: VectorChannelModel, mc: McConfig = McConfig()) -> FisherMatrix:
@@ -224,26 +239,10 @@ def fisher_matrix(model: VectorChannelModel, mc: McConfig = McConfig()) -> Fishe
         cov_y = np.eye(l_dim) + eff @ model.input.cov @ eff.T
         j = np.linalg.inv(cov_y)
         return FisherMatrix(j, j, 0.0)
-    cov_acc = np.zeros((eff.shape[1], eff.shape[1]))
-    score_acc = np.zeros((l_dim, l_dim))
-    score_sq = 0.0
-    total = [0]
-
-    def stats(idx, noise, y, logw):
-        w = _normalized(logw)
-        mean = w @ model.input.points                       # (n, K)
-        dev = model.input.points[None, :, :] - mean[:, None, :]
-        cov_acc.__iadd__(np.einsum("nk,nki,nkj->ij", w, dev, dev))
-        g = mean @ eff.T - y                                # score = A x̂ - y
-        score_acc.__iadd__(g.T @ g)
-        nonlocal score_sq
-        score_sq += float(np.einsum("nl,nl->", g, g))
-        total[0] += y.shape[0]
-
-    _atom_mc_sweep(model, mc, stats)
-    n = total[0]
-    j_cov = np.eye(l_dim) - eff @ (cov_acc / n) @ eff.T
-    j_score = score_acc / n
+    cov_sum, score_sum, score_sq = _posterior_cov_sums(model, mc)
+    n = mc.n_paths
+    j_cov = np.eye(l_dim) - eff @ (cov_sum / n) @ eff.T
+    j_score = score_sum / n
     se = np.sqrt(max(score_sq / n, 1.0)) / np.sqrt(n)
     return FisherMatrix(j_cov, j_score, float(se))
 
@@ -308,19 +307,7 @@ def _posterior_cross_cov(model: VectorChannelModel, mc: McConfig) -> np.ndarray:
     """E_Y[Cov(X | Y)] (K x K) by exact posteriors per MC draw, or closed form."""
     if isinstance(model.input, GaussianVec):
         return gaussian_error_cov(model)
-    k = model.H.shape[1]
-    acc = np.zeros((k, k))
-    total = [0]
-
-    def stats(idx, noise, y, logw):
-        w = _normalized(logw)
-        mean = w @ model.input.points
-        dev = model.input.points[None, :, :] - mean[:, None, :]
-        acc.__iadd__(np.einsum("nk,nki,nkj->ij", w, dev, dev))
-        total[0] += y.shape[0]
-
-    _atom_mc_sweep(model, mc, stats)
-    return acc / total[0]
+    return _posterior_cov_sums(model, mc)[0] / mc.n_paths
 
 
 def multiuser_derivative(model: VectorChannelModel, k: int,

@@ -110,6 +110,16 @@ def test_curve_usage_errors(tmp_path):
                  "--out", str(tmp_path / "y.csv")]) == 2
 
 
+@pytest.mark.parametrize("source", [["--input", "gaussian"],
+                                    ["--input", "binary"],
+                                    ["--telegraph", "nu=1"]])
+def test_curve_nonfinite_snr_is_usage_error(tmp_path, source):
+    out = tmp_path / "nan.csv"
+    assert main(["curve", "mmse", *source, "--snr", "nan",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

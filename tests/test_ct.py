@@ -2,10 +2,10 @@
 import numpy as np
 import pytest
 
-from immse.ct import (OUSpectrum, TelegraphModel, build_f_table, duncan_check,
-                      f_integral, ou_closed_forms, simulate_telegraph,
-                      spectral_quantities, spectral_report, telegraph_cmmse,
-                      telegraph_mmse, thm7_differential_check,
+from immse.ct import (OUSpectrum, SamplePath, TelegraphModel, build_f_table,
+                      duncan_check, f_integral, ou_closed_forms,
+                      simulate_telegraph, spectral_quantities, spectral_report,
+                      telegraph_cmmse, telegraph_mmse, thm7_differential_check,
                       time_snr_average_check, time_snr_transform_check,
                       verify_f_recurrences, verify_thm7, wonham_ensemble,
                       wonham_filter, yao_smoother)
@@ -64,6 +64,20 @@ def test_simulate_telegraph_path_values():
 def test_step_too_large_guard():
     with pytest.raises(StepTooLarge):
         simulate_telegraph(TelegraphModel(1.0, 100.0), T=1.0, dt=1e-2, seed=0)
+
+
+@pytest.mark.parametrize("nu, snr", [(np.nan, 1.0), (1.0, np.inf)])
+def test_telegraph_model_rejects_nonfinite(nu, snr):
+    with pytest.raises(ValueError, match="finite"):
+        TelegraphModel(nu, snr)
+
+
+def test_backward_filter_is_forward_filter_on_reversed_path():
+    m = TelegraphModel(1.0, 2.0)
+    path = simulate_telegraph(m, T=2.0, dt=1e-3, seed=4)
+    mirrored = SamplePath(path.dt, path.x[::-1].copy(), path.dy[::-1].copy())
+    bwd = wonham_filter(path, m.snr, m.nu, backward=True)
+    assert np.array_equal(bwd, wonham_filter(mirrored, m.snr, m.nu)[::-1])
 
 
 def test_yao_smoother_symmetric_and_clipped():

@@ -49,6 +49,24 @@ def test_gridded_pdf_must_normalize():
         GriddedDensity(grid=x, pdf=np.full_like(x, 2.0))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: DiscreteAtoms(values=[np.nan, 1.0], probs=[0.5, 0.5]),
+    lambda: DiscreteAtoms(values=[0.0, 1.0], probs=[np.nan, 0.5]),
+    lambda: Gaussian(np.nan, 1.0),
+    lambda: Gaussian(0.0, np.inf),
+    lambda: GaussianMixture(weights=[0.5, 0.5], means=[0.0, np.inf],
+                            variances=[1.0, 1.0]),
+    lambda: GaussianMixture(weights=[0.5, 0.5], means=[0.0, 1.0],
+                            variances=[1.0, np.nan]),
+    lambda: GriddedDensity(grid=[0.0, np.nan, 1.0], pdf=[1.0, 1.0, 1.0]),
+    lambda: GriddedDensity(grid=[0.0, 0.5, 1.0], pdf=[1.0, np.inf, 1.0]),
+], ids=["atoms-value", "atoms-prob", "gaussian-mean", "gaussian-var",
+        "mixture-mean", "mixture-var", "gridded-grid", "gridded-pdf"])
+def test_constructors_reject_nonfinite(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
 def test_gaussian_components_structure():
     w, m, v = gaussian_components(binary_law())
     assert np.all(v == 0.0)

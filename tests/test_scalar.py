@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from immse.laws import (DiscreteAtoms, Gaussian, GaussianMixture, binary_law,
-                        moments, sample, standard_gaussian_law)
+from immse.laws import (DiscreteAtoms, Gaussian, GaussianMixture,
+                        GriddedDensity, binary_law, moments, sample,
+                        standard_gaussian_law)
 from immse.quadrature import McConfig, integrate_output
 from immse.scalar import (ScalarChannel, conditional_mean,
                           divergence_derivative, fisher_from_mmse,
@@ -60,6 +61,12 @@ def test_binary_closed_forms_reference_values():
                                                   rel=1e-10)
 
 
+@pytest.mark.parametrize("snr", [np.nan, np.inf])
+def test_channel_rejects_nonfinite_snr(snr):
+    with pytest.raises(ValueError, match="finite"):
+        ScalarChannel(binary_law(), snr)
+
+
 # ---------------------------------------------------------------------------
 # Posterior statistics
 # ---------------------------------------------------------------------------
@@ -93,6 +100,51 @@ def test_q_moments_consistent_with_posterior():
     assert q1 / q0 == pytest.approx(conditional_mean(ch, y), abs=1e-12)
     assert q2 / q0 - (q1 / q0) ** 2 == pytest.approx(
         posterior_variance(ch, y), abs=1e-12)
+
+
+def test_gridded_law_is_trapezoid_weighted_atoms():
+    # a non-uniform pdf on an unevenly spaced grid: every posterior statistic
+    # must be the trapezoid rule over the grid, endpoints and uneven cells
+    # included, without renormalising the weights (the mass is 1 + 5e-9,
+    # inside the constructor's 1e-8 tolerance)
+    u = np.linspace(0.0, 1.0, 61)
+    x = -2.0 + 4.5 * u ** 1.7
+    pdf = np.exp(-0.5 * (x - 0.4) ** 2) * (1.2 + np.sin(2.0 * x))
+    law = GriddedDensity(grid=x, pdf=pdf / np.trapezoid(pdf, x) * (1 + 5e-9))
+    pdf = law.pdf
+    snr = 3.0
+    ch = ScalarChannel(law, snr)
+
+    def reference(y):
+        kern = np.exp(-0.5 * (y[:, None] - np.sqrt(snr) * x) ** 2) / np.sqrt(2 * np.pi)
+        q = [np.trapezoid(kern * x ** i * pdf, x, axis=1) for i in range(3)]
+        mean = q[1] / q[0]
+        var = np.trapezoid(kern * (x - mean[:, None]) ** 2 * pdf, x, axis=1) / q[0]
+        return q, mean, var
+
+    y = np.array([-2.5, 0.1, 1.7, 4.0])
+    q, mean, var = reference(y)
+    assert conditional_mean(ch, y) == pytest.approx(mean, rel=1e-12)
+    assert posterior_variance(ch, y) == pytest.approx(var, rel=1e-11)
+    assert log_output_density(ch, y) == pytest.approx(np.log(q[0]), rel=1e-12)
+    for i in range(3):
+        for k in range(y.size):
+            assert q_moment(ch, y[k], i) == pytest.approx(q[i][k], rel=1e-12)
+
+    raw = [np.trapezoid(x ** k * pdf, x) for k in range(5)]
+    m = moments(law)
+    assert m.mean == pytest.approx(raw[1], rel=1e-12)
+    assert m.variance == pytest.approx(raw[2] - raw[1] ** 2, rel=1e-12)
+    assert (m.third, m.fourth) == pytest.approx((raw[3], raw[4]), rel=1e-12)
+
+    # E_Y[Var(X|Y)] by a dense trapezoid in y, which converges exponentially
+    # for this smooth, Gaussian-tailed integrand
+    yy = np.linspace(-14.0, 16.0, 6001)
+    qq, _, vv = reference(yy)
+    assert mmse(ch) == pytest.approx(np.trapezoid(qq[0] * vv, yy), abs=1e-9)
+
+    with pytest.raises(TypeError):
+        posterior_sample(ch, y, np.random.default_rng(0))
 
 
 def test_orthogonality_of_estimation_error():
