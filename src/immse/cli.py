@@ -18,7 +18,8 @@ import numpy as np
 
 from . import __version__, ct, dt, represent, scalar, vector
 from .errors import NonConvergence, StepTooLarge
-from .laws import DiscreteAtoms, Gaussian, GaussianMixture, InputLaw, binary_law
+from .laws import (DiscreteAtoms, Gaussian, GaussianMixture, InputLaw,
+                   binary_law, require_finite)
 from .quadrature import McConfig, QuadratureSpec
 from .report import Report
 from .scalar import ScalarChannel
@@ -92,6 +93,7 @@ def parse_snr_grid(spec: str, db: bool = False) -> np.ndarray:
     """Single value 'x' or inclusive range 'a:b:step'."""
     if ":" in spec:
         a, b, step = (float(t) for t in spec.split(":"))
+        require_finite(start=a, stop=b, step=step)
         if step <= 0 or b < a:
             raise ValueError(f"bad snr range {spec!r}")
         n = int(np.floor((b - a) / step + 1e-9)) + 1
@@ -127,15 +129,14 @@ def _emit_json(payload: dict, out: str | None) -> None:
 # curve
 # ---------------------------------------------------------------------------
 
-def _scalar_curve(quantity: str, law: InputLaw, grid: np.ndarray,
-                  quad: QuadratureSpec):
+def _scalar_curve(quantity: str, law: InputLaw, grid: np.ndarray):
     fns = {"mi": scalar.mutual_information, "mmse": scalar.mmse,
            "fisher": scalar.fisher_information}
     if quantity not in fns:
         raise ValueError(f"quantity {quantity!r} needs --telegraph or --ar")
     fn = fns[quantity]
-    return [fn(ScalarChannel(law, s, quad)) for s in grid], "quadrature", \
-        quad.adaptive_tol
+    return [fn(ScalarChannel(law, s)) for s in grid], "quadrature", \
+        QuadratureSpec().adaptive_tol
 
 
 def _telegraph_curve(quantity: str, nu: float, grid: np.ndarray):
@@ -174,7 +175,6 @@ def cmd_curve(args) -> int:
     t0 = time.time()
     grid = parse_snr_grid(args.snr_db, db=True) if args.snr_db \
         else parse_snr_grid(args.snr)
-    quad = QuadratureSpec()
     if args.telegraph:
         nu = parse_kv(args.telegraph)["nu"]
         values, method, tol = _telegraph_curve(args.quantity, nu, grid)
@@ -184,7 +184,7 @@ def cmd_curve(args) -> int:
                                         grid)
     else:
         law = parse_input_spec(args.input)
-        values, method, tol = _scalar_curve(args.quantity, law, grid, quad)
+        values, method, tol = _scalar_curve(args.quantity, law, grid)
     if args.bits and args.quantity == "mi":
         values = [v / LN2 for v in values]
     rows = [(_fmt(s), _fmt(v), method, _fmt(tol))
@@ -311,23 +311,13 @@ def _simulate_constant(args, mc: McConfig) -> dict:
     Observing up to T is equivalent to one scalar look at snr * T, so the
     ensemble MSE of the conditional mean is checked against that closed form.
     """
-    rng = np.random.default_rng(mc.seed)
-    x = rng.choice([-1.0, 1.0], size=mc.n_paths)
-    n = int(round(mc.horizon / mc.dt))
-    y_final = np.sqrt(args.snr) * x * mc.horizon + \
-        rng.standard_normal(mc.n_paths) * np.sqrt(mc.horizon)
-    eff = args.snr * mc.horizon
-    chan = ScalarChannel(binary_law(), eff)
-    # sufficient statistic: Y_T / sqrt(T) is a scalar look at snr * T
-    xhat = scalar.conditional_mean(chan, y_final / np.sqrt(mc.horizon))
-    err = (x - xhat) ** 2
+    mse, se, closed = ct.constant_input_ensemble(binary_law(), args.snr,
+                                                 mc.horizon, mc)
     return {
         "model": "constant-input", "snr": args.snr, "n_paths": mc.n_paths,
         "horizon": mc.horizon, "seed": mc.seed,
-        "mse_empirical": float(err.mean()),
-        "mse_se": float(err.std(ddof=1) / np.sqrt(mc.n_paths)),
-        "mmse_closed": scalar.mmse(chan),
-        "n_steps": n,
+        "mse_empirical": mse, "mse_se": se, "mmse_closed": closed,
+        "n_steps": int(round(mc.horizon / mc.dt)),
     }
 
 

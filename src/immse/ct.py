@@ -9,16 +9,16 @@ Ornstein-Uhlenbeck family, and the constant-input time-snr transform.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
 
 from .errors import NonConvergence, StepTooLarge
 from .laws import InputLaw, moments, require_finite, sample_with_rng
-from .quadrature import McConfig, QuadratureSpec, gauss_hermite
+from .quadrature import McConfig, gauss_hermite
 from .report import Report
-from .scalar import ScalarChannel, fd_step, mmse as scalar_mmse
+from .scalar import ScalarChannel, conditional_mean, fd_step, mmse as scalar_mmse
 
 
 @dataclass(frozen=True)
@@ -453,14 +453,20 @@ def ou_closed_forms(spectrum: OUSpectrum, snr: float):
 
 def spectral_report(spectrum: OUSpectrum, snr: float,
                     delta_fd: float = 1e-5) -> Report:
-    """Spectral quadrature vs closed forms plus the built-in consistency ties."""
+    """Spectral quadrature vs closed forms, the causal/noncausal identity
+    cmmse(snr) = (1/snr) ∫_0^snr mmse(g) dg, and dI/dsnr = mmse/2."""
     mi_rate, mmse_nc, cmmse = spectral_quantities(spectrum, snr)
     mi_c, mmse_c, cmmse_c = ou_closed_forms(spectrum, snr)
     report = Report("spectral-ou")
     report.add("mi_rate vs closed form", mi_rate, mi_c, 1e-8)
     report.add("mmse vs closed form", mmse_nc, mmse_c, 1e-8)
     report.add("cmmse vs closed form", cmmse, cmmse_c, 1e-8)
-    report.add("snr*cmmse vs 2*mi_rate", snr * cmmse, 2.0 * mi_rate, 1e-10)
+    # causal = snr-averaged noncausal MMSE; the noncausal MMSE comes from the
+    # Wiener-term quadrature, independent of cmmse's log integral
+    avg = mmse_nc if snr == 0 else integrate.quad(
+        lambda g: spectral_quantities(spectrum, g)[1], 0.0, snr,
+        epsabs=1e-12, epsrel=1e-12, limit=200)[0] / snr
+    report.add("cmmse vs snr-averaged mmse", cmmse, avg, 1e-10)
     d = fd_step(delta_fd, snr)
     fd = (spectral_quantities(spectrum, snr + d)[0]
           - spectral_quantities(spectrum, max(snr - d, 0.0))[0]) / (
@@ -473,45 +479,49 @@ def spectral_report(spectrum: OUSpectrum, snr: float,
 # Constant-input time-snr transform
 # ---------------------------------------------------------------------------
 
-def time_snr_transform_check(law: InputLaw, snr: float, u: float = 0.5,
-                             mc: McConfig = McConfig(),
-                             quad: QuadratureSpec = QuadratureSpec()) -> Report:
-    """Constant input X_t = X on [0,1]: causal MSE at time u equals the scalar
-    MMSE at snr*u.
+def constant_input_ensemble(law: InputLaw, snr: float, t: float,
+                            mc: McConfig = McConfig()):
+    """Ensemble MSE of the causal estimate of a constant input X_t = X at t > 0.
 
-    Y_u = sqrt(snr)*u*X + W_u is a sufficient statistic for the observation up
-    to u, so Y_u/sqrt(u) realizes a scalar channel at snr*u; the ensemble MSE
-    of the scalar conditional mean applied to it is compared to mmse(u*snr).
+    Y_t = sqrt(snr)*t*X + W_t is a sufficient statistic for the observation up
+    to t, so Y_t/sqrt(t) realizes a scalar channel at snr*t and the scalar
+    conditional mean applied to it is the causal estimate.  Returns
+    (ensemble MSE, its standard error, scalar mmse(snr*t)).
     """
-    report = Report("time-snr-transform")
     rng = np.random.default_rng(mc.seed)
     n = mc.n_paths
     x = sample_with_rng(law, rng, n)
+    y_t = np.sqrt(snr) * t * x + np.sqrt(t) * rng.standard_normal(n)
+    ch = ScalarChannel(law, t * snr)
+    err = (x - conditional_mean(ch, y_t / np.sqrt(t))) ** 2
+    return (float(err.mean()), float(err.std(ddof=1) / np.sqrt(n)),
+            scalar_mmse(ch))
+
+
+def time_snr_transform_check(law: InputLaw, snr: float, u: float = 0.5,
+                             mc: McConfig = McConfig()) -> Report:
+    """Constant input X_t = X on [0,1]: causal MSE at time u equals the scalar
+    MMSE at snr*u (see ``constant_input_ensemble``)."""
+    report = Report("time-snr-transform")
     if u == 0:
         report.add("prior variance at u=0", moments(law).variance,
                    moments(law).variance, 0.0)
         return report
-    y_u = np.sqrt(snr) * u * x + np.sqrt(u) * rng.standard_normal(n)
-    ch = ScalarChannel(law, u * snr, quad)
-    from .scalar import conditional_mean
-    xhat = conditional_mean(ch, y_u / np.sqrt(u))
-    err = (x - xhat) ** 2
-    se = float(err.std(ddof=1) / np.sqrt(n))
+    mse, se, closed = constant_input_ensemble(law, snr, u, mc)
     report.add(f"ensemble causal MSE at u={u:g} vs scalar mmse({u * snr:g})",
-               float(err.mean()), scalar_mmse(ch), 3.0 * se)
+               mse, closed, 3.0 * se)
     report.notes = f"standard error {se:.3e}"
     return report
 
 
 def time_snr_average_check(law: InputLaw, snr: float, n_u: int = 41,
-                           quad: QuadratureSpec = QuadratureSpec(),
                            tolerance: float = 1e-6) -> Report:
     """Time-averaged causal MSE over u in [0,1] vs (1/snr) ∫_0^snr mmse."""
     us = np.linspace(0.0, 1.0, n_u)
-    vals = [scalar_mmse(ScalarChannel(law, float(u * snr), quad)) for u in us]
+    vals = [scalar_mmse(ScalarChannel(law, float(u * snr))) for u in us]
     time_avg = float(np.trapezoid(vals, us))
     rhs, _ = integrate.quad(
-        lambda g: scalar_mmse(ScalarChannel(law, g, quad)) / snr, 0.0, snr,
+        lambda g: scalar_mmse(ScalarChannel(law, g)) / snr, 0.0, snr,
         epsabs=1e-10, epsrel=1e-10, limit=200)
     report = Report("time-snr-average")
     report.add("time-averaged causal MSE vs snr-averaged mmse",

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .laws import require_finite
 from .report import Report
 from .scalar import fd_step
 
@@ -50,6 +51,7 @@ def kalman_triple(p: ARProcess, snr: float) -> MmseTriple:
     stationary value 1; the smoother runs the standard backward variance
     sweep.
     """
+    require_finite(snr=snr)
     a, n = p.a, p.n
     q = 1.0 - a * a
     p_pred = np.empty(n)
@@ -80,6 +82,7 @@ def dense_smoother_mmse(p: ARProcess, snr: float) -> np.ndarray:
 
 def block_mi(p: ARProcess, snr: float) -> float:
     """I(X^n; Y^n) = 0.5 logdet(I + snr * Sigma) nats."""
+    require_finite(snr=snr)
     sign, logdet = np.linalg.slogdet(np.eye(p.n) + snr * p.covariance())
     if sign <= 0:
         raise ValueError("output covariance not positive definite")

@@ -10,15 +10,13 @@ gap between unconditional and conditional estimation errors.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from . import laws
 from .errors import TailNotResolved
-from .laws import DiscreteAtoms, Gaussian, GaussianMixture, InputLaw, variance
-from .quadrature import QuadratureSpec
+from .laws import DiscreteAtoms, InputLaw, variance
 from .report import Report
 from .scalar import ScalarChannel, mmse
 
@@ -30,10 +28,16 @@ _POINTS_PER_DECADE = 40
 class TailPolicy:
     """Truncation control for the outer snr integral.
 
-    tail_estimator:
-      none            integrate to snr_max and stop
-      gaussian_tail   fit the C/snr^2 decay of density laws at snr_max
-      exponential_fit fit an exponential rate to the last decade of samples
+    The integrand is sampled on a log grid up to snr_max; tail_estimator
+    picks how the integral beyond snr_max is closed from those samples:
+      none            no closure: integrate to snr_max and stop
+      exponential_fit fit f ~ A exp(-c snr) over [snr_max/10, snr_max] and
+                      add f(snr_max)/c (discrete laws, whose MMSE decays
+                      exponentially)
+      gaussian_tail   fit f ~ C/snr^alpha over [snr_max/4, snr_max] and add
+                      f(snr_max) snr_max/(alpha - 1) (laws with a density:
+                      alpha = 2, or 3/2 with density jumps); alpha <= 1
+                      raises TailNotResolved, the tail would diverge
     """
     snr_max: float = 80.0
     tail_estimator: str = "exponential_fit"
@@ -72,40 +76,47 @@ def _snr_grid(snr_max: float) -> np.ndarray:
     return np.geomspace(_SNR_MIN, snr_max, n)
 
 
-def _exponential_tail(grid: np.ndarray, values: np.ndarray) -> float:
-    """Integral beyond grid[-1] assuming values ~ A exp(-c snr).
+def _tail_integral(grid: np.ndarray, values: np.ndarray,
+                   estimator: str) -> float:
+    """Integral beyond grid[-1] of an integrand known at the grid points.
 
-    The rate c is fitted by least squares over the last decade of samples.
-    Returns 0 when the integrand has already vanished.
+    Each estimator closes the tail from a least-squares fit of log(values)
+    over the grid points near snr_max (see TailPolicy).  An integrand that
+    has vanished at snr_max has no tail.
     """
-    if values[-1] <= 0 or values[-1] < 1e-300:
+    if estimator == "none" or values[-1] < 1e-300:
         return 0.0
-    sel = (grid >= grid[-1] / 10) & (values > 0)
+    s_max, f_max = grid[-1], values[-1]
+    if estimator == "exponential_fit":
+        sel = (grid >= s_max / 10) & (values > 0)
+        if sel.sum() < 2:
+            return 0.0
+        rate = -np.polyfit(grid[sel], np.log(values[sel]), 1)[0]
+        return float(f_max / rate) if rate > 0 else 0.0
+    sel = (grid >= s_max / 4) & (values > 0)
     if sel.sum() < 2:
         return 0.0
-    slope = np.polyfit(grid[sel], np.log(values[sel]), 1)[0]
-    if slope >= 0:
-        return 0.0
-    return float(values[-1] / (-slope))
+    alpha = -np.polyfit(np.log(grid[sel]), np.log(values[sel]), 1)[0]
+    if alpha <= 1.0:
+        raise TailNotResolved(
+            f"the integrand decays like snr^-{alpha:.3g} near snr_max = "
+            f"{s_max:g}, so its tail integral diverges")
+    return float(f_max * s_max / (alpha - 1.0))
 
 
-def _integrate_curve(grid: np.ndarray, values: np.ndarray,
-                     value_at_zero: float, tail: TailPolicy) -> float:
-    """Head + log-space trapezoid + fitted tail of a decaying snr integrand.
+def _snr_integral(f, f_at_zero: float, tail: TailPolicy):
+    """Integral of f over all snr >= 0; returns it and f(snr_max).
 
-    The main segment integrates snr*values against ln(snr), which is exact
-    for integrands varying smoothly across decades; the head covers
-    [0, grid[0]] by one trapezoid panel.
+    One trapezoid panel covers [0, _SNR_MIN]; the grid up to snr_max is
+    integrated by the trapezoid rule in ln(snr) (the integrand snr*f is
+    smooth across decades); the tail closure of ``tail`` adds the rest.
     """
-    head = 0.5 * (value_at_zero + values[0]) * grid[0]
+    grid = _snr_grid(tail.snr_max)
+    values = np.array([f(s) for s in grid])
+    head = 0.5 * (f_at_zero + values[0]) * grid[0]
     main = float(np.trapezoid(values * grid, np.log(grid)))
-    if tail.tail_estimator == "exponential_fit":
-        tail_part = _exponential_tail(grid, values)
-    elif tail.tail_estimator == "gaussian_tail":
-        tail_part = float(values[-1] * grid[-1])
-    else:
-        tail_part = 0.0
-    return head + main + tail_part
+    return (head + main + _tail_integral(grid, values, tail.tail_estimator),
+            values[-1])
 
 
 def _check_degenerate(atoms: DiscreteAtoms) -> None:
@@ -117,7 +128,7 @@ def _check_degenerate(atoms: DiscreteAtoms) -> None:
 
 
 def entropy_via_mmse(atoms: DiscreteAtoms, tail: TailPolicy | None = None,
-                     g=None, quad: QuadratureSpec | None = None) -> float:
+                     g=None) -> float:
     """H(X) in nats as half the integral of mmse(g(X); snr) over all snr.
 
     g may be any injective map on the atom values (default identity); the
@@ -125,7 +136,6 @@ def entropy_via_mmse(atoms: DiscreteAtoms, tail: TailPolicy | None = None,
     was sent, not where it sits on the line.
     """
     tail = tail or TailPolicy()
-    quad = quad or QuadratureSpec()
     values = atoms.values if g is None else np.asarray(
         [g(v) for v in atoms.values], dtype=float)
     if np.unique(values).size != values.size:
@@ -134,19 +144,15 @@ def entropy_via_mmse(atoms: DiscreteAtoms, tail: TailPolicy | None = None,
     law = DiscreteAtoms(values=values, probs=atoms.probs)
     if law.values.size == 1:
         return 0.0
-    grid = _snr_grid(tail.snr_max)
-    m = np.array([mmse(ScalarChannel(law, s, quad)) for s in grid])
-    running = 0.5 * _integrate_curve(
-        grid, m, variance(law),
-        TailPolicy(tail.snr_max, "none"))
-    if tail.tail_estimator == "none":
-        if m[-1] > 1e-4 * max(running, 1e-12):
-            raise TailNotResolved(
-                f"mmse({tail.snr_max:g}) = {m[-1]:.3e} still contributes "
-                "more than 1e-4 of the entropy estimate; raise snr_max or "
-                "enable a tail estimator")
-        return running
-    return running + 0.5 * _exponential_tail(grid, m)
+    total, m_last = _snr_integral(lambda s: mmse(ScalarChannel(law, s)),
+                                  variance(law), tail)
+    h = 0.5 * total
+    if tail.tail_estimator == "none" and m_last > 1e-4 * max(h, 1e-12):
+        raise TailNotResolved(
+            f"mmse({tail.snr_max:g}) = {m_last:.3e} still contributes "
+            "more than 1e-4 of the entropy estimate; raise snr_max or "
+            "enable a tail estimator")
+    return h
 
 
 def _default_nongauss_tail(law: InputLaw) -> TailPolicy:
@@ -155,81 +161,53 @@ def _default_nongauss_tail(law: InputLaw) -> TailPolicy:
     return TailPolicy(snr_max=1e4, tail_estimator="gaussian_tail")
 
 
-def nongauss_integrand(law: InputLaw, snr: float,
-                       quad: QuadratureSpec | None = None) -> float:
+def nongauss_integrand(law: InputLaw, snr: float) -> float:
     """sigma^2/(1 + snr sigma^2) - mmse(snr): the Gaussian MMSE excess."""
-    quad = quad or QuadratureSpec()
     v = variance(law)
-    return v / (1.0 + snr * v) - mmse(ScalarChannel(law, snr, quad))
+    return v / (1.0 + snr * v) - mmse(ScalarChannel(law, snr))
 
 
-def nongaussianness(law: InputLaw, tail: TailPolicy | None = None,
-                    quad: QuadratureSpec | None = None) -> float:
+def nongaussianness(law: InputLaw, tail: TailPolicy | None = None) -> float:
     """KL divergence from the law to the Gaussian of equal mean and variance.
 
     D = (1/2) integral over snr of [sigma^2/(1 + snr sigma^2) - mmse(snr)].
-    For laws with a density the integrand decays like C/snr^2 and the
-    gaussian_tail estimator closes the integral; discrete laws have infinite
-    divergence and the truncated running value at snr_max is returned.
+    For laws with a density the integrand decays like C/snr^alpha (alpha = 2
+    for smooth densities, 3/2 with density jumps) and the gaussian_tail
+    estimator closes the integral; discrete laws have infinite divergence
+    and the truncated running value at snr_max is returned.
     """
     tail = tail or _default_nongauss_tail(law)
-    quad = quad or QuadratureSpec()
-
-    def f(s):
-        return nongauss_integrand(law, s, quad)
-
-    cuts = np.concatenate(([0.0], np.geomspace(1e-2, tail.snr_max, 17)))
-    total = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        seg, _ = integrate.quad(f, lo, hi, epsabs=1e-13, epsrel=1e-11,
-                                limit=200)
-        total += seg
-    if isinstance(law, DiscreteAtoms) or tail.tail_estimator == "none":
-        return 0.5 * total
-    if tail.tail_estimator == "gaussian_tail":
-        # f ~ C / snr^alpha beyond snr_max (alpha = 2 for smooth densities,
-        # 3/2 with density jumps); fit alpha and close the power tail as
-        # f(snr_max) * snr_max / (alpha - 1).
-        s_fit = np.geomspace(tail.snr_max / 4, tail.snr_max, 5)
-        f_fit = np.array([f(s) for s in s_fit])
-        if f_fit[-1] > 0 and np.all(f_fit > 0):
-            alpha = -np.polyfit(np.log(s_fit), np.log(f_fit), 1)[0]
-            if alpha > 1.05:
-                total += f_fit[-1] * tail.snr_max / (alpha - 1.0)
-    else:
-        grid = np.geomspace(tail.snr_max / 10, tail.snr_max, 8)
-        total += _exponential_tail(grid, np.array([f(s) for s in grid]))
+    if isinstance(law, DiscreteAtoms):
+        tail = TailPolicy(tail.snr_max, "none")
+    total, _ = _snr_integral(lambda s: nongauss_integrand(law, s), 0.0, tail)
     return 0.5 * total
 
 
 def differential_entropy_via_mmse(law: InputLaw,
-                                  tail: TailPolicy | None = None,
-                                  quad: QuadratureSpec | None = None) -> float:
+                                  tail: TailPolicy | None = None) -> float:
     """h(X) = (1/2) log(2 pi e sigma^2) - nongaussianness, nats."""
     if isinstance(law, DiscreteAtoms):
         raise ValueError("differential entropy requires a law with a density")
     v = variance(law)
     return 0.5 * np.log(2.0 * np.pi * np.e * v) - nongaussianness(
-        law, tail, quad)
+        law, tail)
 
 
-def gamma_index(law: InputLaw, tail: TailPolicy | None = None,
-                quad: QuadratureSpec | None = None) -> float:
+def gamma_index(law: InputLaw, tail: TailPolicy | None = None) -> float:
     """gamma = exp(-D): 1 for Gaussian laws, smaller the harder to estimate."""
-    return float(np.exp(-nongaussianness(law, tail, quad)))
+    return float(np.exp(-nongaussianness(law, tail)))
 
 
 def gamma_epi_check(law_a: InputLaw, law_b: InputLaw,
-                    tail: TailPolicy | None = None,
-                    quad: QuadratureSpec | None = None) -> Report:
+                    tail: TailPolicy | None = None) -> Report:
     """Entropy-power inequality in gamma form for independent summands.
 
     With alpha = var_A / (var_A + var_B), checks
     alpha*gamma_A^2 + (1-alpha)*gamma_B^2 <= gamma_{A+B}^2.
     """
-    g_a = gamma_index(law_a, tail, quad)
-    g_b = gamma_index(law_b, tail, quad)
-    g_sum = gamma_index(laws.convolve(law_a, law_b), tail, quad)
+    g_a = gamma_index(law_a, tail)
+    g_b = gamma_index(law_b, tail)
+    g_sum = gamma_index(laws.convolve(law_a, law_b), tail)
     v_a, v_b = variance(law_a), variance(law_b)
     alpha = v_a / (v_a + v_b)
     lhs = alpha * g_a**2 + (1.0 - alpha) * g_b**2
@@ -259,8 +237,7 @@ def _conditional_slices(joint: JointAtoms):
 
 
 def mi_via_mmse_difference(joint: JointAtoms,
-                           tail: TailPolicy | None = None,
-                           quad: QuadratureSpec | None = None) -> float:
+                           tail: TailPolicy | None = None) -> float:
     """I(X;Z) in nats from estimation errors of Z in Gaussian noise.
 
     Observing Y = sqrt(snr) Z + N, the gap between the second moments of
@@ -269,19 +246,15 @@ def mi_via_mmse_difference(joint: JointAtoms,
     form avoids cancelling two near-equal second moments at low snr.
     """
     tail = tail or TailPolicy()
-    quad = quad or QuadratureSpec()
     marginal, slices = _conditional_slices(joint)
-    grid = _snr_grid(tail.snr_max)
 
     def gap(s):
-        unconditional = mmse(ScalarChannel(marginal, s, quad))
+        unconditional = mmse(ScalarChannel(marginal, s))
         conditional = sum(
-            w * mmse(ScalarChannel(law, s, quad)) if law.values.size > 1
-            else 0.0
+            w * mmse(ScalarChannel(law, s)) if law.values.size > 1 else 0.0
             for w, law in slices)
-        return unconditional - conditional
+        return max(unconditional - conditional, 0.0)
 
-    values = np.array([gap(s) for s in grid])
     var_cond = sum(w * variance(law) for w, law in slices)
-    gap0 = variance(marginal) - var_cond
-    return 0.5 * _integrate_curve(grid, np.maximum(values, 0.0), gap0, tail)
+    total, _ = _snr_integral(gap, variance(marginal) - var_cond, tail)
+    return 0.5 * total

@@ -12,7 +12,7 @@ in both differential and integral form.  All information is in nats.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
@@ -20,7 +20,7 @@ from scipy.special import expit, logsumexp
 
 from .laws import (Gaussian, GriddedDensity, InputLaw, Moments, components,
                    gaussian_raw_moments, moments, require_finite)
-from .quadrature import QuadratureSpec, McConfig, by_rows, integrate_output
+from .quadrature import McConfig, by_rows, integrate_output
 from .report import Report
 
 LOG_2PI = np.log(2.0 * np.pi)
@@ -32,7 +32,6 @@ class ScalarChannel:
     """Input law observed at a given snr through additive N(0,1) noise."""
     law: InputLaw
     snr: float
-    quad: QuadratureSpec = field(default_factory=QuadratureSpec)
 
     def __post_init__(self):
         require_finite(snr=self.snr)
@@ -141,7 +140,7 @@ def mmse(ch: ScalarChannel) -> float:
     if isinstance(ch.law, Gaussian):
         return ch.law.variance / (1.0 + ch.snr * ch.law.variance)
     val = integrate_output(lambda y: _posterior_stats(ch, y)[1],
-                           ch.law, ch.snr, ch.quad)
+                           ch.law, ch.snr)
     return max(val, 0.0)
 
 
@@ -152,7 +151,7 @@ def mutual_information(ch: ScalarChannel) -> float:
     if isinstance(ch.law, Gaussian):
         return 0.5 * np.log1p(ch.snr * ch.law.variance)
     ent = -integrate_output(lambda y: log_output_density(ch, y),
-                            ch.law, ch.snr, ch.quad)
+                            ch.law, ch.snr)
     return max(ent - HALF_LOG_2PIE, 0.0)
 
 
@@ -168,7 +167,7 @@ def fisher_information(ch: ScalarChannel) -> float:
     rs = np.sqrt(ch.snr)
     return integrate_output(
         lambda y: (rs * _posterior_stats(ch, y)[0] - y) ** 2,
-        ch.law, ch.snr, ch.quad)
+        ch.law, ch.snr)
 
 
 def fisher_from_mmse(ch: ScalarChannel) -> float:
@@ -230,39 +229,37 @@ def fd_step(delta_fd: float, snr: float) -> float:
     return delta_fd * max(1.0, snr)
 
 
-def verify_immse(law: InputLaw, snr_grid, delta_fd: float = 1e-4,
-                 quad: QuadratureSpec = QuadratureSpec()) -> Report:
+def verify_immse(law: InputLaw, snr_grid, delta_fd: float = 1e-4) -> Report:
     """Compare the central finite difference of I(snr) against mmse(snr)/2."""
     report = Report("immse-scalar")
     for s in np.atleast_1d(snr_grid):
         s = float(s)
         d = fd_step(delta_fd, s)
         if s - d <= 0:
-            lo, hi = ScalarChannel(law, max(s - d, 0.0), quad), ScalarChannel(law, s + d, quad)
+            lo, hi = ScalarChannel(law, max(s - d, 0.0)), ScalarChannel(law, s + d)
             step = (s + d) - max(s - d, 0.0)
             fd = (mutual_information(hi) - mutual_information(lo)) / step
         else:
-            i_hi = mutual_information(ScalarChannel(law, s + d, quad))
-            i_lo = mutual_information(ScalarChannel(law, s - d, quad))
+            i_hi = mutual_information(ScalarChannel(law, s + d))
+            i_lo = mutual_information(ScalarChannel(law, s - d))
             fd = (i_hi - i_lo) / (2.0 * d)
-        half_mmse = 0.5 * mmse(ScalarChannel(law, s, quad))
+        half_mmse = 0.5 * mmse(ScalarChannel(law, s))
         report.add(f"dI/dsnr vs mmse/2 at snr={s:g}", fd, half_mmse, 1e-6)
     return report
 
 
 def verify_immse_integral(law: InputLaw, snr: float, n_grid: int = 400,
-                          quad: QuadratureSpec = QuadratureSpec(),
                           tolerance: float = 1e-5) -> Report:
     """Integral form: I(snr) vs (1/2) * integral of mmse over [0, snr]."""
     report = Report("immse-integral")
-    direct = mutual_information(ScalarChannel(law, snr, quad))
+    direct = mutual_information(ScalarChannel(law, snr))
     half_int, _ = integrate.quad(
-        lambda g: 0.5 * mmse(ScalarChannel(law, g, quad)), 0.0, snr,
+        lambda g: 0.5 * mmse(ScalarChannel(law, g)), 0.0, snr,
         epsabs=1e-10, epsrel=1e-10, limit=200)
     report.add(f"I(snr) vs half-integral of mmse at snr={snr:g}",
                direct, half_int, tolerance)
     grid = np.linspace(0.0, snr, n_grid)
-    vals = np.array([mmse(ScalarChannel(law, float(g), quad)) for g in grid])
+    vals = np.array([mmse(ScalarChannel(law, float(g))) for g in grid])
     report.add(f"trapezoid {n_grid}-point integral at snr={snr:g}",
                direct, 0.5 * float(np.trapezoid(vals, grid)), tolerance)
     return report
@@ -280,8 +277,7 @@ def incremental_decompose(snr: float, delta: float) -> IncrementalPair:
     return IncrementalPair(snr, delta, s1, 1.0 / snr - s1)
 
 
-def lemma1_low_snr(law: InputLaw, deltas,
-                   quad: QuadratureSpec = QuadratureSpec()) -> Report:
+def lemma1_low_snr(law: InputLaw, deltas) -> Report:
     """Low-snr behavior I(delta) = (delta/2)*Var(X) + o(delta).
 
     Reports the ratio I(delta)/delta against Var/2 and fits the log-log slope
@@ -292,7 +288,7 @@ def lemma1_low_snr(law: InputLaw, deltas,
     report = Report("lemma1-low-snr")
     deficits = []
     for d in deltas:
-        mi = mutual_information(ScalarChannel(law, float(d), quad))
+        mi = mutual_information(ScalarChannel(law, float(d)))
         report.add(f"I(d)/d vs Var/2 at delta={d:g}", mi / d, 0.5 * var,
                    0.01 * 0.5 * var + 1e-12)
         deficits.append(0.5 * var * d - mi)

@@ -17,6 +17,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.special import logsumexp
 
 from .errors import DegenerateCovariance
+from .laws import require_finite
 from .quadrature import McConfig
 from .report import Report
 from .scalar import McEstimate, fd_step
@@ -68,6 +69,7 @@ class VectorChannelModel:
         object.__setattr__(self, "H", np.atleast_2d(np.asarray(self.H, dtype=float)))
         object.__setattr__(self, "snr_diag",
                            np.asarray(self.snr_diag, dtype=float) * np.ones(self.H.shape[1]))
+        require_finite(H=self.H, snr_diag=self.snr_diag)
         if np.any(self.snr_diag < 0):
             raise ValueError("snr entries must be nonnegative")
         k = self.H.shape[1]
@@ -206,11 +208,6 @@ def atom_mi(model: VectorChannelModel, mc: McConfig = McConfig()) -> McEstimate:
     vals = np.concatenate(_atom_mc_sweep(model, mc, stats))
     return McEstimate(float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(vals.size)),
                       vals.size)
-
-
-def _atom_conditional_mean_x(model: VectorChannelModel, y: np.ndarray) -> np.ndarray:
-    w = _normalized(_atom_posterior_logweights(model, y))
-    return w @ model.input.points
 
 
 def _posterior_cov_sums(model: VectorChannelModel, mc: McConfig):

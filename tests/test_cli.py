@@ -112,11 +112,23 @@ def test_curve_usage_errors(tmp_path):
 
 @pytest.mark.parametrize("source", [["--input", "gaussian"],
                                     ["--input", "binary"],
-                                    ["--telegraph", "nu=1"]])
+                                    ["--telegraph", "nu=1"],
+                                    ["--ar", "a=0.9,n=50"]])
 def test_curve_nonfinite_snr_is_usage_error(tmp_path, source):
     out = tmp_path / "nan.csv"
     assert main(["curve", "mmse", *source, "--snr", "nan",
                  "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve", "mmse", "--input", "binary", "--snr", "0:inf:1"],
+    ["verify", "corollary3", "--snr", "nan"],
+    ["verify", "lemmas", "--snr", "nan"],
+])
+def test_nonfinite_input_is_usage_error(tmp_path, argv):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
     assert not out.exists()
 
 

@@ -9,6 +9,7 @@ from immse.ct import (OUSpectrum, SamplePath, TelegraphModel, build_f_table,
                       time_snr_average_check, time_snr_transform_check,
                       verify_f_recurrences, verify_thm7, wonham_ensemble,
                       wonham_filter, yao_smoother)
+from immse import ct
 from immse.errors import StepTooLarge
 from immse.laws import binary_law
 from immse.quadrature import McConfig
@@ -123,6 +124,20 @@ def test_ou_spectral_closed_forms():
 def test_spectral_quadrature_report(snr):
     report = spectral_report(OUSpectrum(), snr)
     assert report.passed, report.to_dict()
+
+
+def test_spectral_report_catches_a_log_integral_error(monkeypatch):
+    # mi_rate and cmmse both come from the log integral; an error in it that
+    # is below the closed-form tolerances must still fail the identity check
+    exact = ct.spectral_quantities
+
+    def skewed(spectrum, snr):
+        mi_rate, mmse_nc, cmmse = exact(spectrum, snr)
+        return mi_rate * (1 + 1e-9), mmse_nc, cmmse * (1 + 1e-9)
+
+    monkeypatch.setattr(ct, "spectral_quantities", skewed)
+    report = spectral_report(OUSpectrum(), 1.0)
+    assert [c.passed for c in report.checks] == [True, True, True, False, True]
 
 
 def test_spectral_zero_snr():

@@ -17,6 +17,13 @@ def test_ar_validation():
         ARProcess(0.5, 0)
 
 
+@pytest.mark.parametrize("fn", [kalman_triple, block_mi])
+@pytest.mark.parametrize("snr", [np.nan, np.inf])
+def test_rejects_nonfinite_snr(fn, snr):
+    with pytest.raises(ValueError, match="finite"):
+        fn(ARProcess(0.9, 5), snr)
+
+
 def test_covariance_is_toeplitz_unit_diagonal():
     p = ARProcess(0.7, 5)
     sigma = p.covariance()

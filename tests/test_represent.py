@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from immse import represent
 from immse.errors import TailNotResolved
 from immse.laws import (DiscreteAtoms, Gaussian, GaussianMixture,
                         GriddedDensity, binary_law, standard_gaussian_law)
@@ -220,6 +221,37 @@ def test_mi_noisy_copy_case():
                    probs=np.array([(1 - p) / 2, p / 2, p / 2, (1 - p) / 2]))
     target = np.log(2.0) + p * np.log(p) + (1 - p) * np.log(1 - p)
     assert mi_via_mmse_difference(j) == pytest.approx(target, abs=3e-3)
+
+
+@pytest.mark.parametrize("estimator", ["none", "exponential_fit",
+                                       "gaussian_tail"])
+def test_mi_of_a_copy_equals_entropy(estimator):
+    # I(X;X) = H(X): both integrate the same MMSE curve with the same closure
+    tail = TailPolicy(snr_max=20.0, tail_estimator=estimator)
+    j = JointAtoms(x=np.array([-1.0, 1.0]), z=np.array([-1.0, 1.0]),
+                   probs=np.array([0.5, 0.5]))
+    assert mi_via_mmse_difference(j, tail) == entropy_via_mmse(binary_law(),
+                                                               tail)
+
+
+# ---------------------------------------------------------------------------
+# The snr-integral driver on closed-form integrands
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("f, snr_max, estimator", [
+    (lambda s: np.exp(-s), 20.0, "exponential_fit"),
+    (lambda s: (1.0 + s) ** -2, 1e4, "gaussian_tail"),
+], ids=["exponential", "power"])
+def test_snr_integral_closes_the_tail(f, snr_max, estimator):
+    total, _ = represent._snr_integral(f, f(0.0),
+                                       TailPolicy(snr_max, estimator))
+    assert total == pytest.approx(1.0, abs=1e-6)
+
+
+def test_snr_integral_divergent_power_tail_raises():
+    with pytest.raises(TailNotResolved):
+        represent._snr_integral(lambda s: 1.0 / (1.0 + s), 1.0,
+                                TailPolicy(1e4, "gaussian_tail"))
 
 
 def test_joint_atoms_validation():

@@ -27,6 +27,13 @@ def _binary_product_atoms(k_dim=2):
                    probs=np.full(4, 0.25))
 
 
+@pytest.mark.parametrize("h, snr", [([[1.0, np.nan]], 1.0),
+                                    ([[1.0, 0.0]], np.inf)])
+def test_model_rejects_nonfinite(h, snr):
+    with pytest.raises(ValueError, match="finite"):
+        VectorChannelModel(H=h, input=_binary_product_atoms(), snr_diag=snr)
+
+
 def test_gaussian_mi_rotation_invariance():
     model = _gaussian_model(seed=1)
     rng = np.random.default_rng(2)
