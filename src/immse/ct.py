@@ -247,11 +247,15 @@ def _check_step(nu: float, snr: float, dt: float) -> None:
 
 def _telegraph_paths(nu: float, snr: float, n_steps: int, dt: float,
                      n_paths: int, rng: np.random.Generator):
-    """Exact-holding-time telegraph paths on a dt grid.
+    """Exact-holding-time telegraph paths on a dt grid, stored time-major.
 
-    Returns (x_edges, dy): x_edges[p, k] is the state at t_k (shape
-    (n_paths, n_steps+1)); dy[p, k] is sqrt(snr) * ∫ X dt + dW over step k,
-    with the occupation integral computed exactly from the flip times.
+    Returns (x_edges, dy), (n_paths, n_steps+1) and (n_paths, n_steps) views
+    of C-order (steps, paths) arrays, so step k of every path is one
+    contiguous row (``x_edges[:, k]``, ``dy[:, k]``).  x_edges[p, k] is the
+    int8 state +/-1 at t_k; dy[p, k] is sqrt(snr) * ∫ X dt + dW over step k,
+    with the occupation integral computed exactly from the flip times.  The
+    stream is consumed as x0, flip times, then the step normals in (steps,
+    paths) order, so a single path draws the same numbers at any layout.
     """
     horizon = n_steps * dt
     x0 = rng.choice(np.array([-1.0, 1.0]), size=n_paths)
@@ -268,20 +272,31 @@ def _telegraph_paths(nu: float, snr: float, n_steps: int, dt: float,
     ft = flips[rows, cols]
     step_idx = np.minimum((ft / dt).astype(np.int64), n_steps - 1)
 
-    counts = np.zeros((n_paths, n_steps), dtype=np.int64)
-    np.add.at(counts, (rows, step_idx), 1)
-    edge_parity = np.concatenate(
-        [np.zeros((n_paths, 1), dtype=np.int64), np.cumsum(counts, axis=1)], axis=1)
-    x_edges = x0[:, None] * np.where(edge_parity % 2 == 0, 1.0, -1.0)
+    # state at each edge: x0 * (-1)^(flips before the edge), the parity an
+    # XOR-accumulate over steps of each step's flips
+    x_edges = np.zeros((n_steps + 1, n_paths), dtype=np.int8)
+    np.bitwise_xor.at(x_edges, (step_idx + 1, rows), 1)
+    np.bitwise_xor.accumulate(x_edges, axis=0, out=x_edges)
+    x_edges *= -2
+    x_edges += 1
+    x_edges *= x0.astype(np.int8)
 
-    # exact occupation integral per step: left-state * dt plus a correction
-    # 2 * (state before the flip) * (flip time - step end) per flip
-    occ = x_edges[:, :-1] * dt
+    # dy = sqrt(snr) * occupation + sqrt(dt) * normal.  The occupation is
+    # left-state * dt on a step without a flip; a step with flips adds
+    # 2 * (state before the flip) * (flip time - step end) per flip, in
+    # flip order
+    dy = rng.standard_normal((n_steps, n_paths))
+    dy *= np.sqrt(dt)
+    cells, which = np.unique(step_idx * n_paths + rows, return_inverse=True)
+    occ = x_edges.ravel()[cells] * dt
     state_before = x0[rows] * np.where(cols % 2 == 0, 1.0, -1.0)
-    np.add.at(occ, (rows, step_idx),
-              2.0 * state_before * (ft - (step_idx + 1) * dt))
-    dy = np.sqrt(snr) * occ + np.sqrt(dt) * rng.standard_normal((n_paths, n_steps))
-    return x_edges, dy
+    np.add.at(occ, which, 2.0 * state_before * (ft - (step_idx + 1) * dt))
+    flipped = dy.ravel()[cells] + np.sqrt(snr) * occ
+    held, left = np.sqrt(snr) * dt, x_edges[:-1]
+    for k in range(0, n_steps, 256):    # in blocks: no full-size temporary
+        dy[k:k + 256] += held * left[k:k + 256]
+    dy.ravel()[cells] = flipped
+    return x_edges.T, dy.T
 
 
 def simulate_telegraph(m: TelegraphModel, T: float, dt: float, seed: int) -> SamplePath:
@@ -290,7 +305,7 @@ def simulate_telegraph(m: TelegraphModel, T: float, dt: float, seed: int) -> Sam
     n_steps = int(round(T / dt))
     rng = np.random.default_rng(seed)
     x_edges, dy = _telegraph_paths(m.nu, m.snr, n_steps, dt, 1, rng)
-    return SamplePath(dt, x_edges[0, :-1].copy(), dy[0].copy())
+    return SamplePath(dt, x_edges[0, :-1].astype(float), dy[0].copy())
 
 
 def _wonham_step(xh: np.ndarray, dy: np.ndarray, nu: float, snr: float,
@@ -305,10 +320,12 @@ def _wonham_pass(dy: np.ndarray, nu: float, snr: float, dt: float,
                  backward: bool = False):
     """Run the Wonham filter over the steps of ``dy`` (paths x steps).
 
-    Yields (k, xh) after each step, xh holding every path's filter mean of X
-    at t_k.  Forward passes start at t_0 and read the increments in order;
-    backward (anticausal) passes start at t_n and read them reversed.  Both
-    start from the stationary prior mean 0.
+    Step k reads the column ``dy[:, k]``; for the time-major views of
+    ``_telegraph_paths`` that column is one contiguous row.  Yields (k, xh)
+    after each step, xh holding every path's filter mean of X at t_k.
+    Forward passes start at t_0 and read the increments in order; backward
+    (anticausal) passes start at t_n and read them reversed.  Both start
+    from the stationary prior mean 0.
     """
     n = dy.shape[1]
     xh = np.zeros(dy.shape[0])
@@ -364,13 +381,17 @@ def wonham_ensemble(m: TelegraphModel, mc: McConfig,
     its mirror); the smoother over [burn_in, T - burn_in].  Per-path time
     averages are i.i.d. across paths, so the reported SE is the ensemble
     standard error of those averages.
+
+    Paths are made ``chunk`` at a time, time-major (see ``_telegraph_paths``).
+    Each pass adds up its squared errors as it steps: the causal error on
+    the float64 forward mean, which is kept (as float32) only on the
+    smoother window; the anticausal and smoother errors in the backward pass.
     """
     nu, snr, dt, horizon = m.nu, m.snr, mc.dt, mc.horizon
     _check_step(nu, snr, dt)
     n_steps = int(round(horizon / dt))
     burn = min(10.0 / nu, horizon / 2.0)
-    k0 = int(round(burn / dt))
-    k1 = n_steps  # causal window [k0, n_steps]
+    k0 = int(round(burn / dt))  # causal window [k0, n_steps]
     burn_sm = min(10.0 / nu, horizon / 3.0)
     sm_lo = int(round(burn_sm / dt))
     sm_hi = n_steps - sm_lo
@@ -383,12 +404,15 @@ def wonham_ensemble(m: TelegraphModel, mc: McConfig,
         p = min(chunk, remaining)
         remaining -= p
         x_edges, dy = _telegraph_paths(nu, snr, n_steps, dt, p, rng)
-        # forward filter, storing the trajectory for the smoother combine
-        fwd = np.zeros((p, n_steps + 1), dtype=np.float32)
+        # the pass yields from t_1 on; at t_0 the error is (X_0 - 0)^2 = 1
+        fwd_err_acc = np.full(p, float(k0 == 0))
+        fwd = np.zeros((sm_hi - sm_lo + 1, p), dtype=np.float32)
         for k, xh in _wonham_pass(dy, nu, snr, dt):
-            fwd[:, k] = xh
-        err_c = (x_edges[:, k0:k1 + 1] - fwd[:, k0:k1 + 1]) ** 2
-        cms.append(err_c.mean(axis=1))
+            if k >= k0:
+                fwd_err_acc += (x_edges[:, k] - xh) ** 2
+            if sm_lo <= k <= sm_hi:
+                fwd[k - sm_lo] = xh
+        cms.append(fwd_err_acc / (n_steps - k0 + 1))
         # backward filter on reversed increments; bh estimates X at t_idx
         # from the future
         bwd_err_acc = np.zeros(p)
@@ -399,10 +423,11 @@ def wonham_ensemble(m: TelegraphModel, mc: McConfig,
                 bwd_err_acc += (x_edges[:, idx] - bh) ** 2
                 n_anti += 1
             if sm_lo <= idx <= sm_hi:
-                sm = yao_smoother(fwd[:, idx].astype(float), bh)
+                sm = yao_smoother(fwd[idx - sm_lo], bh)
                 sm_err_acc += (x_edges[:, idx] - sm) ** 2
         ams.append(bwd_err_acc / n_anti)
         sms.append(sm_err_acc / (sm_hi - sm_lo + 1))
+        del x_edges, dy, fwd    # free this chunk before the next is drawn
     cvals, avals, svals = (np.concatenate(v) for v in (cms, ams, sms))
     n = cvals.size
 
@@ -468,9 +493,11 @@ def spectral_report(spectrum: OUSpectrum, snr: float,
         epsabs=1e-12, epsrel=1e-12, limit=200)[0] / snr
     report.add("cmmse vs snr-averaged mmse", cmmse, avg, 1e-10)
     d = fd_step(delta_fd, snr)
-    fd = (spectral_quantities(spectrum, snr + d)[0]
-          - spectral_quantities(spectrum, max(snr - d, 0.0))[0]) / (
-              snr + d - max(snr - d, 0.0))
+    mi = lambda g: spectral_quantities(spectrum, g)[0]
+    if snr - d < 0:    # one-sided, second order
+        fd = (-3.0 * mi_rate + 4.0 * mi(snr + d) - mi(snr + 2.0 * d)) / (2.0 * d)
+    else:
+        fd = (mi(snr + d) - mi(snr - d)) / (2.0 * d)
     report.add("d(mi_rate)/dsnr vs mmse/2", fd, 0.5 * mmse_nc, 1e-6)
     return report
 

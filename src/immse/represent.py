@@ -119,6 +119,22 @@ def _snr_integral(f, f_at_zero: float, tail: TailPolicy):
             values[-1])
 
 
+def _half_integral(f, f_at_zero: float, tail: TailPolicy, what: str) -> float:
+    """Half the snr integral of an MMSE (or MMSE gap) that decays to 0.
+
+    With no tail estimator the integral stops at snr_max, so f(snr_max)
+    above 1e-4 of the estimate raises TailNotResolved.
+    """
+    total, f_last = _snr_integral(f, f_at_zero, tail)
+    half = 0.5 * total
+    if tail.tail_estimator == "none" and f_last > 1e-4 * max(half, 1e-12):
+        raise TailNotResolved(
+            f"the integrand at snr_max = {tail.snr_max:g} is {f_last:.3e}, "
+            f"more than 1e-4 of the {what} estimate; raise snr_max or "
+            "enable a tail estimator")
+    return half
+
+
 def _check_degenerate(atoms: DiscreteAtoms) -> None:
     live = atoms.probs[atoms.probs > 0]
     if live.size > 1 and np.any(live < 1e-6):
@@ -144,15 +160,8 @@ def entropy_via_mmse(atoms: DiscreteAtoms, tail: TailPolicy | None = None,
     law = DiscreteAtoms(values=values, probs=atoms.probs)
     if law.values.size == 1:
         return 0.0
-    total, m_last = _snr_integral(lambda s: mmse(ScalarChannel(law, s)),
-                                  variance(law), tail)
-    h = 0.5 * total
-    if tail.tail_estimator == "none" and m_last > 1e-4 * max(h, 1e-12):
-        raise TailNotResolved(
-            f"mmse({tail.snr_max:g}) = {m_last:.3e} still contributes "
-            "more than 1e-4 of the entropy estimate; raise snr_max or "
-            "enable a tail estimator")
-    return h
+    return _half_integral(lambda s: mmse(ScalarChannel(law, s)),
+                          variance(law), tail, "entropy")
 
 
 def _default_nongauss_tail(law: InputLaw) -> TailPolicy:
@@ -256,5 +265,5 @@ def mi_via_mmse_difference(joint: JointAtoms,
         return max(unconditional - conditional, 0.0)
 
     var_cond = sum(w * variance(law) for w, law in slices)
-    total, _ = _snr_integral(gap, variance(marginal) - var_cond, tail)
-    return 0.5 * total
+    return _half_integral(gap, variance(marginal) - var_cond, tail,
+                          "mutual information")

@@ -20,7 +20,8 @@ from scipy.special import expit, logsumexp
 
 from .laws import (Gaussian, GriddedDensity, InputLaw, Moments, components,
                    gaussian_raw_moments, moments, require_finite)
-from .quadrature import McConfig, by_rows, integrate_output
+from .errors import NonConvergence
+from .quadrature import McConfig, QuadratureSpec, by_rows, integrate_output
 from .report import Report
 
 LOG_2PI = np.log(2.0 * np.pi)
@@ -141,7 +142,7 @@ def mmse(ch: ScalarChannel) -> float:
         return ch.law.variance / (1.0 + ch.snr * ch.law.variance)
     val = integrate_output(lambda y: _posterior_stats(ch, y)[1],
                            ch.law, ch.snr)
-    return max(val, 0.0)
+    return _nonnegative(val, "mmse", ch)
 
 
 def mutual_information(ch: ScalarChannel) -> float:
@@ -152,7 +153,17 @@ def mutual_information(ch: ScalarChannel) -> float:
         return 0.5 * np.log1p(ch.snr * ch.law.variance)
     ent = -integrate_output(lambda y: log_output_density(ch, y),
                             ch.law, ch.snr)
-    return max(ent - HALF_LOG_2PIE, 0.0)
+    return _nonnegative(ent - HALF_LOG_2PIE, "mutual information", ch)
+
+
+def _nonnegative(val: float, what: str, ch: ScalarChannel) -> float:
+    """Clamp a quadrature value that is negative within the quadrature
+    tolerance to 0; a value below -tolerance raises NonConvergence."""
+    tol = QuadratureSpec().adaptive_tol
+    if val < -tol:
+        raise NonConvergence(
+            f"{what} quadrature gave {val:.3e}, below -{tol:g}, at snr={ch.snr:g}")
+    return max(val, 0.0)
 
 
 def score(ch: ScalarChannel, y):

@@ -112,6 +112,34 @@ def test_wonham_ensemble_matches_closed_forms_small():
     assert abs(res.anticausal - telegraph_cmmse(m)) <= 4.0 * res.anticausal_se
 
 
+def test_wonham_ensemble_matches_single_path_filters():
+    # the ensemble's in-pass error sums against each path's full filter,
+    # anticausal filter and smoother over the same windows
+    m = TelegraphModel(1.0, 2.0)
+    mc = McConfig(seed=11, n_paths=3, dt=1e-3, horizon=2.0)
+    res = wonham_ensemble(m, mc)
+    n = int(round(mc.horizon / mc.dt))
+    k0 = int(round(min(10.0 / m.nu, mc.horizon / 2.0) / mc.dt))
+    sm_lo = int(round(min(10.0 / m.nu, mc.horizon / 3.0) / mc.dt))
+    sm_hi = n - sm_lo
+    x_edges, dy = ct._telegraph_paths(m.nu, m.snr, n, mc.dt, mc.n_paths,
+                                      np.random.default_rng(mc.seed))
+    causal, anti, smooth = [], [], []
+    for p in range(mc.n_paths):
+        x = x_edges[p].astype(float)
+        path = SamplePath(mc.dt, x[:-1], dy[p].copy())
+        fwd = wonham_filter(path, m.snr, m.nu)
+        bwd = wonham_filter(path, m.snr, m.nu, backward=True)
+        causal.append(np.mean((x[k0:] - fwd[k0:]) ** 2))
+        anti.append(np.mean((x[:n - k0 + 1] - bwd[:n - k0 + 1]) ** 2))
+        sm = yao_smoother(fwd[sm_lo:sm_hi + 1], bwd[sm_lo:sm_hi + 1])
+        smooth.append(np.mean((x[sm_lo:sm_hi + 1] - sm) ** 2))
+    assert res.n_paths == 3
+    assert res.cmmse == pytest.approx(np.mean(causal), rel=1e-6)
+    assert res.anticausal == pytest.approx(np.mean(anti), rel=1e-6)
+    assert res.smmse == pytest.approx(np.mean(smooth), rel=1e-6)
+
+
 def test_ou_spectral_closed_forms():
     sp = OUSpectrum(variance=1.0, beta=1.0)
     mi, mm, cm = ou_closed_forms(sp, 1.0)
@@ -120,7 +148,7 @@ def test_ou_spectral_closed_forms():
     assert cm == pytest.approx(np.sqrt(3.0) - 1.0, abs=1e-14)
 
 
-@pytest.mark.parametrize("snr", [0.3, 1.0, 10.0])
+@pytest.mark.parametrize("snr", [0.0, 0.3, 1.0, 10.0])
 def test_spectral_quadrature_report(snr):
     report = spectral_report(OUSpectrum(), snr)
     assert report.passed, report.to_dict()

@@ -234,6 +234,14 @@ def test_mi_of_a_copy_equals_entropy(estimator):
                                                                tail)
 
 
+def test_mi_tail_not_resolved_without_estimator():
+    # truncated at snr_max 4 the copy's MI would read 0.63, not ln 2
+    j = JointAtoms(x=np.array([-1.0, 1.0]), z=np.array([-1.0, 1.0]),
+                   probs=np.array([0.5, 0.5]))
+    with pytest.raises(TailNotResolved):
+        mi_via_mmse_difference(j, TailPolicy(snr_max=4.0, tail_estimator="none"))
+
+
 # ---------------------------------------------------------------------------
 # The snr-integral driver on closed-form integrands
 # ---------------------------------------------------------------------------

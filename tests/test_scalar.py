@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from immse import scalar
+from immse.errors import NonConvergence
 from immse.laws import (DiscreteAtoms, Gaussian, GaussianMixture,
                         GriddedDensity, binary_law, moments, sample,
                         standard_gaussian_law)
@@ -65,6 +67,22 @@ def test_binary_closed_forms_reference_values():
 def test_channel_rejects_nonfinite_snr(snr):
     with pytest.raises(ValueError, match="finite"):
         ScalarChannel(binary_law(), snr)
+
+
+@pytest.mark.parametrize("quantity, raw_of", [
+    (mmse, lambda q: q),
+    (scalar.mutual_information, lambda q: -(scalar.HALF_LOG_2PIE + q)),
+], ids=["mmse", "mi"])
+def test_negative_quadrature_clamps_only_within_tolerance(monkeypatch,
+                                                          quantity, raw_of):
+    # a raw value negative by rounding (|value| < adaptive_tol) clamps to 0;
+    # one below -adaptive_tol is an error, not a silent 0
+    ch = ScalarChannel(binary_law(), 1.0)
+    monkeypatch.setattr(scalar, "integrate_output", lambda *a, **k: raw_of(-1e-12))
+    assert quantity(ch) == 0.0
+    monkeypatch.setattr(scalar, "integrate_output", lambda *a, **k: raw_of(-1e-6))
+    with pytest.raises(NonConvergence):
+        quantity(ch)
 
 
 # ---------------------------------------------------------------------------
