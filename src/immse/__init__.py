@@ -2,7 +2,7 @@
 
 Modules:
   laws        input distributions (atoms, Gaussian, mixtures, gridded)
-  quadrature  Gauss-Hermite / panel rules and Monte Carlo configuration
+  quadrature  output-domain panel rule and Monte Carlo configuration
   scalar      scalar channel: posterior statistics, I-MMSE, Fisher, Taylor
   vector      vector channel: closed forms, atom Monte Carlo, de Bruijn
   ct          continuous time: telegraph filtering/smoothing, OU spectra
@@ -17,7 +17,7 @@ from .errors import (DegenerateCovariance, ImmseError, NonConvergence,
                      StepTooLarge, TailNotResolved)
 from .laws import (DiscreteAtoms, Gaussian, GaussianMixture, GriddedDensity,
                    InputLaw, binary_law, standard_gaussian_law)
-from .quadrature import McConfig, QuadratureSpec
+from .quadrature import McConfig
 from .report import Check, Report
 from .scalar import ScalarChannel, conditional_mean, mmse, mutual_information
 
@@ -28,6 +28,6 @@ __all__ = [
     "TailNotResolved",
     "DiscreteAtoms", "Gaussian", "GaussianMixture", "GriddedDensity",
     "InputLaw", "binary_law", "standard_gaussian_law",
-    "McConfig", "QuadratureSpec",
+    "McConfig",
     "ScalarChannel", "conditional_mean", "mmse", "mutual_information",
 ]

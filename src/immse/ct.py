@@ -18,7 +18,8 @@ from .errors import NonConvergence, StepTooLarge
 from .laws import InputLaw, moments, require_finite, sample_with_rng
 from .quadrature import McConfig, gauss_hermite
 from .report import Report
-from .scalar import ScalarChannel, conditional_mean, fd_step, mmse as scalar_mmse
+from .scalar import (ScalarChannel, conditional_mean, fd_derivative,
+                     mmse as scalar_mmse)
 
 
 @dataclass(frozen=True)
@@ -184,10 +185,8 @@ def thm7_differential_check(nu: float, snr: float, delta_fd: float = 1e-5,
     A = F(-1,-1)F(1,-1) - xi F(1,-1)^2 + xi F(-1,-1)F(3,-1) and F = e^{-xi} f.
     """
     report = Report("thm7-differential")
-    d = fd_step(delta_fd, snr)
-    hi, lo = snr + d, snr - d
-    fd = (hi * telegraph_cmmse(TelegraphModel(nu, hi))
-          - lo * telegraph_cmmse(TelegraphModel(nu, lo))) / (2 * d)
+    fd = fd_derivative(lambda g: g * telegraph_cmmse(TelegraphModel(nu, g)),
+                       snr, delta_fd)
     report.add(f"mmse vs d/dsnr[snr*cmmse] at snr={snr:g}", fd,
                telegraph_mmse(TelegraphModel(nu, snr)), tolerance)
 
@@ -492,12 +491,8 @@ def spectral_report(spectrum: OUSpectrum, snr: float,
         lambda g: spectral_quantities(spectrum, g)[1], 0.0, snr,
         epsabs=1e-12, epsrel=1e-12, limit=200)[0] / snr
     report.add("cmmse vs snr-averaged mmse", cmmse, avg, 1e-10)
-    d = fd_step(delta_fd, snr)
-    mi = lambda g: spectral_quantities(spectrum, g)[0]
-    if snr - d < 0:    # one-sided, second order
-        fd = (-3.0 * mi_rate + 4.0 * mi(snr + d) - mi(snr + 2.0 * d)) / (2.0 * d)
-    else:
-        fd = (mi(snr + d) - mi(snr - d)) / (2.0 * d)
+    fd = fd_derivative(lambda g: spectral_quantities(spectrum, g)[0], snr,
+                       delta_fd)
     report.add("d(mi_rate)/dsnr vs mmse/2", fd, 0.5 * mmse_nc, 1e-6)
     return report
 

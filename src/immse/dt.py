@@ -15,7 +15,7 @@ import numpy as np
 
 from .laws import require_finite
 from .report import Report
-from .scalar import fd_step
+from .scalar import fd_derivative
 
 
 @dataclass(frozen=True)
@@ -98,9 +98,7 @@ def block_mi_eig(p: ARProcess, snr: float) -> float:
 def verify_corollary3(p: ARProcess, snr: float, delta_fd: float = 1e-4,
                       tolerance: float = 1e-6) -> Report:
     """dI/dsnr = 0.5 * sum of smoother error variances (finite difference)."""
-    d = fd_step(delta_fd, snr)
-    lo = max(snr - d, 0.0)
-    fd = (block_mi(p, snr + d) - block_mi(p, lo)) / (snr + d - lo)
+    fd = fd_derivative(lambda g: block_mi(p, g), snr, delta_fd)
     rhs = 0.5 * float(np.sum(kalman_triple(p, snr).mmse))
     report = Report("corollary3-dt")
     report.add(f"dI/dsnr vs sum(mmse_i)/2 at a={p.a:g}, n={p.n}, snr={snr:g}",

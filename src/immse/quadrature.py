@@ -1,19 +1,29 @@
 """Quadrature backbone: expectations over the channel output.
 
-The central primitive is ``integrate_output(f, law, snr, spec)`` which
-evaluates E[f(Y)] = ∫ f(y) p_Y(y) dy for Y = sqrt(snr)*X + N.  Every law is
-seen as a Gaussian mixture (``laws.components``), so the output density is
-sum_j w_j N(y; sqrt(snr)*m_j, 1 + snr*v_j).  The rule depends on the law type:
+The central primitive is ``integrate_output(f, law, snr)`` which evaluates
+E[f(Y)] = ∫ f(y) p_Y(y) dy for Y = sqrt(snr)*X + N.  Every law is seen as a
+Gaussian mixture (``laws.components``), so the output density is
+sum_j w_j N(y; sqrt(snr)*m_j, 1 + snr*v_j), and one rule serves every law:
+composite 12-point Gauss-Legendre on y against that density.
 
-* atom / Gaussian / mixture laws: one Gauss-Hermite sum per component,
-* gridded laws: composite 12-point Gauss-Legendre on a y-window around the
-  output mean, against that density.  A gridded law has one component per
-  grid point, so per-component Gauss-Hermite would evaluate f that many
-  times more often.
+The panel edges come from the components of positive weight, with output
+centres c_j and output standard deviations s_j:
 
-Refinement doubles the rule's size (Gauss-Hermite order + 1, or the number of
-y-panels) until two successive levels agree to ``adaptive_tol``;
-NonConvergence is raised when the size cap is reached.
+* steps of s_j out to ``REACH`` of them around each c_j;
+* between neighbouring centres c_i < c_j, where the posterior switches over
+  a width w = s**2 / (c_j - c_i) (s the smaller sd; 1/(sqrt(snr)*dm) for
+  atoms) narrower than s, the midpoint and edges at w * 2**k on either side
+  of it, out to the two centres.  At high snr that is where the posterior
+  variance, and so the MMSE, lives.
+
+The edges are then thinned to the first one in each cell of the finest of
+those scales, so a law with hundreds of atoms gets hundreds of panels, not
+thousands.
+
+Refinement halves every panel until two levels agree to
+``REL_TOL * min(1, |value|)``: absolute at 1e-10 for values of order one,
+relative below, where the MMSE at high snr lives.  NonConvergence is raised
+after ``MAX_LEVELS`` halvings.
 """
 from __future__ import annotations
 
@@ -24,31 +34,15 @@ import numpy as np
 from scipy.special import roots_hermite
 
 from .errors import NonConvergence
-from .laws import GriddedDensity, InputLaw, components, moments
+from .laws import InputLaw, components
 
-Y_CHUNK = 2048
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Controls for output-domain integration.
-
-    hermite_order: starting Gauss-Hermite order (covers ~sqrt(2*order) output
-        standard deviations per mixture component).
-    adaptive_tol: absolute agreement target between refinement levels.
-    y_cutoff: half-width, in output standard deviations, of the composite
-        y-window used for gridded-density laws.
-    """
-    hermite_order: int = 127
-    adaptive_tol: float = 1e-10
-    y_cutoff: float = 12.0
-    max_order: int = 2100
-
-    def __post_init__(self):
-        if self.hermite_order < 2:
-            raise ValueError("hermite_order must be >= 2")
-        if self.adaptive_tol <= 0:
-            raise ValueError("adaptive_tol must be positive")
+Y_CHUNK = 1024
+REACH = 12.0           # output standard deviations covered around each centre
+REL_TOL = 1e-10
+MAX_LEVELS = 6
+# below the smallest normal double, two levels cannot agree to REL_TOL
+_TINY = np.finfo(float).tiny
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
 @dataclass(frozen=True)
@@ -67,12 +61,6 @@ def gauss_hermite(order: int):
     return np.sqrt(2.0) * x, w / np.sqrt(np.pi)
 
 
-def normal_expectation(g, mean: float, var: float, order: int) -> float:
-    """E[g(V)] for V ~ N(mean, var) by Gauss-Hermite at the given order."""
-    z, w = gauss_hermite(order)
-    return float(w @ g(mean + np.sqrt(var) * z))
-
-
 def by_rows(fn, y: np.ndarray):
     """``fn(y)`` evaluated on blocks of at most Y_CHUNK outputs and joined.
 
@@ -86,26 +74,6 @@ def by_rows(fn, y: np.ndarray):
     if isinstance(parts[0], tuple):
         return tuple(np.concatenate(col) for col in zip(*parts))
     return np.concatenate(parts)
-
-
-def _hermite_rule(f, law: InputLaw, snr: float, size: int,
-                  spec: QuadratureSpec) -> float:
-    """Gauss-Hermite of order size - 1 under each mixture component."""
-    root_snr = np.sqrt(snr)
-    w, m, v = components(law)
-    total = 0.0
-    z, gw = gauss_hermite(size - 1)
-    for wk, mk, vk in zip(w, m, v):
-        if wk == 0.0:
-            continue
-        sd = np.sqrt(1.0 + snr * vk)
-        total += wk * float(gw @ f(root_snr * mk + sd * z))
-    return total
-
-
-@lru_cache(maxsize=16)
-def _gauss_legendre(order: int):
-    return np.polynomial.legendre.leggauss(order)
 
 
 def _output_density(law: InputLaw, snr: float, y: np.ndarray) -> np.ndarray:
@@ -122,42 +90,58 @@ def _output_density(law: InputLaw, snr: float, y: np.ndarray) -> np.ndarray:
     return by_rows(block, y)
 
 
-def _window_rule(f, law: InputLaw, snr: float, panels: int,
-                 spec: QuadratureSpec) -> float:
-    """E[f(Y)] = ∫ f(y) p_Y(y) dy on the y-window, composite 12-point Gauss-Legendre."""
-    mom = moments(law)
-    center = np.sqrt(snr) * mom.mean
-    reach = spec.y_cutoff * np.sqrt(1.0 + snr * max(mom.variance, 0.0))
-    edges = np.linspace(center - reach, center + reach, panels + 1)
-    nodes, weights = _gauss_legendre(12)
+def _panel_edges(law: InputLaw, snr: float) -> np.ndarray:
+    """Sorted panel edges placed from the law's components (module docstring)."""
+    w, m, v = components(law)
+    pos = w > 0
+    centre = np.sqrt(snr) * m[pos]
+    sd = np.sqrt(1.0 + snr * v[pos])
+    steps = np.arange(-REACH, REACH + 1.0)
+    edges = [(centre[:, None] + sd[:, None] * steps).ravel()]
+    order = np.argsort(centre)
+    c, s = centre[order], sd[order]
+    gap = np.diff(c)
+    s_pair = np.minimum(s[:-1], s[1:])
+    sharp = gap > s_pair                # switch width s**2 / gap below s
+    finest = s.min()
+    if np.any(sharp):
+        width, half_gap = s_pair[sharp] ** 2 / gap[sharp], 0.5 * gap[sharp]
+        mid = 0.5 * (c[:-1] + c[1:])[sharp]
+        k = np.arange(np.ceil(np.log2(half_gap / width).max()))
+        offs = width[:, None] * 2.0 ** k
+        offs = np.where(offs < half_gap[:, None], offs, 0.0)
+        edges += [mid, (mid[:, None] + offs).ravel(), (mid[:, None] - offs).ravel()]
+        finest = min(finest, width.min())
+    e = np.sort(np.concatenate(edges))
+    cell = np.floor(e / finest)
+    first = np.concatenate(([True], cell[1:] != cell[:-1]))
+    return np.unique(np.append(e[first], e[-1]))
+
+
+def _panel_sum(f, law: InputLaw, snr: float, edges: np.ndarray) -> float:
+    """Composite 12-point Gauss-Legendre of f * p_Y over the panels."""
     mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    y = (mid[:, None] + half * nodes[None, :]).ravel()
-    w = (half * np.broadcast_to(weights, (panels, weights.size))).ravel()
-    dens = _output_density(law, snr, y)
-    return float(np.sum(w * f(y) * dens))
+    half = 0.5 * np.diff(edges)
+    y = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
+    wy = (half[:, None] * _GL_WEIGHTS).ravel()
+    return float(np.sum(wy * f(y) * _output_density(law, snr, y)))
 
 
-def integrate_output(f, law: InputLaw, snr: float,
-                     spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """E[f(Y)] for Y = sqrt(snr)*X + N, refined to spec.adaptive_tol.
+def integrate_output(f, law: InputLaw, snr: float) -> float:
+    """E[f(Y)] for Y = sqrt(snr)*X + N, refined to REL_TOL * min(1, |value|).
 
     ``f`` must accept numpy arrays elementwise.
     """
     if snr < 0:
         raise ValueError("snr must be nonnegative")
-    if isinstance(law, GriddedDensity):
-        rule, size, cap = _window_rule, 64, 2048
-    else:
-        rule, size, cap = _hermite_rule, spec.hermite_order + 1, spec.max_order + 1
-    prev = rule(f, law, snr, size, spec)
-    while True:
-        size *= 2
-        if size > cap:
-            raise NonConvergence(
-                f"output quadrature stalled above tol={spec.adaptive_tol:g} "
-                f"at size {size // 2} (panels, or Gauss-Hermite order + 1)")
-        cur = rule(f, law, snr, size, spec)
-        if abs(cur - prev) < spec.adaptive_tol:
+    edges = _panel_edges(law, snr)
+    prev = _panel_sum(f, law, snr, edges)
+    for _ in range(MAX_LEVELS):
+        edges = np.sort(np.concatenate((edges, 0.5 * (edges[:-1] + edges[1:]))))
+        cur = _panel_sum(f, law, snr, edges)
+        if abs(cur - prev) <= max(REL_TOL * min(1.0, abs(cur)), _TINY):
             return cur
         prev = cur
+    raise NonConvergence(
+        f"output quadrature stalled above rel_tol={REL_TOL:g} after "
+        f"{MAX_LEVELS} halvings ({edges.size - 1} panels)")

@@ -21,7 +21,7 @@ from scipy.special import expit, logsumexp
 from .laws import (Gaussian, GriddedDensity, InputLaw, Moments, components,
                    gaussian_raw_moments, moments, require_finite)
 from .errors import NonConvergence
-from .quadrature import McConfig, QuadratureSpec, by_rows, integrate_output
+from .quadrature import REL_TOL, McConfig, by_rows, integrate_output
 from .report import Report
 
 LOG_2PI = np.log(2.0 * np.pi)
@@ -157,12 +157,12 @@ def mutual_information(ch: ScalarChannel) -> float:
 
 
 def _nonnegative(val: float, what: str, ch: ScalarChannel) -> float:
-    """Clamp a quadrature value that is negative within the quadrature
-    tolerance to 0; a value below -tolerance raises NonConvergence."""
-    tol = QuadratureSpec().adaptive_tol
-    if val < -tol:
+    """Clamp a quadrature value that is negative by at most REL_TOL to 0; a
+    value below -REL_TOL raises NonConvergence."""
+    if val < -REL_TOL:
         raise NonConvergence(
-            f"{what} quadrature gave {val:.3e}, below -{tol:g}, at snr={ch.snr:g}")
+            f"{what} quadrature gave {val:.3e}, below -{REL_TOL:g}, "
+            f"at snr={ch.snr:g}")
     return max(val, 0.0)
 
 
@@ -235,25 +235,28 @@ def mi_binary_closed(snr: float) -> float:
 # Derivative-identity verification
 # ---------------------------------------------------------------------------
 
-def fd_step(delta_fd: float, snr: float) -> float:
-    """Finite-difference step scaled as delta_fd * max(1, snr)."""
-    return delta_fd * max(1.0, snr)
+def fd_derivative(f, snr: float, delta_fd: float) -> float:
+    """df/dsnr by finite differences with step d = delta_fd * max(1, snr).
+
+    Central where snr - d >= 0, divided by the distance between the two
+    points as rounded; otherwise the second-order one-sided rule
+    (-3 f(snr) + 4 f(snr + d) - f(snr + 2d)) / (2d), so f is never taken at
+    a negative snr.
+    """
+    d = delta_fd * max(1.0, snr)
+    hi, lo = snr + d, snr - d
+    if lo >= 0:
+        return (f(hi) - f(lo)) / (hi - lo)
+    return (-3.0 * f(snr) + 4.0 * f(hi) - f(snr + 2.0 * d)) / (2.0 * d)
 
 
 def verify_immse(law: InputLaw, snr_grid, delta_fd: float = 1e-4) -> Report:
-    """Compare the central finite difference of I(snr) against mmse(snr)/2."""
+    """Compare the finite difference of I(snr) against mmse(snr)/2."""
     report = Report("immse-scalar")
     for s in np.atleast_1d(snr_grid):
         s = float(s)
-        d = fd_step(delta_fd, s)
-        if s - d <= 0:
-            lo, hi = ScalarChannel(law, max(s - d, 0.0)), ScalarChannel(law, s + d)
-            step = (s + d) - max(s - d, 0.0)
-            fd = (mutual_information(hi) - mutual_information(lo)) / step
-        else:
-            i_hi = mutual_information(ScalarChannel(law, s + d))
-            i_lo = mutual_information(ScalarChannel(law, s - d))
-            fd = (i_hi - i_lo) / (2.0 * d)
+        fd = fd_derivative(lambda g: mutual_information(ScalarChannel(law, g)),
+                           s, delta_fd)
         half_mmse = 0.5 * mmse(ScalarChannel(law, s))
         report.add(f"dI/dsnr vs mmse/2 at snr={s:g}", fd, half_mmse, 1e-6)
     return report
@@ -397,8 +400,7 @@ def preprocessor_derivative(law_x: InputLaw, noise_var: float, snr: float,
     def mi_closed(s):
         return 0.5 * np.log1p(s * vx / (1.0 + s * vn))
 
-    d = fd_step(delta_fd, snr)
-    fd = (mi_closed(snr + d) - mi_closed(max(snr - d, 0.0))) / (snr + d - max(snr - d, 0.0))
+    fd = fd_derivative(mi_closed, snr, delta_fd)
     rhs = 0.5 * (vz / (1.0 + snr * vz) - vn / (1.0 + snr * vn))
     symbolic = 0.5 * vx / ((1.0 + snr * vn) * (1.0 + snr * vz))
     report = Report("preprocessor-derivative")

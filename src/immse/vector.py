@@ -20,7 +20,7 @@ from .errors import DegenerateCovariance
 from .laws import require_finite
 from .quadrature import McConfig
 from .report import Report
-from .scalar import McEstimate, fd_step
+from .scalar import McEstimate, fd_derivative
 
 LOG_2PI = np.log(2.0 * np.pi)
 
@@ -252,10 +252,9 @@ def verify_immse_vector(model: VectorChannelModel, delta_fd: float = 1e-4,
                         tolerance: float = 1e-7) -> Report:
     """Gaussian-input vector identity dI/dsnr = 0.5 * mmse(H X)."""
     s = model.common_snr
-    d = fd_step(delta_fd, s)
-    mi_hi = gaussian_mi(model.with_snr(np.full_like(model.snr_diag, s + d)))
-    mi_lo = gaussian_mi(model.with_snr(np.full_like(model.snr_diag, max(s - d, 0.0))))
-    fd = (mi_hi - mi_lo) / (s + d - max(s - d, 0.0))
+    fd = fd_derivative(
+        lambda g: gaussian_mi(model.with_snr(np.full_like(model.snr_diag, g))),
+        s, delta_fd)
     report = Report("immse-vector")
     report.add(f"dI/dsnr vs mmse/2 at snr={s:g}", fd, 0.5 * gaussian_mmse(model),
                tolerance)
@@ -288,8 +287,7 @@ def de_bruijn_check(model: VectorChannelModel, snr: float, delta_fd: float = 1e-
         mi, _ = _mi_value(m, McConfig(seed=seed, n_paths=mc.n_paths))
         return mi - 0.5 * l_dim * np.log(s / (2.0 * np.pi * np.e))
 
-    d = fd_step(delta_fd, t)
-    fd = (entropy_at(t + d, mc.seed) - entropy_at(t - d, mc.seed)) / (2.0 * d)
+    fd = fd_derivative(lambda tv: entropy_at(tv, mc.seed), t, delta_fd)
     base = model.with_snr(np.full(model.H.shape[1], snr))
     fm = fisher_matrix(base, mc)
     rhs = 0.5 * snr * float(np.trace(fm.score_route))
@@ -319,16 +317,15 @@ def multiuser_derivative(model: VectorChannelModel, k: int,
     s = model.snr_diag.copy()
     if s[k] <= 0:
         raise ValueError("multiuser_derivative requires snr_k > 0")
-    d = fd_step(delta_fd, s[k])
 
-    def mi_at(sk: float, seed: int) -> float:
+    def mi_at(sk: float) -> float:
         sd = s.copy()
         sd[k] = sk
-        val, _ = _mi_value(model.with_snr(sd), McConfig(seed=seed, n_paths=mc.n_paths))
+        val, _ = _mi_value(model.with_snr(sd),
+                           McConfig(seed=mc.seed, n_paths=mc.n_paths))
         return val
 
-    lhs = (mi_at(s[k] + d, mc.seed) - mi_at(max(s[k] - d, 0.0), mc.seed)) / (
-        s[k] + d - max(s[k] - d, 0.0))
+    lhs = fd_derivative(mi_at, s[k], delta_fd)
     cov = _posterior_cross_cov(model, mc)
     hth = model.H.T @ model.H
     rhs = 0.5 * float(np.sum(np.sqrt(s / s[k]) * hth[k, :] * cov[k, :]))

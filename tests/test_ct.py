@@ -53,6 +53,12 @@ def test_thm7_differential_and_integral():
     assert duncan_check(TelegraphModel(1.0, 2.0)).passed
 
 
+def test_thm7_differential_below_the_step():
+    # snr 5e-6 < d = 1e-5: the difference may not step to a negative snr
+    report = thm7_differential_check(1.0, 5e-6)
+    assert report.passed, report.to_dict()
+
+
 def test_simulate_telegraph_path_values():
     m = TelegraphModel(1.0, 2.0)
     path = simulate_telegraph(m, T=2.0, dt=1e-3, seed=0)

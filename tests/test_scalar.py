@@ -193,6 +193,13 @@ def test_derivative_identity(law):
     assert report.passed, report.to_dict()
 
 
+@pytest.mark.parametrize("law", [standard_gaussian_law(), binary_law()])
+def test_derivative_identity_below_the_step(law):
+    # snr below the step d: the one-sided difference must be second order
+    report = verify_immse(law, [0.0, 1e-6])
+    assert report.passed, report.to_dict()
+
+
 def test_integral_identity_binary():
     report = verify_immse_integral(binary_law(), 4.0)
     assert report.passed, report.to_dict()

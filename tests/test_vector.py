@@ -58,6 +58,16 @@ def test_vector_derivative_identity_gaussian(seed, snr):
     assert report.passed, report.to_dict()
 
 
+def test_vector_derivative_identity_at_zero_snr():
+    # I(snr) = log(1 + snr): the second-order one-sided difference is off by
+    # d**2 * I'''(0) / 3 = 7e-9, a first-order one by d * |I''(0)| / 2 = 5e-5
+    model = VectorChannelModel(H=np.eye(2),
+                               input=GaussianVec(np.zeros(2), np.eye(2)),
+                               snr_diag=np.zeros(2))
+    report = verify_immse_vector(model)
+    assert report.passed, report.to_dict()
+
+
 def test_atom_engines_match_scalar_closed_forms():
     # diagonal H decouples into independent scalar binary channels
     h = np.diag([1.0, 1.5])
