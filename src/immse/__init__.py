@@ -2,7 +2,7 @@
 
 Modules:
   laws        input distributions (atoms, Gaussian, mixtures, gridded)
-  quadrature  output-domain panel rule and Monte Carlo configuration
+  quadrature  rules for E over the output, ∫_0^snr and d/dsnr; McConfig
   scalar      scalar channel: posterior statistics, I-MMSE, Fisher, Taylor
   vector      vector channel: closed forms, atom Monte Carlo, de Bruijn
   ct          continuous time: telegraph filtering/smoothing, OU spectra

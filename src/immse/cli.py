@@ -229,8 +229,7 @@ def _default_vector_model(args, gaussian: bool = True):
 
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
-    mc = McConfig(seed=args.seed, n_paths=args.paths, dt=args.dt,
-                  horizon=args.horizon)
+    mc = McConfig(seed=args.seed, n_paths=args.paths)
     if args.suite == "immse":
         law = parse_input_spec(args.input)
         report = scalar.verify_immse(law, [0.1, 0.5, 1.0, 2.0, 5.0, 10.0])
@@ -384,8 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n", type=int, default=50)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--paths", type=int, default=200_000)
-    p_verify.add_argument("--dt", type=float, default=1e-3)
-    p_verify.add_argument("--horizon", type=float, default=10.0)
     p_verify.add_argument("--out", help="JSON report path (default stdout)")
     p_verify.set_defaults(fn=cmd_verify)
 

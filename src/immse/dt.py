@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .laws import require_finite
+from .quadrature import fd_derivative
 from .report import Report
-from .scalar import fd_derivative
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,10 @@
-"""Quadrature backbone: expectations over the channel output.
+"""Quadrature backbone: the package's rules for E over y, ∫_0^snr and d/dsnr.
 
-The central primitive is ``integrate_output(f, law, snr)`` which evaluates
-E[f(Y)] = ∫ f(y) p_Y(y) dy for Y = sqrt(snr)*X + N.  Every law is seen as a
-Gaussian mixture (``laws.components``), so the output density is
-sum_j w_j N(y; sqrt(snr)*m_j, 1 + snr*v_j), and one rule serves every law:
-composite 12-point Gauss-Legendre on y against that density.
-
-The panel edges come from the components of positive weight, with output
+``integrate_output(f, law, snr)`` evaluates E[f(Y)] = ∫ f(y) p_Y(y) dy for
+Y = sqrt(snr)*X + N.  Every law is seen as a Gaussian mixture
+(``laws.components``), so the output density is
+sum_j w_j N(y; sqrt(snr)*m_j, 1 + snr*v_j), and one rule serves every law.
+Its panel edges come from the components of positive weight, with output
 centres c_j and output standard deviations s_j:
 
 * steps of s_j out to ``REACH`` of them around each c_j;
@@ -20,18 +18,20 @@ The edges are then thinned to the first one in each cell of the finest of
 those scales, so a law with hundreds of atoms gets hundreds of panels, not
 thousands.
 
-Refinement halves every panel until two levels agree to
-``REL_TOL * min(1, |value|)``: absolute at 1e-10 for values of order one,
-relative below, where the MMSE at high snr lives.  NonConvergence is raised
-after ``MAX_LEVELS`` halvings.
+``snr_integral(f, snr)`` evaluates ∫_0^snr f(g) dg on the one panel
+[0, ln(1+snr)] in t = ln(1+g): an MMSE-like integrand falls like 1/(1+g), so
+in t it is flat.  Both integrals are composite 12-point Gauss-Legendre,
+halving every panel until two levels agree to ``REL_TOL * min(1, |value|)``:
+absolute at 1e-10 for values of order one, relative below, where the MMSE at
+high snr lives.  NonConvergence is raised after ``MAX_LEVELS`` halvings.
+
+``fd_derivative`` is d/dsnr by one Richardson step on ``fd_difference``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_hermite
 
 from .errors import NonConvergence
 from .laws import InputLaw, components
@@ -52,13 +52,6 @@ class McConfig:
     n_paths: int = 100_000
     dt: float = 1e-3
     horizon: float = 10.0
-
-
-@lru_cache(maxsize=64)
-def gauss_hermite(order: int):
-    """Nodes z and weights w with sum(w) = 1 so that E_{N(0,1)}[g] ≈ sum(w*g(z))."""
-    x, w = roots_hermite(order)
-    return np.sqrt(2.0) * x, w / np.sqrt(np.pi)
 
 
 def by_rows(fn, y: np.ndarray):
@@ -118,13 +111,23 @@ def _panel_edges(law: InputLaw, snr: float) -> np.ndarray:
     return np.unique(np.append(e[first], e[-1]))
 
 
-def _panel_sum(f, law: InputLaw, snr: float, edges: np.ndarray) -> float:
-    """Composite 12-point Gauss-Legendre of f * p_Y over the panels."""
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    y = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
-    wy = (half[:, None] * _GL_WEIGHTS).ravel()
-    return float(np.sum(wy * f(y) * _output_density(law, snr, y)))
+def _gauss_legendre(g, edges: np.ndarray, what: str) -> float:
+    """∫ g over the panels by the refinement of the module docstring."""
+    def level(e):
+        mid, half = 0.5 * (e[:-1] + e[1:]), 0.5 * np.diff(e)
+        x = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
+        return float(np.sum((half[:, None] * _GL_WEIGHTS).ravel() * g(x)))
+
+    prev = level(edges)
+    for _ in range(MAX_LEVELS):
+        edges = np.sort(np.concatenate((edges, 0.5 * (edges[:-1] + edges[1:]))))
+        cur = level(edges)
+        if abs(cur - prev) <= max(REL_TOL * min(1.0, abs(cur)), _TINY):
+            return cur
+        prev = cur
+    raise NonConvergence(
+        f"{what} stalled above rel_tol={REL_TOL:g} after "
+        f"{MAX_LEVELS} halvings ({edges.size - 1} panels)")
 
 
 def integrate_output(f, law: InputLaw, snr: float) -> float:
@@ -134,14 +137,41 @@ def integrate_output(f, law: InputLaw, snr: float) -> float:
     """
     if snr < 0:
         raise ValueError("snr must be nonnegative")
-    edges = _panel_edges(law, snr)
-    prev = _panel_sum(f, law, snr, edges)
-    for _ in range(MAX_LEVELS):
-        edges = np.sort(np.concatenate((edges, 0.5 * (edges[:-1] + edges[1:]))))
-        cur = _panel_sum(f, law, snr, edges)
-        if abs(cur - prev) <= max(REL_TOL * min(1.0, abs(cur)), _TINY):
-            return cur
-        prev = cur
-    raise NonConvergence(
-        f"output quadrature stalled above rel_tol={REL_TOL:g} after "
-        f"{MAX_LEVELS} halvings ({edges.size - 1} panels)")
+    return _gauss_legendre(lambda y: f(y) * _output_density(law, snr, y),
+                           _panel_edges(law, snr), "output quadrature")
+
+
+def snr_integral(f, snr: float) -> float:
+    """∫_0^snr f(g) dg, in t = ln(1 + g); ``f`` takes one float snr."""
+    if snr < 0:
+        raise ValueError("snr must be nonnegative")
+
+    def in_t(t):
+        g = np.expm1(t)
+        return np.array([f(float(x)) for x in g]) * (1.0 + g)
+
+    return _gauss_legendre(in_t, np.array([0.0, np.log1p(snr)]), "snr integral")
+
+
+def _difference(f, snr: float, d: float, central: bool) -> float:
+    if central:
+        hi, lo = snr + d, snr - d
+        return (f(hi) - f(lo)) / (hi - lo)
+    return (-3.0 * f(snr) + 4.0 * f(snr + d) - f(snr + 2.0 * d)) / (2.0 * d)
+
+
+def fd_difference(f, snr: float, delta_fd: float) -> float:
+    """df/dsnr to second order in d = delta_fd * max(1, snr): central where
+    snr - d >= 0, divided by the two points' distance as rounded, else
+    (-3 f(snr) + 4 f(snr + d) - f(snr + 2d)) / (2d)."""
+    d = delta_fd * max(1.0, snr)
+    return _difference(f, snr, d, snr - d >= 0)
+
+
+def fd_derivative(f, snr: float, delta_fd: float) -> float:
+    """df/dsnr as (4 D(d/2) - D(d)) / 3, which cancels the d**2 error of D,
+    the rule of ``fd_difference``; D is central or one-sided at both steps."""
+    d = delta_fd * max(1.0, snr)
+    central = snr - d >= 0
+    return (4.0 * _difference(f, snr, 0.5 * d, central)
+            - _difference(f, snr, d, central)) / 3.0

@@ -21,7 +21,8 @@ from scipy.special import expit, logsumexp
 from .laws import (Gaussian, GriddedDensity, InputLaw, Moments, components,
                    gaussian_raw_moments, moments, require_finite)
 from .errors import NonConvergence
-from .quadrature import REL_TOL, McConfig, by_rows, integrate_output
+from .quadrature import (REL_TOL, McConfig, by_rows, fd_derivative,
+                         integrate_output, snr_integral)
 from .report import Report
 
 LOG_2PI = np.log(2.0 * np.pi)
@@ -195,22 +196,23 @@ def _normal_pdf(y):
 
 
 def mmse_binary_closed(snr: float) -> float:
-    """MMSE of equiprobable +/-1 input: 1 - E[tanh(snr - sqrt(snr)*Y)], Y ~ N(0,1).
+    """MMSE of equiprobable +/-1 input: 1 - E[tanh(snr + sqrt(snr)*Y)], Y ~ N(0,1).
 
-    Evaluated as E[2*expit(-2u)] with u = snr - sqrt(snr)*y, which is free of
-    the 1 - (1 - eps) cancellation at high snr.
+    Substituting y = z - sqrt(snr) gives e^{-snr/2} * E[sech(sqrt(snr)*Z)],
+    Z ~ N(0,1): the integral is of order 1/sqrt(snr) and only the prefactor
+    is small, so the value is right down to the double underflow.
     """
     if snr == 0:
         return 1.0
     rs = np.sqrt(snr)
 
-    def integrand(y):
-        return _normal_pdf(y) * 2.0 * expit(-2.0 * (snr - rs * y))
+    def integrand(z):        # 2 * phi(z) * sech(a), sech(a) = 2 e^{-a} expit(2a)
+        a = rs * z
+        return 4.0 * _normal_pdf(z) * np.exp(-a) * expit(2.0 * a)
 
-    cut = rs + 40.0
-    val, _ = integrate.quad(integrand, -cut, cut, points=[rs],
+    val, _ = integrate.quad(integrand, 0.0, 40.0, points=[min(1.0 / rs, 1.0)],
                             epsabs=1e-300, epsrel=1e-13, limit=400)
-    return val
+    return float(np.exp(-0.5 * snr) * val)
 
 
 def mi_binary_closed(snr: float) -> float:
@@ -222,8 +224,9 @@ def mi_binary_closed(snr: float) -> float:
 
     def integrand(y):
         u = snr - rs * y
-        logcosh = np.abs(u) + np.log1p(np.exp(-2.0 * np.abs(u))) - np.log(2.0)
-        return _normal_pdf(y) * (snr - logcosh)
+        gap = np.where(u >= 0, rs * y, 2.0 * snr - rs * y)    # snr - |u|
+        return _normal_pdf(y) * (gap - np.log1p(np.exp(-2.0 * np.abs(u)))
+                                 + np.log(2.0))
 
     cut = rs + 40.0
     val, _ = integrate.quad(integrand, -cut, cut, points=[rs],
@@ -234,21 +237,6 @@ def mi_binary_closed(snr: float) -> float:
 # ---------------------------------------------------------------------------
 # Derivative-identity verification
 # ---------------------------------------------------------------------------
-
-def fd_derivative(f, snr: float, delta_fd: float) -> float:
-    """df/dsnr by finite differences with step d = delta_fd * max(1, snr).
-
-    Central where snr - d >= 0, divided by the distance between the two
-    points as rounded; otherwise the second-order one-sided rule
-    (-3 f(snr) + 4 f(snr + d) - f(snr + 2d)) / (2d), so f is never taken at
-    a negative snr.
-    """
-    d = delta_fd * max(1.0, snr)
-    hi, lo = snr + d, snr - d
-    if lo >= 0:
-        return (f(hi) - f(lo)) / (hi - lo)
-    return (-3.0 * f(snr) + 4.0 * f(hi) - f(snr + 2.0 * d)) / (2.0 * d)
-
 
 def verify_immse(law: InputLaw, snr_grid, delta_fd: float = 1e-4) -> Report:
     """Compare the finite difference of I(snr) against mmse(snr)/2."""
@@ -267,9 +255,7 @@ def verify_immse_integral(law: InputLaw, snr: float, n_grid: int = 400,
     """Integral form: I(snr) vs (1/2) * integral of mmse over [0, snr]."""
     report = Report("immse-integral")
     direct = mutual_information(ScalarChannel(law, snr))
-    half_int, _ = integrate.quad(
-        lambda g: 0.5 * mmse(ScalarChannel(law, g)), 0.0, snr,
-        epsabs=1e-10, epsrel=1e-10, limit=200)
+    half_int = 0.5 * snr_integral(lambda g: mmse(ScalarChannel(law, g)), snr)
     report.add(f"I(snr) vs half-integral of mmse at snr={snr:g}",
                direct, half_int, tolerance)
     grid = np.linspace(0.0, snr, n_grid)

@@ -18,9 +18,9 @@ from scipy.special import logsumexp
 
 from .errors import DegenerateCovariance
 from .laws import require_finite
-from .quadrature import McConfig
+from .quadrature import McConfig, fd_derivative, fd_difference
 from .report import Report
-from .scalar import McEstimate, fd_derivative
+from .scalar import McEstimate
 
 LOG_2PI = np.log(2.0 * np.pi)
 
@@ -287,7 +287,7 @@ def de_bruijn_check(model: VectorChannelModel, snr: float, delta_fd: float = 1e-
         mi, _ = _mi_value(m, McConfig(seed=seed, n_paths=mc.n_paths))
         return mi - 0.5 * l_dim * np.log(s / (2.0 * np.pi * np.e))
 
-    fd = fd_derivative(lambda tv: entropy_at(tv, mc.seed), t, delta_fd)
+    fd = fd_difference(lambda tv: entropy_at(tv, mc.seed), t, delta_fd)
     base = model.with_snr(np.full(model.H.shape[1], snr))
     fm = fisher_matrix(base, mc)
     rhs = 0.5 * snr * float(np.trace(fm.score_route))
@@ -325,7 +325,7 @@ def multiuser_derivative(model: VectorChannelModel, k: int,
                            McConfig(seed=mc.seed, n_paths=mc.n_paths))
         return val
 
-    lhs = fd_derivative(mi_at, s[k], delta_fd)
+    lhs = fd_difference(mi_at, s[k], delta_fd)
     cov = _posterior_cross_cov(model, mc)
     hth = model.H.T @ model.H
     rhs = 0.5 * float(np.sum(np.sqrt(s / s[k]) * hth[k, :] * cov[k, :]))

@@ -176,6 +176,24 @@ def test_verify_nonconvergence_exit_code(monkeypatch, capsys):
     assert main(["verify", "immse", "--input", "binary"]) == 3
 
 
+def test_verify_thm7_snr_integral_nonconvergence(monkeypatch, capsys):
+    # a jump in the noncausal MMSE at an irrational snr stalls the snr integral
+    monkeypatch.setattr("immse.ct.telegraph_mmse",
+                        lambda m: float(m.snr > np.sqrt(0.5)))
+    assert main(["verify", "thm7"]) == 3
+
+
+def test_verify_corollary3_low_snr_passes(capsys):
+    assert main(["verify", "corollary3", "--snr", "0.01"]) == 0
+
+
+@pytest.mark.parametrize("flag", ["--dt", "--horizon"])
+def test_verify_has_no_sde_flags(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "thm7", flag, "1e-3"])
+    assert exc.value.code == 2
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------

@@ -187,3 +187,10 @@ def test_time_snr_transform_binary():
 def test_time_snr_average_binary():
     report = time_snr_average_check(binary_law(), 2.0)
     assert report.passed, report.to_dict()
+
+
+def test_time_snr_average_detects_scaled_mmse(monkeypatch):
+    # the time average must be tied to I(snr), not to the same mmse integral
+    exact = ct.scalar_mmse
+    monkeypatch.setattr(ct, "scalar_mmse", lambda ch: 1.001 * exact(ch))
+    assert not time_snr_average_check(binary_law(), 2.0).passed

@@ -86,6 +86,14 @@ def test_corollary3_lattice(a, snr, n):
     assert report.passed, report.to_dict()
 
 
+@pytest.mark.parametrize("snr", [0.0, 5e-5, 1e-4, 1e-3, 1e-2])
+def test_corollary3_low_snr(snr):
+    # the AR(0.9) block has eigenvalues up to 15.9, so a plain central
+    # difference at step 1e-4 is off by ~1e-5 here
+    report = verify_corollary3(ARProcess(0.9, 50), snr)
+    assert report.passed, report.to_dict()
+
+
 @pytest.mark.parametrize("a,snr,n", LATTICE)
 def test_thm9_sandwich_lattice(a, snr, n):
     report = verify_thm9(ARProcess(a, n), snr)

@@ -7,7 +7,8 @@ import pytest
 from immse.errors import NonConvergence
 from immse.laws import (DiscreteAtoms, Gaussian, GaussianMixture,
                         GriddedDensity, binary_law, moments)
-from immse.quadrature import gauss_hermite, integrate_output
+from immse.ct import OUSpectrum, gauss_hermite, ou_closed_forms
+from immse.quadrature import integrate_output, snr_integral
 from immse.scalar import (ScalarChannel, fisher_information, mi_binary_closed,
                           mmse, mmse_binary_closed, mutual_information)
 
@@ -58,6 +59,21 @@ def test_stop_is_relative_below_one():
     jump = np.sqrt(2.0) / 10.0
     with pytest.raises(NonConvergence):
         integrate_output(lambda y: 1e-12 * (y > jump), binary_law(), 4.0)
+
+
+@pytest.mark.parametrize("s", [1e-3, 1.0, 100.0])
+def test_snr_integral_closed_forms(s):
+    assert snr_integral(lambda g: 1.0 / (1.0 + g), s) == pytest.approx(
+        np.log1p(s), rel=1e-12, abs=0.0)
+    ou = OUSpectrum()
+    assert snr_integral(lambda g: ou_closed_forms(ou, g)[1], s) == \
+        pytest.approx(s * ou_closed_forms(ou, s)[2], rel=1e-12, abs=0.0)
+
+
+def test_snr_integral_nonconvergence_on_jump():
+    jump = np.sqrt(2.0)
+    with pytest.raises(NonConvergence):
+        snr_integral(lambda g: float(g > jump), 4.0)
 
 
 def test_zero_weight_components_skipped():

@@ -299,6 +299,12 @@ def test_preprocessor_derivative():
     assert report.passed, report.to_dict()
 
 
+def test_mmse_binary_closed_near_underflow():
+    # e^{-snr/2} = 1e-304 at snr 1400: only the prefactor may be small
+    assert mmse_binary_closed(1400.0) == pytest.approx(
+        mmse(ScalarChannel(binary_law(), 1400.0)), rel=1e-8, abs=0.0)
+
+
 def test_high_snr_decay_rates():
     report = high_snr_decay()
     assert report.passed, report.to_dict()
