@@ -1,11 +1,13 @@
-"""Quadrature backbone: the package's rules for E over y, ∫_0^snr and d/dsnr.
+"""Quadrature backbone: the package's rules for ∫ dy, ∫_0^snr and d/dsnr.
 
-``integrate_output(f, law, snr)`` evaluates E[f(Y)] = ∫ f(y) p_Y(y) dy for
-Y = sqrt(snr)*X + N.  Every law is seen as a Gaussian mixture
-(``laws.components``), so the output density is
-sum_j w_j N(y; sqrt(snr)*m_j, 1 + snr*v_j), and one rule serves every law.
-Its panel edges come from the components of positive weight, with output
-centres c_j and output standard deviations s_j:
+``integrate_output(g, law, snr)`` evaluates ∫ g(y) dy on panels placed for
+the output Y = sqrt(snr)*X + N.  The integrand g carries the output density
+itself (an expectation E[f(Y)] is handed over as f * p_Y; ``scalar`` builds
+p_Y and the posterior from one kernel evaluation).  Every law is seen as a
+Gaussian mixture (``laws.components``), so the output density is
+sum_j w_j N(y; sqrt(snr)*m_j, 1 + snr*v_j), and one panel rule serves every
+law.  Its panel edges come from the components of positive weight, with
+output centres c_j and output standard deviations s_j:
 
 * steps of s_j out to ``REACH`` of them around each c_j;
 * between neighbouring centres c_i < c_j, where the posterior switches over
@@ -69,20 +71,6 @@ def by_rows(fn, y: np.ndarray):
     return np.concatenate(parts)
 
 
-def _output_density(law: InputLaw, snr: float, y: np.ndarray) -> np.ndarray:
-    """p_Y(y) summed over the law's mixture components."""
-    w, m, v = components(law)
-    out_var = 1.0 + snr * v
-    rs = np.sqrt(snr)
-
-    def block(ys):
-        kern = (np.exp(-0.5 * (ys[:, None] - rs * m[None, :]) ** 2 / out_var)
-                / np.sqrt(2 * np.pi * out_var))
-        return kern @ w
-
-    return by_rows(block, y)
-
-
 def _panel_edges(law: InputLaw, snr: float) -> np.ndarray:
     """Sorted panel edges placed from the law's components (module docstring)."""
     w, m, v = components(law)
@@ -130,15 +118,16 @@ def _gauss_legendre(g, edges: np.ndarray, what: str) -> float:
         f"{MAX_LEVELS} halvings ({edges.size - 1} panels)")
 
 
-def integrate_output(f, law: InputLaw, snr: float) -> float:
-    """E[f(Y)] for Y = sqrt(snr)*X + N, refined to REL_TOL * min(1, |value|).
+def integrate_output(g, law: InputLaw, snr: float) -> float:
+    """∫ g(y) dy over the panels placed for ``law`` at ``snr``, refined to
+    REL_TOL * min(1, |value|).
 
-    ``f`` must accept numpy arrays elementwise.
+    ``g`` must accept numpy arrays elementwise and carries the output density
+    itself: for E[f(Y)] it is f * p_Y.
     """
     if snr < 0:
         raise ValueError("snr must be nonnegative")
-    return _gauss_legendre(lambda y: f(y) * _output_density(law, snr, y),
-                           _panel_edges(law, snr), "output quadrature")
+    return _gauss_legendre(g, _panel_edges(law, snr), "output quadrature")
 
 
 def snr_integral(f, snr: float) -> float:

@@ -18,7 +18,7 @@ from . import laws
 from .errors import TailNotResolved
 from .laws import DiscreteAtoms, InputLaw, variance
 from .report import Report
-from .scalar import ScalarChannel, mmse
+from .scalar import ScalarChannel, _nonnegative, mmse
 
 _SNR_MIN = 1e-3
 _POINTS_PER_DECADE = 40
@@ -252,7 +252,8 @@ def mi_via_mmse_difference(joint: JointAtoms,
     Observing Y = sqrt(snr) Z + N, the gap between the second moments of
     E[Z|Y,X] and E[Z|Y] equals mmse(Z|Y) - E_X mmse(Z|Y,X); integrating half
     of that gap over all snr gives the mutual information.  The difference
-    form avoids cancelling two near-equal second moments at low snr.
+    form avoids cancelling two near-equal second moments at low snr.  A gap
+    below -REL_TOL raises NonConvergence; one within it counts as 0.
     """
     tail = tail or TailPolicy()
     marginal, slices = _conditional_slices(joint)
@@ -262,7 +263,7 @@ def mi_via_mmse_difference(joint: JointAtoms,
         conditional = sum(
             w * mmse(ScalarChannel(law, s)) if law.values.size > 1 else 0.0
             for w, law in slices)
-        return max(unconditional - conditional, 0.0)
+        return _nonnegative(unconditional - conditional, "mmse gap", s)
 
     var_cond = sum(w * variance(law) for w, law in slices)
     return _half_integral(gap, variance(marginal) - var_cond, tail,

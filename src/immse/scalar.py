@@ -85,28 +85,33 @@ def _component_log_weights(ch: ScalarChannel, y: np.ndarray):
 
 
 def _posterior_stats(ch: ScalarChannel, y: np.ndarray):
-    """Conditional mean and conditional variance of X given Y=y (vectorized)."""
+    """E[X | Y=y], Var(X | Y=y) and log p_Y(y), from one kernel evaluation.
+
+    The posterior weights are normalised by max_j logw_j + ln sum_j
+    e^{logw_j - max}, which is log p_Y(y) + ln(2 pi)/2.
+    """
     def block(ys):
         logw, mu, pv = _component_log_weights(ch, ys)
-        logw = logw - logw.max(axis=1, keepdims=True)
-        wgt = np.exp(logw)
-        wgt /= wgt.sum(axis=1, keepdims=True)
+        top = logw.max(axis=1, keepdims=True)
+        wgt = np.exp(logw - top)
+        total = wgt.sum(axis=1, keepdims=True)
+        wgt /= total
         xhat = np.sum(wgt * mu, axis=1)
         var = np.sum(wgt * (pv + (mu - xhat[:, None]) ** 2), axis=1)
-        return xhat, var
+        return xhat, var, (top + np.log(total))[:, 0] - 0.5 * LOG_2PI
 
     return by_rows(block, np.atleast_1d(np.asarray(y, dtype=float)))
 
 
 def conditional_mean(ch: ScalarChannel, y):
     """E[X | Y=y].  Accepts a scalar or array y."""
-    xhat, _ = _posterior_stats(ch, np.asarray(y, dtype=float))
+    xhat = _posterior_stats(ch, y)[0]
     return float(xhat[0]) if np.isscalar(y) or np.ndim(y) == 0 else xhat
 
 
 def posterior_variance(ch: ScalarChannel, y):
     """Var(X | Y=y)."""
-    _, var = _posterior_stats(ch, np.asarray(y, dtype=float))
+    var = _posterior_stats(ch, y)[1]
     return float(var[0]) if np.isscalar(y) or np.ndim(y) == 0 else var
 
 
@@ -124,16 +129,22 @@ def q_moment(ch: ScalarChannel, y: float, i: int) -> float:
 
 def log_output_density(ch: ScalarChannel, y) -> np.ndarray:
     """log p_Y(y), stable in the tails."""
-    def block(ys):
-        logw, _, _ = _component_log_weights(ch, ys)
-        return logsumexp(logw - 0.5 * LOG_2PI, axis=1)
-
-    return by_rows(block, np.atleast_1d(np.asarray(y, dtype=float)))
+    return _posterior_stats(ch, y)[2]
 
 
 # ---------------------------------------------------------------------------
 # MMSE / mutual information / Fisher information
 # ---------------------------------------------------------------------------
+
+def _expect(ch: ScalarChannel, stat) -> float:
+    """E_Y[stat(y, E[X|y], Var(X|y), log p_Y(y))]: the integrand p_Y * stat
+    is built from one ``_posterior_stats`` call per node block."""
+    def g(y):
+        xhat, var, logp = _posterior_stats(ch, y)
+        return np.exp(logp) * stat(y, xhat, var, logp)
+
+    return integrate_output(g, ch.law, ch.snr)
+
 
 def mmse(ch: ScalarChannel) -> float:
     """Noncausal MMSE E[(X - E[X|Y])^2] = E_Y[Var(X|Y)]."""
@@ -141,9 +152,8 @@ def mmse(ch: ScalarChannel) -> float:
         return moments(ch.law).variance
     if isinstance(ch.law, Gaussian):
         return ch.law.variance / (1.0 + ch.snr * ch.law.variance)
-    val = integrate_output(lambda y: _posterior_stats(ch, y)[1],
-                           ch.law, ch.snr)
-    return _nonnegative(val, "mmse", ch)
+    val = _expect(ch, lambda y, xhat, var, logp: var)
+    return _nonnegative(val, "mmse", ch.snr)
 
 
 def mutual_information(ch: ScalarChannel) -> float:
@@ -152,18 +162,17 @@ def mutual_information(ch: ScalarChannel) -> float:
         return 0.0
     if isinstance(ch.law, Gaussian):
         return 0.5 * np.log1p(ch.snr * ch.law.variance)
-    ent = -integrate_output(lambda y: log_output_density(ch, y),
-                            ch.law, ch.snr)
-    return _nonnegative(ent - HALF_LOG_2PIE, "mutual information", ch)
+    ent = -_expect(ch, lambda y, xhat, var, logp: logp)
+    return _nonnegative(ent - HALF_LOG_2PIE, "mutual information", ch.snr)
 
 
-def _nonnegative(val: float, what: str, ch: ScalarChannel) -> float:
+def _nonnegative(val: float, what: str, snr: float) -> float:
     """Clamp a quadrature value that is negative by at most REL_TOL to 0; a
     value below -REL_TOL raises NonConvergence."""
     if val < -REL_TOL:
         raise NonConvergence(
             f"{what} quadrature gave {val:.3e}, below -{REL_TOL:g}, "
-            f"at snr={ch.snr:g}")
+            f"at snr={snr:g}")
     return max(val, 0.0)
 
 
@@ -177,9 +186,7 @@ def fisher_information(ch: ScalarChannel) -> float:
     if isinstance(ch.law, Gaussian):
         return 1.0 / (1.0 + ch.snr * ch.law.variance)
     rs = np.sqrt(ch.snr)
-    return integrate_output(
-        lambda y: (rs * _posterior_stats(ch, y)[0] - y) ** 2,
-        ch.law, ch.snr)
+    return _expect(ch, lambda y, xhat, var, logp: (rs * xhat - y) ** 2)
 
 
 def fisher_from_mmse(ch: ScalarChannel) -> float:
@@ -217,21 +224,21 @@ def mmse_binary_closed(snr: float) -> float:
 
 def mi_binary_closed(snr: float) -> float:
     """Mutual information of equiprobable +/-1 input (nats):
-    snr - E[log cosh(snr - sqrt(snr)*Y)], Y ~ N(0,1)."""
+    ln 2 - E[ln(1 + e^{-2u})], u = snr + sqrt(snr)*Z, Z ~ N(0,1).
+
+    This is snr - E[log cosh(u)] with log cosh(u) = u + ln(1 + e^{-2u}) - ln 2
+    and E[u] = snr taken in closed form, so no two terms near snr cancel.
+    """
     if snr == 0:
         return 0.0
     rs = np.sqrt(snr)
 
-    def integrand(y):
-        u = snr - rs * y
-        gap = np.where(u >= 0, rs * y, 2.0 * snr - rs * y)    # snr - |u|
-        return _normal_pdf(y) * (gap - np.log1p(np.exp(-2.0 * np.abs(u)))
-                                 + np.log(2.0))
+    def integrand(z):
+        return _normal_pdf(z) * np.logaddexp(0.0, -2.0 * (snr + rs * z))
 
-    cut = rs + 40.0
-    val, _ = integrate.quad(integrand, -cut, cut, points=[rs],
+    val, _ = integrate.quad(integrand, -rs - 40.0, 40.0, points=[-rs],
                             epsabs=1e-14, epsrel=1e-13, limit=400)
-    return val
+    return float(np.log(2.0) - val)
 
 
 # ---------------------------------------------------------------------------

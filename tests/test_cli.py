@@ -84,6 +84,15 @@ def test_curve_telegraph_monotone(tmp_path):
     assert len(vals) == 11 and all(np.diff(vals) < 0)
 
 
+def test_curve_telegraph_mmse_high_snr(tmp_path):
+    # snr up to 1000 nu: a stalled quadrature would exit 3
+    out = tmp_path / "sm.csv"
+    assert main(["curve", "mmse", "--telegraph", "nu=1", "--snr-db",
+                 "10:30:5", "--out", str(out)]) == 0
+    vals = [float(r["value"]) for r in _read_csv(out)]
+    assert len(vals) == 5 and all(np.diff(vals) < 0)
+
+
 def test_curve_ar_quantities(tmp_path):
     out = tmp_path / "ar.csv"
     assert main(["curve", "pmmse", "--ar", "a=0.9,n=20", "--snr", "1",
@@ -181,6 +190,10 @@ def test_verify_thm7_snr_integral_nonconvergence(monkeypatch, capsys):
     monkeypatch.setattr("immse.ct.telegraph_mmse",
                         lambda m: float(m.snr > np.sqrt(0.5)))
     assert main(["verify", "thm7"]) == 3
+
+
+def test_verify_thm7_zero_snr_passes(capsys):
+    assert main(["verify", "thm7", "--snr", "0"]) == 0
 
 
 def test_verify_corollary3_low_snr_passes(capsys):

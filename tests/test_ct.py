@@ -1,9 +1,10 @@
 """Continuous time: telegraph filtering/smoothing and OU spectra."""
+import mpmath as mp
 import numpy as np
 import pytest
 
 from immse.ct import (OUSpectrum, SamplePath, TelegraphModel, build_f_table,
-                      duncan_check, f_integral, ou_closed_forms,
+                      duncan_check, f_integral, f_scaled, ou_closed_forms,
                       simulate_telegraph, spectral_quantities, spectral_report,
                       telegraph_cmmse, telegraph_mmse, thm7_differential_check,
                       time_snr_average_check, time_snr_transform_check,
@@ -45,6 +46,39 @@ def test_telegraph_low_snr_limit():
     m = TelegraphModel(1.0, 1e-4)
     assert telegraph_cmmse(m) == pytest.approx(1.0, abs=1e-3)
     assert telegraph_mmse(m) == pytest.approx(1.0, abs=1e-3)
+
+
+def _telegraph_mmse_mpmath(nu, snr):
+    """∫_0^∞ e^{-s} F(lam+s)^2 ds / F(lam)^2 at 20 digits, lam = 2 nu/snr,
+    F(x) = e^{x/2} (K_0(x/2) + K_1(x/2)) / 2."""
+    with mp.workdps(20):
+        lam = 2 * mp.mpf(nu) / mp.mpf(snr)
+
+        def f(x):
+            return mp.exp(x / 2) * (mp.besselk(0, x / 2)
+                                    + mp.besselk(1, x / 2)) / 2
+
+        num = mp.quad(lambda s: mp.exp(-s) * f(lam + s) ** 2, [0, mp.inf])
+        return float(num / f(lam) ** 2)
+
+
+@pytest.mark.parametrize("snr", [1e-3, 1.0, 100.0, 1e4])
+def test_telegraph_mmse_matches_mpmath(snr):
+    assert telegraph_mmse(TelegraphModel(1.0, snr)) == pytest.approx(
+        _telegraph_mmse_mpmath(1.0, snr), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("lam", [1e-4, 1e-2, 1.0, 10.0, 1e3])
+def test_f11_closed_form_matches_f_scaled(lam):
+    assert ct._f11(lam) == pytest.approx(f_scaled(1, -1, -lam), rel=1e-12,
+                                         abs=0.0)
+
+
+def test_thm7_and_time_average_at_zero_snr():
+    # the snr averages at 0 are their limits: mmse(0) = 1 and Var X
+    assert verify_thm7(1.0, [0.0]).passed
+    report = time_snr_average_check(binary_law(), 0.0)
+    assert report.passed, report.to_dict()
 
 
 def test_thm7_differential_and_integral():

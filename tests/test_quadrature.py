@@ -7,16 +7,38 @@ import pytest
 from immse.errors import NonConvergence
 from immse.laws import (DiscreteAtoms, Gaussian, GaussianMixture,
                         GriddedDensity, binary_law, moments)
-from immse.ct import OUSpectrum, gauss_hermite, ou_closed_forms
+from immse.ct import OUSpectrum, ou_closed_forms
 from immse.quadrature import integrate_output, snr_integral
-from immse.scalar import (ScalarChannel, fisher_information, mi_binary_closed,
-                          mmse, mmse_binary_closed, mutual_information)
+from immse.scalar import (ScalarChannel, fisher_information,
+                          log_output_density, mi_binary_closed, mmse,
+                          mmse_binary_closed, mutual_information)
 
 
-def test_gauss_hermite_weights_normalized():
-    for order in (2, 31, 127, 511):
-        _, w = gauss_hermite(order)
-        assert w.sum() == pytest.approx(1.0, abs=1e-13)
+def expect(f, law, snr):
+    """E[f(Y)]: integrate_output integrates f * p_Y as it is given."""
+    ch = ScalarChannel(law, snr)
+    return integrate_output(lambda y: f(y) * np.exp(log_output_density(ch, y)),
+                            law, snr)
+
+
+MIX3 = GaussianMixture(weights=np.array([0.3, 0.5, 0.2]),
+                       means=np.array([-1.5, 0.2, 1.8]),
+                       variances=np.array([0.4, 0.9, 0.2]))
+
+
+@pytest.mark.parametrize("law", [
+    binary_law(),
+    MIX3,
+    GriddedDensity(grid=np.linspace(-np.sqrt(3), np.sqrt(3), 201),
+                   pdf=np.full(201, 1 / (2 * np.sqrt(3)))),
+], ids=["binary", "mix3", "gridded201"])
+@pytest.mark.parametrize("snr", [0.5, 10.0])
+def test_integrate_output_integrates_what_it_is_given(law, snr):
+    # the output density integrates to one; E[p_Y(Y)] would not
+    ch = ScalarChannel(law, snr)
+    val = integrate_output(lambda y: np.exp(log_output_density(ch, y)),
+                           law, snr)
+    assert val == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("law", [
@@ -33,14 +55,14 @@ def test_output_second_moment(law):
     snr = 2.5
     m = moments(law)
     ex2 = m.variance + m.mean ** 2
-    val = integrate_output(lambda y: y ** 2, law, snr)
+    val = expect(lambda y: y ** 2, law, snr)
     assert val == pytest.approx(1.0 + snr * ex2, abs=1e-9)
 
 
 def test_output_second_moment_gridded():
     x = np.linspace(-np.sqrt(3), np.sqrt(3), 801)
     unif = GriddedDensity(grid=x, pdf=np.full_like(x, 1 / (2 * np.sqrt(3))))
-    val = integrate_output(lambda y: y ** 2, unif, 1.7)
+    val = expect(lambda y: y ** 2, unif, 1.7)
     # the input-grid trapezoid limits accuracy to ~ h^2 for the 801-point grid
     assert val == pytest.approx(1.0 + 1.7 * 1.0, abs=3e-5)
 
@@ -50,7 +72,7 @@ def test_nonconvergence_raised_on_order_cap():
     # only halves the error and the refinement cap comes first
     jump = np.sqrt(2.0) / 10.0
     with pytest.raises(NonConvergence):
-        integrate_output(lambda y: (y > jump).astype(float), binary_law(), 4.0)
+        expect(lambda y: (y > jump).astype(float), binary_law(), 4.0)
 
 
 def test_stop_is_relative_below_one():
@@ -58,7 +80,7 @@ def test_stop_is_relative_below_one():
     # halving, but not to 1e-10 of the value, so the cap is still reached
     jump = np.sqrt(2.0) / 10.0
     with pytest.raises(NonConvergence):
-        integrate_output(lambda y: 1e-12 * (y > jump), binary_law(), 4.0)
+        expect(lambda y: 1e-12 * (y > jump), binary_law(), 4.0)
 
 
 @pytest.mark.parametrize("s", [1e-3, 1.0, 100.0])
@@ -80,7 +102,7 @@ def test_zero_weight_components_skipped():
     mix = GaussianMixture(weights=np.array([0.0, 1.0]),
                           means=np.array([100.0, 0.0]),
                           variances=np.array([1.0, 1.0]))
-    val = integrate_output(lambda y: y ** 2, mix, 1.0)
+    val = expect(lambda y: y ** 2, mix, 1.0)
     assert val == pytest.approx(2.0, abs=1e-10)
 
 

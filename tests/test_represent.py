@@ -4,7 +4,7 @@ import pytest
 from scipy import integrate
 
 from immse import represent
-from immse.errors import TailNotResolved
+from immse.errors import NonConvergence, TailNotResolved
 from immse.laws import (DiscreteAtoms, Gaussian, GaussianMixture,
                         GriddedDensity, binary_law, standard_gaussian_law)
 from immse.represent import (JointAtoms, TailPolicy, differential_entropy_via_mmse,
@@ -221,6 +221,25 @@ def test_mi_noisy_copy_case():
                    probs=np.array([(1 - p) / 2, p / 2, p / 2, (1 - p) / 2]))
     target = np.log(2.0) + p * np.log(p) + (1 - p) * np.log(1 - p)
     assert mi_via_mmse_difference(j) == pytest.approx(target, abs=3e-3)
+
+
+def test_mi_gap_clamps_only_within_tolerance(monkeypatch):
+    # every conditional MMSE is shifted up by `excess`, so the gap is -excess
+    # at every snr: within REL_TOL it counts as 0, beyond it raises
+    j = JointAtoms(x=np.array([-1.0, -1.0, 1.0, 1.0]),
+                   z=np.array([-1.0, 1.0, -1.0, 1.0]),
+                   probs=np.array([0.45, 0.05, 0.05, 0.45]))
+
+    def shifted(excess):
+        return lambda ch: 1.0 + (0.0 if ch.law.probs[0] == 0.5 else excess)
+
+    monkeypatch.setattr(represent, "mmse", shifted(0.0))
+    zero_gap = mi_via_mmse_difference(j)
+    monkeypatch.setattr(represent, "mmse", shifted(1e-12))
+    assert mi_via_mmse_difference(j) == zero_gap
+    monkeypatch.setattr(represent, "mmse", shifted(1e-6))
+    with pytest.raises(NonConvergence):
+        mi_via_mmse_difference(j)
 
 
 @pytest.mark.parametrize("estimator", ["none", "exponential_fit",

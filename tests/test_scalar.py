@@ -53,6 +53,14 @@ def test_engine_matches_binary_closed_forms(snr):
                                                    abs=1e-9)
 
 
+def test_mi_binary_closed_near_underflow():
+    # no quadrature warning (an error in this suite) where I is ln 2 to the
+    # last digit
+    ch = ScalarChannel(binary_law(), 1400.0)
+    assert mi_binary_closed(1400.0) == pytest.approx(
+        scalar.mutual_information(ch), rel=1e-12, abs=0.0)
+
+
 def test_binary_closed_forms_reference_values():
     # frozen oracle values from direct high-precision quadrature of
     # 1 - E[tanh(snr - sqrt(snr) Y)] and snr - E[log cosh(snr - sqrt(snr) Y)]
@@ -172,7 +180,8 @@ def test_orthogonality_of_estimation_error():
     m = moments(MIX3)
     ex2 = m.variance + m.mean ** 2
     exhat2 = integrate_output(
-        lambda y: conditional_mean(ch, y) ** 2, MIX3, snr)
+        lambda y: conditional_mean(ch, y) ** 2
+        * np.exp(log_output_density(ch, y)), MIX3, snr)
     assert exhat2 == pytest.approx(ex2 - mmse(ch), abs=1e-9)
 
 
