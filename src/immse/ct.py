@@ -19,8 +19,10 @@ from .errors import NonConvergence, StepTooLarge
 from .laws import InputLaw, moments, require_finite, sample_with_rng
 from .quadrature import McConfig, fd_derivative, snr_integral
 from .report import Report
-from .scalar import (ScalarChannel, conditional_mean, mmse as scalar_mmse,
-                     mutual_information)
+from .scalar import (McEstimate, ScalarChannel, conditional_mean,
+                     mmse as scalar_mmse, mutual_information)
+
+ENSEMBLE_CHUNK = 2000  # telegraph paths per block of ``wonham_ensemble``
 
 
 @dataclass(frozen=True)
@@ -107,7 +109,15 @@ def build_f_table(xi: float) -> FIntegralTable:
     return FIntegralTable(xi, values)
 
 
-def verify_f_recurrences(xi: float, rel_tol: float = 1e-8) -> Report:
+def _xi_derivative(f, xi: float) -> float:
+    """df/dxi at xi < 0: (4 D(h/2) - D(h)) / 3 on the central difference D,
+    h = 1e-4 * min(1, |xi|), so no point crosses the singularity at xi = 0."""
+    h = 1e-4 * min(1.0, abs(xi))
+    central = lambda d: (f(xi + d) - f(xi - d)) / (2.0 * d)
+    return (4.0 * central(0.5 * h) - central(h)) / 3.0
+
+
+def verify_f_recurrences(xi: float) -> Report:
     """The three algebraic/differential recurrences of the f(i,j) family."""
     report = Report("f-recurrences")
     f = lambda i, j: f_integral(i, j, xi)
@@ -115,16 +125,15 @@ def verify_f_recurrences(xi: float, rel_tol: float = 1e-8) -> Report:
     for (i, j) in [(-1, -1), (1, -1), (-1, 1)]:
         lhs, rhs = f(i, j), f(i + 2, j) - f(i, j + 2)
         report.add(f"difference recurrence (i,j)=({i},{j})", lhs, rhs,
-                   rel_tol * abs(lhs))
+                   1e-8 * abs(lhs))
     # -xi f(i,j) = (i/2) f(i-2,j) + (j/2) f(i,j-2)
     for (i, j) in [(1, 1), (3, 1), (1, 3)]:
         lhs = -xi * f(i, j)
         rhs = 0.5 * i * f(i - 2, j) + 0.5 * j * f(i, j - 2)
-        report.add(f"parts recurrence (i,j)=({i},{j})", lhs, rhs, rel_tol * abs(lhs))
-    # d f(i,j)/d xi = f(i+2,j), by central finite difference
-    h = 1e-6 * max(1.0, abs(xi))
+        report.add(f"parts recurrence (i,j)=({i},{j})", lhs, rhs, 1e-8 * abs(lhs))
+    # d f(i,j)/d xi = f(i+2,j)
     for (i, j) in [(-1, -1), (1, -1)]:
-        fd = (f_integral(i, j, xi + h) - f_integral(i, j, xi - h)) / (2 * h)
+        fd = _xi_derivative(lambda x: f_integral(i, j, x), xi)
         rhs = f(i + 2, j)
         report.add(f"xi-derivative (i,j)=({i},{j})", fd, rhs, 1e-6 * abs(rhs))
     return report
@@ -162,8 +171,7 @@ def telegraph_mmse(m: TelegraphModel) -> float:
     return num / _f11(lam) ** 2
 
 
-def thm7_differential_check(nu: float, snr: float, delta_fd: float = 1e-5,
-                            tolerance: float = 1e-4) -> Report:
+def thm7_differential_check(nu: float, snr: float) -> Report:
     """Differential form of the causal/noncausal identity.
 
     Checks mmse(snr) = d/dsnr [snr * cmmse(snr)], plus the equivalent scaled
@@ -171,10 +179,9 @@ def thm7_differential_check(nu: float, snr: float, delta_fd: float = 1e-5,
     A = F(-1,-1)F(1,-1) - xi F(1,-1)^2 + xi F(-1,-1)F(3,-1) and F = e^{-xi} f.
     """
     report = Report("thm7-differential")
-    fd = fd_derivative(lambda g: g * telegraph_cmmse(TelegraphModel(nu, g)),
-                       snr, delta_fd)
+    fd = fd_derivative(lambda g: g * telegraph_cmmse(TelegraphModel(nu, g)), snr)
     report.add(f"mmse vs d/dsnr[snr*cmmse] at snr={snr:g}", fd,
-               telegraph_mmse(TelegraphModel(nu, snr)), tolerance)
+               telegraph_mmse(TelegraphModel(nu, snr)), 1e-4)
 
     xi = TelegraphModel(nu, snr).xi
 
@@ -182,16 +189,14 @@ def thm7_differential_check(nu: float, snr: float, delta_fd: float = 1e-5,
         f11, fm1, f31 = f_scaled(1, -1, x), f_scaled(-1, -1, x), f_scaled(3, -1, x)
         return fm1 * f11 - x * f11 ** 2 + x * fm1 * f31
 
-    h = 1e-5 * max(1.0, abs(xi))
-    a_prime = (a_of(xi + h) - a_of(xi - h)) / (2 * h)
-    lhs = a_of(xi) + a_prime
+    lhs = a_of(xi) + _xi_derivative(a_of, xi)
     rhs = f_scaled(1, -1, xi) ** 2
     report.add(f"A + A' vs F(1,-1)^2 at xi={xi:g}", lhs, rhs,
-               tolerance * max(abs(rhs), 1.0))
+               1e-4 * max(abs(rhs), 1.0))
     return report
 
 
-def verify_thm7(nu: float, snr_grid, tolerance: float = 1e-4) -> Report:
+def verify_thm7(nu: float, snr_grid) -> Report:
     """cmmse(snr) = (1/snr) ∫_0^snr mmse(g) dg for the telegraph input.
 
     The right side may be read as E[mmse(G)] with G ~ Uniform(0, snr).
@@ -205,18 +210,18 @@ def verify_thm7(nu: float, snr_grid, tolerance: float = 1e-4) -> Report:
         avg = 1.0 if s == 0 else snr_integral(
             lambda g: telegraph_mmse(TelegraphModel(nu, g)), s) / s
         report.add(f"cmmse vs snr-averaged mmse at snr={s:g}",
-                   telegraph_cmmse(TelegraphModel(nu, s)), avg, tolerance)
+                   telegraph_cmmse(TelegraphModel(nu, s)), avg, 1e-4)
     return report
 
 
-def duncan_check(m: TelegraphModel, tolerance: float = 1e-4) -> Report:
+def duncan_check(m: TelegraphModel) -> Report:
     """Information rate two ways: (snr/2)*cmmse vs (1/2)∫_0^snr mmse dg."""
     report = Report("duncan-telegraph")
     route_a = 0.5 * m.snr * telegraph_cmmse(m)
     route_b = 0.5 * snr_integral(
         lambda g: telegraph_mmse(TelegraphModel(m.nu, g)), m.snr)
     report.add(f"(snr/2)*cmmse vs half-integral of mmse at snr={m.snr:g}",
-               route_a, route_b, tolerance)
+               route_a, route_b, 1e-4)
     return report
 
 
@@ -358,8 +363,7 @@ class EnsembleResult:
     burn_in: float
 
 
-def wonham_ensemble(m: TelegraphModel, mc: McConfig,
-                    chunk: int = 2000) -> EnsembleResult:
+def wonham_ensemble(m: TelegraphModel, mc: McConfig) -> EnsembleResult:
     """Monte Carlo MSEs of filter, anticausal filter and smoother.
 
     Causal and anticausal errors are time-averaged over [burn_in, T] (resp.
@@ -367,7 +371,8 @@ def wonham_ensemble(m: TelegraphModel, mc: McConfig,
     averages are i.i.d. across paths, so the reported SE is the ensemble
     standard error of those averages.
 
-    Paths are made ``chunk`` at a time, time-major (see ``_telegraph_paths``).
+    Paths are made ``ENSEMBLE_CHUNK`` at a time, time-major (see
+    ``_telegraph_paths``).
     Each pass adds up its squared errors as it steps: the causal error on
     the float64 forward mean, which is kept (as float32) only on the
     smoother window; the anticausal and smoother errors in the backward pass.
@@ -386,7 +391,7 @@ def wonham_ensemble(m: TelegraphModel, mc: McConfig,
     cms, ams, sms = [], [], []
     remaining = mc.n_paths
     while remaining > 0:
-        p = min(chunk, remaining)
+        p = min(ENSEMBLE_CHUNK, remaining)
         remaining -= p
         x_edges, dy = _telegraph_paths(nu, snr, n_steps, dt, p, rng)
         # the pass yields from t_1 on; at t_0 the error is (X_0 - 0)^2 = 1
@@ -413,16 +418,9 @@ def wonham_ensemble(m: TelegraphModel, mc: McConfig,
         ams.append(bwd_err_acc / n_anti)
         sms.append(sm_err_acc / (sm_hi - sm_lo + 1))
         del x_edges, dy, fwd    # free this chunk before the next is drawn
-    cvals, avals, svals = (np.concatenate(v) for v in (cms, ams, sms))
-    n = cvals.size
-
-    def mse(v):
-        return float(v.mean()), float(v.std(ddof=1) / np.sqrt(n))
-
-    cm, cse = mse(cvals)
-    am, ase = mse(avals)
-    sm, sse = mse(svals)
-    return EnsembleResult(cm, cse, sm, sse, am, ase, n, dt, horizon, burn)
+    c, a, s = (McEstimate.of(np.concatenate(v)) for v in (cms, ams, sms))
+    return EnsembleResult(c.value, c.se, s.value, s.se, a.value, a.se, c.n,
+                          dt, horizon, burn)
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +459,7 @@ def ou_closed_forms(spectrum: OUSpectrum, snr: float):
     return 0.5 * (a - beta), var * beta / a, (a - beta) / snr
 
 
-def spectral_report(spectrum: OUSpectrum, snr: float,
-                    delta_fd: float = 1e-5) -> Report:
+def spectral_report(spectrum: OUSpectrum, snr: float) -> Report:
     """Spectral quadrature vs closed forms, the causal/noncausal identity
     cmmse(snr) = (1/snr) ∫_0^snr mmse(g) dg, and dI/dsnr = mmse/2."""
     mi_rate, mmse_nc, cmmse = spectral_quantities(spectrum, snr)
@@ -476,8 +473,7 @@ def spectral_report(spectrum: OUSpectrum, snr: float,
     avg = mmse_nc if snr == 0 else snr_integral(
         lambda g: spectral_quantities(spectrum, g)[1], snr) / snr
     report.add("cmmse vs snr-averaged mmse", cmmse, avg, 1e-10)
-    fd = fd_derivative(lambda g: spectral_quantities(spectrum, g)[0], snr,
-                       delta_fd)
+    fd = fd_derivative(lambda g: spectral_quantities(spectrum, g)[0], snr)
     report.add("d(mi_rate)/dsnr vs mmse/2", fd, 0.5 * mmse_nc, 1e-6)
     return report
 
@@ -500,29 +496,23 @@ def constant_input_ensemble(law: InputLaw, snr: float, t: float,
     x = sample_with_rng(law, rng, n)
     y_t = np.sqrt(snr) * t * x + np.sqrt(t) * rng.standard_normal(n)
     ch = ScalarChannel(law, t * snr)
-    err = (x - conditional_mean(ch, y_t / np.sqrt(t))) ** 2
-    return (float(err.mean()), float(err.std(ddof=1) / np.sqrt(n)),
-            scalar_mmse(ch))
+    err = McEstimate.of((x - conditional_mean(ch, y_t / np.sqrt(t))) ** 2)
+    return err.value, err.se, scalar_mmse(ch)
 
 
-def time_snr_transform_check(law: InputLaw, snr: float, u: float = 0.5,
+def time_snr_transform_check(law: InputLaw, snr: float,
                              mc: McConfig = McConfig()) -> Report:
-    """Constant input X_t = X on [0,1]: causal MSE at time u equals the scalar
-    MMSE at snr*u (see ``constant_input_ensemble``)."""
+    """Constant input X_t = X on [0,1]: causal MSE at time 1/2 equals the
+    scalar MMSE at snr/2 (see ``constant_input_ensemble``)."""
     report = Report("time-snr-transform")
-    if u == 0:
-        report.add("prior variance at u=0", moments(law).variance,
-                   moments(law).variance, 0.0)
-        return report
-    mse, se, closed = constant_input_ensemble(law, snr, u, mc)
-    report.add(f"ensemble causal MSE at u={u:g} vs scalar mmse({u * snr:g})",
+    mse, se, closed = constant_input_ensemble(law, snr, 0.5, mc)
+    report.add(f"ensemble causal MSE at u=0.5 vs scalar mmse({0.5 * snr:g})",
                mse, closed, 3.0 * se)
     report.notes = f"standard error {se:.3e}"
     return report
 
 
-def time_snr_average_check(law: InputLaw, snr: float,
-                           tolerance: float = 1e-6) -> Report:
+def time_snr_average_check(law: InputLaw, snr: float) -> Report:
     """Constant input on [0,1]: the causal MSE at time u is mmse(u*snr), so
     its time average ∫_0^1 mmse(u*snr) du equals Duncan's 2*I(snr)/snr."""
     time_avg = snr_integral(
@@ -532,5 +522,5 @@ def time_snr_average_check(law: InputLaw, snr: float,
         2.0 * mutual_information(ScalarChannel(law, snr)) / snr
     report = Report("time-snr-average")
     report.add("time-averaged causal MSE vs 2*I(snr)/snr",
-               time_avg, duncan, tolerance)
+               time_avg, duncan, 1e-6)
     return report

@@ -95,14 +95,13 @@ def block_mi_eig(p: ARProcess, snr: float) -> float:
     return 0.5 * float(np.sum(np.log1p(snr * lam)))
 
 
-def verify_corollary3(p: ARProcess, snr: float, delta_fd: float = 1e-4,
-                      tolerance: float = 1e-6) -> Report:
+def verify_corollary3(p: ARProcess, snr: float) -> Report:
     """dI/dsnr = 0.5 * sum of smoother error variances (finite difference)."""
-    fd = fd_derivative(lambda g: block_mi(p, g), snr, delta_fd)
+    fd = fd_derivative(lambda g: block_mi(p, g), snr)
     rhs = 0.5 * float(np.sum(kalman_triple(p, snr).mmse))
     report = Report("corollary3-dt")
     report.add(f"dI/dsnr vs sum(mmse_i)/2 at a={p.a:g}, n={p.n}, snr={snr:g}",
-               fd, rhs, tolerance)
+               fd, rhs, 1e-6)
     return report
 
 

@@ -27,7 +27,8 @@ halving every panel until two levels agree to ``REL_TOL * min(1, |value|)``:
 absolute at 1e-10 for values of order one, relative below, where the MMSE at
 high snr lives.  NonConvergence is raised after ``MAX_LEVELS`` halvings.
 
-``fd_derivative`` is d/dsnr by one Richardson step on ``fd_difference``.
+``fd_derivative`` is d/dsnr by one Richardson step on ``fd_difference``,
+both with the one step ``FD_STEP * max(1, snr)``.
 """
 from __future__ import annotations
 
@@ -36,12 +37,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergence
-from .laws import InputLaw, components
+from .laws import InputLaw, components, require_finite
 
 Y_CHUNK = 1024
 REACH = 12.0           # output standard deviations covered around each centre
 REL_TOL = 1e-10
 MAX_LEVELS = 6
+FD_STEP = 1e-4         # d/dsnr step, relative above snr 1, absolute below
 # below the smallest normal double, two levels cannot agree to REL_TOL
 _TINY = np.finfo(float).tiny
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
@@ -54,6 +56,11 @@ class McConfig:
     n_paths: int = 100_000
     dt: float = 1e-3
     horizon: float = 10.0
+
+    def __post_init__(self):
+        require_finite(dt=self.dt, horizon=self.horizon)
+        if self.n_paths < 1 or self.dt <= 0 or self.horizon <= 0:
+            raise ValueError("McConfig needs n_paths >= 1, dt > 0 and horizon > 0")
 
 
 def by_rows(fn, y: np.ndarray):
@@ -149,18 +156,23 @@ def _difference(f, snr: float, d: float, central: bool) -> float:
     return (-3.0 * f(snr) + 4.0 * f(snr + d) - f(snr + 2.0 * d)) / (2.0 * d)
 
 
-def fd_difference(f, snr: float, delta_fd: float) -> float:
-    """df/dsnr to second order in d = delta_fd * max(1, snr): central where
+def _step(snr: float):
+    """The step d = FD_STEP * max(1, snr), and whether snr - d >= 0 leaves
+    room for a central difference."""
+    d = FD_STEP * max(1.0, snr)
+    return d, snr - d >= 0
+
+
+def fd_difference(f, snr: float) -> float:
+    """df/dsnr to second order in the step d of ``_step``: central where
     snr - d >= 0, divided by the two points' distance as rounded, else
     (-3 f(snr) + 4 f(snr + d) - f(snr + 2d)) / (2d)."""
-    d = delta_fd * max(1.0, snr)
-    return _difference(f, snr, d, snr - d >= 0)
+    return _difference(f, snr, *_step(snr))
 
 
-def fd_derivative(f, snr: float, delta_fd: float) -> float:
+def fd_derivative(f, snr: float) -> float:
     """df/dsnr as (4 D(d/2) - D(d)) / 3, which cancels the d**2 error of D,
     the rule of ``fd_difference``; D is central or one-sided at both steps."""
-    d = delta_fd * max(1.0, snr)
-    central = snr - d >= 0
+    d, central = _step(snr)
     return (4.0 * _difference(f, snr, 0.5 * d, central)
             - _difference(f, snr, d, central)) / 3.0

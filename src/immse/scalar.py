@@ -57,6 +57,15 @@ class McEstimate:
     se: float
     n: int
 
+    @classmethod
+    def of(cls, draws) -> "McEstimate":
+        """Mean of i.i.d. draws and its standard error: the sample standard
+        deviation (n - 1 in the denominator) over sqrt(n)."""
+        d = np.asarray(draws, dtype=float)
+        if d.size < 2:
+            raise ValueError("a Monte Carlo standard error needs >= 2 draws")
+        return cls(float(d.mean()), float(d.std(ddof=1) / np.sqrt(d.size)), d.size)
+
 
 # ---------------------------------------------------------------------------
 # Posterior statistics
@@ -245,30 +254,28 @@ def mi_binary_closed(snr: float) -> float:
 # Derivative-identity verification
 # ---------------------------------------------------------------------------
 
-def verify_immse(law: InputLaw, snr_grid, delta_fd: float = 1e-4) -> Report:
+def verify_immse(law: InputLaw, snr_grid) -> Report:
     """Compare the finite difference of I(snr) against mmse(snr)/2."""
     report = Report("immse-scalar")
     for s in np.atleast_1d(snr_grid):
         s = float(s)
-        fd = fd_derivative(lambda g: mutual_information(ScalarChannel(law, g)),
-                           s, delta_fd)
+        fd = fd_derivative(lambda g: mutual_information(ScalarChannel(law, g)), s)
         half_mmse = 0.5 * mmse(ScalarChannel(law, s))
         report.add(f"dI/dsnr vs mmse/2 at snr={s:g}", fd, half_mmse, 1e-6)
     return report
 
 
-def verify_immse_integral(law: InputLaw, snr: float, n_grid: int = 400,
-                          tolerance: float = 1e-5) -> Report:
+def verify_immse_integral(law: InputLaw, snr: float) -> Report:
     """Integral form: I(snr) vs (1/2) * integral of mmse over [0, snr]."""
     report = Report("immse-integral")
     direct = mutual_information(ScalarChannel(law, snr))
     half_int = 0.5 * snr_integral(lambda g: mmse(ScalarChannel(law, g)), snr)
     report.add(f"I(snr) vs half-integral of mmse at snr={snr:g}",
-               direct, half_int, tolerance)
-    grid = np.linspace(0.0, snr, n_grid)
+               direct, half_int, 1e-5)
+    grid = np.linspace(0.0, snr, 400)
     vals = np.array([mmse(ScalarChannel(law, float(g))) for g in grid])
-    report.add(f"trapezoid {n_grid}-point integral at snr={snr:g}",
-               direct, 0.5 * float(np.trapezoid(vals, grid)), tolerance)
+    report.add(f"trapezoid 400-point integral at snr={snr:g}",
+               direct, 0.5 * float(np.trapezoid(vals, grid)), 1e-5)
     return report
 
 
@@ -345,13 +352,11 @@ def divergence_derivative(law: InputLaw, x: float, snr: float,
     if snr <= 0:
         raise ValueError("divergence_derivative requires snr > 0")
     rng = np.random.default_rng(mc.seed)
-    n = mc.n_paths
     rs = np.sqrt(snr)
-    noise = rng.standard_normal(n)
+    noise = rng.standard_normal(mc.n_paths)
     y = rs * x + noise
     xp = posterior_sample(ScalarChannel(law, snr), y, rng)
-    vals = 0.5 * (x - xp) ** 2 - xp * noise / (2.0 * rs)
-    return McEstimate(float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n)), n)
+    return McEstimate.of(0.5 * (x - xp) ** 2 - xp * noise / (2.0 * rs))
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +381,8 @@ def mi_taylor(m: Moments, snr: float) -> float:
     return 0.5 * snr - 0.25 * snr ** 2 + snr ** 3 / 6.0 - (c / 48.0) * snr ** 4
 
 
-def preprocessor_derivative(law_x: InputLaw, noise_var: float, snr: float,
-                            delta_fd: float = 1e-4) -> Report:
+def preprocessor_derivative(law_x: InputLaw, noise_var: float,
+                            snr: float) -> Report:
     """Markov chain X -- Z -- Y with Z = X + sigma*N' and Gaussian X.
 
     Checks dI(X;Y)/dsnr = 0.5*[mmse(Z|Y) - mmse(Z|Y,X)] against the closed
@@ -393,7 +398,7 @@ def preprocessor_derivative(law_x: InputLaw, noise_var: float, snr: float,
     def mi_closed(s):
         return 0.5 * np.log1p(s * vx / (1.0 + s * vn))
 
-    fd = fd_derivative(mi_closed, snr, delta_fd)
+    fd = fd_derivative(mi_closed, snr)
     rhs = 0.5 * (vz / (1.0 + snr * vz) - vn / (1.0 + snr * vn))
     symbolic = 0.5 * vx / ((1.0 + snr * vn) * (1.0 + snr * vz))
     report = Report("preprocessor-derivative")
@@ -402,7 +407,7 @@ def preprocessor_derivative(law_x: InputLaw, noise_var: float, snr: float,
     return report
 
 
-def high_snr_decay(snr_grid=None) -> Report:
+def high_snr_decay() -> Report:
     """High-snr decay rates: binary MMSE exponential, Gaussian MMSE ~ 1/snr.
 
     The two output mixture components separate at speed sqrt(snr), so the
@@ -410,9 +415,7 @@ def high_snr_decay(snr_grid=None) -> Report:
     e^{-snr/2} (up to a 1/sqrt(snr) factor); the fitted log-slope on
     snr in [5, 15] is about -0.54.
     """
-    if snr_grid is None:
-        snr_grid = np.linspace(5.0, 15.0, 11)
-    snr_grid = np.asarray(snr_grid, dtype=float)
+    snr_grid = np.linspace(5.0, 15.0, 11)
     vals = np.array([mmse_binary_closed(float(s)) for s in snr_grid])
     slope = np.polyfit(snr_grid, np.log(vals), 1)[0]
     report = Report("high-snr-decay")

@@ -23,6 +23,7 @@ from .report import Report
 from .scalar import McEstimate
 
 LOG_2PI = np.log(2.0 * np.pi)
+MC_CHUNK = 50_000      # draws per block of the atom engines
 
 
 @dataclass(frozen=True)
@@ -156,8 +157,7 @@ def _atom_posterior_logweights(model: VectorChannelModel, y: np.ndarray):
         return np.log(atoms.probs)[None, :] - 0.5 * np.einsum("nkl,nkl->nk", d, d)
 
 
-def _atom_mc_sweep(model: VectorChannelModel, mc: McConfig, stats_fn,
-                   chunk: int = 50_000) -> list:
+def _atom_mc_sweep(model: VectorChannelModel, mc: McConfig, stats_fn) -> list:
     """Stream MC draws of (X, N); return stats_fn's result for each chunk."""
     atoms = model.input
     if not isinstance(atoms, AtomSet):
@@ -168,7 +168,7 @@ def _atom_mc_sweep(model: VectorChannelModel, mc: McConfig, stats_fn,
     out = []
     remaining = mc.n_paths
     while remaining > 0:
-        n = min(chunk, remaining)
+        n = min(MC_CHUNK, remaining)
         remaining -= n
         idx = rng.choice(atoms.probs.size, size=n, p=atoms.probs)
         noise = rng.standard_normal((n, l_dim))
@@ -193,9 +193,7 @@ def atom_mmse(model: VectorChannelModel, mc: McConfig = McConfig()) -> McEstimat
         dev = hx[None, :, :] - mean[:, None, :]
         return np.einsum("nk,nkl,nkl->n", w, dev, dev)
 
-    vals = np.concatenate(_atom_mc_sweep(model, mc, stats))
-    return McEstimate(float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(vals.size)),
-                      vals.size)
+    return McEstimate.of(np.concatenate(_atom_mc_sweep(model, mc, stats)))
 
 
 def atom_mi(model: VectorChannelModel, mc: McConfig = McConfig()) -> McEstimate:
@@ -205,9 +203,7 @@ def atom_mi(model: VectorChannelModel, mc: McConfig = McConfig()) -> McEstimate:
         ll_true = -0.5 * np.einsum("nl,nl->n", noise, noise)
         return ll_true - logsumexp(logw, axis=1)
 
-    vals = np.concatenate(_atom_mc_sweep(model, mc, stats))
-    return McEstimate(float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(vals.size)),
-                      vals.size)
+    return McEstimate.of(np.concatenate(_atom_mc_sweep(model, mc, stats)))
 
 
 def _posterior_cov_sums(model: VectorChannelModel, mc: McConfig):
@@ -248,16 +244,14 @@ def fisher_matrix(model: VectorChannelModel, mc: McConfig = McConfig()) -> Fishe
 # Identity checks
 # ---------------------------------------------------------------------------
 
-def verify_immse_vector(model: VectorChannelModel, delta_fd: float = 1e-4,
-                        tolerance: float = 1e-7) -> Report:
-    """Gaussian-input vector identity dI/dsnr = 0.5 * mmse(H X)."""
+def verify_immse_vector(model: VectorChannelModel) -> Report:
+    """Gaussian-input vector identity dI/dsnr = 0.5 * mmse(H X), to 1e-7."""
     s = model.common_snr
     fd = fd_derivative(
-        lambda g: gaussian_mi(model.with_snr(np.full_like(model.snr_diag, g))),
-        s, delta_fd)
+        lambda g: gaussian_mi(model.with_snr(np.full_like(model.snr_diag, g))), s)
     report = Report("immse-vector")
     report.add(f"dI/dsnr vs mmse/2 at snr={s:g}", fd, 0.5 * gaussian_mmse(model),
-               tolerance)
+               1e-7)
     return report
 
 
@@ -268,7 +262,7 @@ def _mi_value(model: VectorChannelModel, mc: McConfig) -> tuple:
     return est.value, est.se
 
 
-def de_bruijn_check(model: VectorChannelModel, snr: float, delta_fd: float = 1e-4,
+def de_bruijn_check(model: VectorChannelModel, snr: float,
                     mc: McConfig = McConfig()) -> Report:
     """Entropy derivative identity in noise scale t = 1/snr.
 
@@ -278,6 +272,8 @@ def de_bruijn_check(model: VectorChannelModel, snr: float, delta_fd: float = 1e-
     informations at the displaced t points share MC draws (common random
     numbers).
     """
+    if snr <= 0:
+        raise ValueError("de_bruijn_check requires snr > 0")
     l_dim = model.H.shape[0]
     t = 1.0 / snr
 
@@ -287,7 +283,7 @@ def de_bruijn_check(model: VectorChannelModel, snr: float, delta_fd: float = 1e-
         mi, _ = _mi_value(m, McConfig(seed=seed, n_paths=mc.n_paths))
         return mi - 0.5 * l_dim * np.log(s / (2.0 * np.pi * np.e))
 
-    fd = fd_difference(lambda tv: entropy_at(tv, mc.seed), t, delta_fd)
+    fd = fd_difference(lambda tv: entropy_at(tv, mc.seed), t)
     base = model.with_snr(np.full(model.H.shape[1], snr))
     fm = fisher_matrix(base, mc)
     rhs = 0.5 * snr * float(np.trace(fm.score_route))
@@ -306,7 +302,6 @@ def _posterior_cross_cov(model: VectorChannelModel, mc: McConfig) -> np.ndarray:
 
 
 def multiuser_derivative(model: VectorChannelModel, k: int,
-                         delta_fd: float = 1e-4,
                          mc: McConfig = McConfig()) -> Report:
     """Per-user derivative: dI/dsnr_k vs the weighted posterior-covariance sum.
 
@@ -325,7 +320,7 @@ def multiuser_derivative(model: VectorChannelModel, k: int,
                            McConfig(seed=mc.seed, n_paths=mc.n_paths))
         return val
 
-    lhs = fd_difference(mi_at, s[k], delta_fd)
+    lhs = fd_difference(mi_at, s[k])
     cov = _posterior_cross_cov(model, mc)
     hth = model.H.T @ model.H
     rhs = 0.5 * float(np.sum(np.sqrt(s / s[k]) * hth[k, :] * cov[k, :]))
@@ -336,8 +331,7 @@ def multiuser_derivative(model: VectorChannelModel, k: int,
     return report
 
 
-def likelihood_lemmas_check(model: VectorChannelModel, y, snr: float,
-                            tolerance: float = 1e-6) -> Report:
+def likelihood_lemmas_check(model: VectorChannelModel, y, snr: float) -> Report:
     """Score/conditional-mean lemmas for the likelihood ratio l(y) = p_Y/p_N.
 
     With Z = H S X (S = diag(sqrt(snr))): grad log l(y) = E[Z|Y=y];
@@ -401,9 +395,9 @@ def likelihood_lemmas_check(model: VectorChannelModel, y, snr: float,
     zbar, z2 = z_moments(y)
     report = Report("likelihood-lemmas")
     report.add("grad log l vs E[Z|Y]", float(np.linalg.norm(grad - zbar)), 0.0,
-               tolerance)
+               1e-6)
     report.add("laplacian log l vs E||Z||^2 - ||E Z||^2",
-               lap_logl, z2 - float(zbar @ zbar), 100 * tolerance)
+               lap_logl, z2 - float(zbar @ zbar), 1e-4)
     report.add("(laplacian l)/l vs E||Z||^2", lap_l / np.exp(f0), z2,
-               100 * tolerance * (1.0 + abs(z2)))
+               1e-4 * (1.0 + abs(z2)))
     return report

@@ -65,7 +65,7 @@ def test_criterion_01_scalar_derivative_identity():
     ok = True
     worst = 0.0
     for law in (standard_gaussian_law(), binary_law(), MIX3):
-        report = verify_immse(law, SNR_GRID, delta_fd=1e-4)
+        report = verify_immse(law, SNR_GRID)
         ok &= report.passed
         worst = max(worst, report.max_deviation)
     elapsed = time.time() - t0
@@ -186,7 +186,7 @@ def test_criterion_08_f_recurrences():
 
 def test_criterion_09_telegraph_causal_identity():
     t0 = time.time()
-    report = verify_thm7(1.0, [0.5, 1.0, 3.16, 10.0, 31.6], tolerance=1e-4)
+    report = verify_thm7(1.0, [0.5, 1.0, 3.16, 10.0, 31.6])
     elapsed = time.time() - t0
     ok = report.passed and elapsed < 60.0
     _line(9, ok, f"cmmse vs snr-averaged mmse at 5 snrs, max dev "

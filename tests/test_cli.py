@@ -167,6 +167,19 @@ def test_verify_appendix_e(capsys):
     assert main(["verify", "appendixE", "--xi=-2"]) == 0
 
 
+@pytest.mark.parametrize("xi", ["-1e-5", "-1e-7"])
+def test_verify_appendix_e_near_zero_xi(xi, capsys):
+    assert main(["verify", "appendixE", f"--xi={xi}"]) == 0
+
+
+def test_verify_debruijn_zero_snr_is_usage_error(capsys):
+    assert main(["verify", "debruijn", "--snr", "0"]) == 2
+
+
+def test_verify_negative_paths_is_usage_error(capsys):
+    assert main(["verify", "immse", "--paths", "-1"]) == 2
+
+
 def test_verify_failure_exit_code(monkeypatch, capsys):
     failing = Report("forced")
     failing.add("impossible", 0.0, 1.0, 1e-9)
@@ -248,3 +261,15 @@ def test_simulate_constant_input(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     dev = abs(payload["mse_empirical"] - payload["mmse_closed"])
     assert dev <= 3.0 * payload["mse_se"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["telegraph", "--dt", "0", "--paths", "2"],
+    ["telegraph", "--paths", "-5"],
+    ["constant-input", "--horizon", "0"],
+    ["constant-input", "--paths", "1"],
+])
+def test_simulate_unrunnable_config_is_usage_error(tmp_path, argv, capsys):
+    out = tmp_path / "s.json"
+    assert main(["simulate", *argv, "--out", str(out)]) == 2
+    assert not out.exists()

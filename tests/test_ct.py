@@ -88,8 +88,15 @@ def test_thm7_differential_and_integral():
 
 
 def test_thm7_differential_below_the_step():
-    # snr 5e-6 < d = 1e-5: the difference may not step to a negative snr
+    # snr 5e-6 < d = 1e-4: the difference may not step to a negative snr
     report = thm7_differential_check(1.0, 5e-6)
+    assert report.passed, report.to_dict()
+
+
+@pytest.mark.parametrize("snr", [1e5, 1e6])
+def test_thm7_differential_at_high_snr(snr):
+    # xi = -2/snr is within 2e-5 of 0: the A' difference may not step past it
+    report = thm7_differential_check(1.0, snr)
     assert report.passed, report.to_dict()
 
 
@@ -213,7 +220,7 @@ def test_spectral_zero_snr():
 
 
 def test_time_snr_transform_binary():
-    report = time_snr_transform_check(binary_law(), 2.0, u=0.5,
+    report = time_snr_transform_check(binary_law(), 2.0,
                                       mc=McConfig(seed=6, n_paths=50_000))
     assert report.passed, report.to_dict()
 

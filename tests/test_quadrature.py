@@ -8,7 +8,8 @@ from immse.errors import NonConvergence
 from immse.laws import (DiscreteAtoms, Gaussian, GaussianMixture,
                         GriddedDensity, binary_law, moments)
 from immse.ct import OUSpectrum, ou_closed_forms
-from immse.quadrature import integrate_output, snr_integral
+from immse.quadrature import (McConfig, fd_derivative, fd_difference,
+                              integrate_output, snr_integral)
 from immse.scalar import (ScalarChannel, fisher_information,
                           log_output_density, mi_binary_closed, mmse,
                           mmse_binary_closed, mutual_information)
@@ -167,3 +168,20 @@ def test_gridded_uniform_pinned(snr, ref):
     ch = ScalarChannel(unif, snr)
     got = (mmse(ch), mutual_information(ch), fisher_information(ch))
     assert got == pytest.approx(ref, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("s", [0.0, 5e-5, 1e-3, 1.0, 10.0, 1e3])
+def test_fd_rules_on_log1p(s):
+    # one-sided below the step (s < 1e-4), central above it
+    exact = 1.0 / (1.0 + s)
+    assert fd_derivative(np.log1p, s) == pytest.approx(exact, rel=1e-10, abs=0)
+    assert fd_difference(np.log1p, s) == pytest.approx(exact, rel=1e-7, abs=0)
+
+
+@pytest.mark.parametrize("kw", [
+    {"n_paths": 0}, {"n_paths": -5}, {"dt": 0.0}, {"dt": -1e-3},
+    {"horizon": 0.0}, {"dt": np.nan}, {"horizon": np.inf},
+])
+def test_mc_config_rejects_what_it_cannot_run(kw):
+    with pytest.raises(ValueError):
+        McConfig(**kw)

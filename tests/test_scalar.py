@@ -10,7 +10,7 @@ from immse.laws import (DiscreteAtoms, Gaussian, GaussianMixture,
                         GriddedDensity, binary_law, moments, sample,
                         standard_gaussian_law)
 from immse.quadrature import McConfig, integrate_output
-from immse.scalar import (ScalarChannel, conditional_mean,
+from immse.scalar import (McEstimate, ScalarChannel, conditional_mean,
                           divergence_derivative, fisher_from_mmse,
                           fisher_information, high_snr_decay,
                           incremental_decompose, lemma1_low_snr,
@@ -369,3 +369,13 @@ def test_property_mmse_and_mi_bounds(law, snr):
     assert 0.0 <= mi <= 0.5 * np.log1p(snr * var) + 1e-9
     # the derivative-identity chain gives I >= (snr/2) mmse for concave I
     assert mi >= 0.5 * snr * e - 1e-9
+
+
+def test_mc_estimate_of_draws():
+    draws = np.random.default_rng(3).standard_normal(1001) * 2.0 + 0.5
+    est = McEstimate.of(draws)
+    assert est.value == draws.mean()
+    assert est.se == draws.std(ddof=1) / np.sqrt(draws.size)
+    assert est.n == 1001
+    with pytest.raises(ValueError):
+        McEstimate.of(np.array([1.0]))

@@ -115,6 +115,11 @@ def test_de_bruijn_atoms_mc():
     assert report.passed, report.to_dict()
 
 
+def test_de_bruijn_rejects_zero_snr():
+    with pytest.raises(ValueError):
+        de_bruijn_check(_gaussian_model(seed=7), 0.0)
+
+
 def test_multiuser_derivative_gaussian():
     model = _gaussian_model(seed=9, k_dim=2, l_dim=2, snr=1.0)
     uneven = model.with_snr(np.array([0.8, 1.7]))
