@@ -84,6 +84,7 @@ def f_scaled(i: int, j: int, xi: float) -> float:
     Substituting u = 1 + v^2 regularizes the (u-1)^{-1/2} endpoint:
     e^{-xi} f(i,j) = 2 ∫_0^∞ (1+v^2)^{i/2} v^{j+1} e^{xi v^2} dv.
     """
+    require_finite(xi=xi)
     if xi >= 0:
         raise ValueError("xi must be negative")
     if j < -1:

@@ -52,6 +52,8 @@ def kalman_triple(p: ARProcess, snr: float) -> MmseTriple:
     sweep.
     """
     require_finite(snr=snr)
+    if snr < 0:
+        raise ValueError("snr must be nonnegative")
     a, n = p.a, p.n
     q = 1.0 - a * a
     p_pred = np.empty(n)
@@ -83,6 +85,8 @@ def dense_smoother_mmse(p: ARProcess, snr: float) -> np.ndarray:
 def block_mi(p: ARProcess, snr: float) -> float:
     """I(X^n; Y^n) = 0.5 logdet(I + snr * Sigma) nats."""
     require_finite(snr=snr)
+    if snr < 0:
+        raise ValueError("snr must be nonnegative")
     sign, logdet = np.linalg.slogdet(np.eye(p.n) + snr * p.covariance())
     if sign <= 0:
         raise ValueError("output covariance not positive definite")

@@ -1,11 +1,14 @@
 """The vector Gaussian channel Y = H S X + N with S = diag(sqrt(snr_k)).
 
 Gaussian inputs get closed forms for mutual information, MMSE and the Fisher
-matrix; discrete atom sets get Monte Carlo engines with exact log-sum-exp
-posteriors per sampled output.  Verification helpers cover the vector
-derivative identity dI/dsnr = mmse/2, the entropy/Fisher (de Bruijn) link,
-per-user snr derivatives, and the likelihood-ratio lemmas tying the score to
-the conditional mean.
+matrix; discrete atom sets get Monte Carlo engines with the exact posterior
+per sampled output from one kernel: with centres c_k = H S x_k, the
+log-weights y·c_k + log p_k - ||c_k||²/2 - ||y||²/2 are one matrix product
+per block of draws, one max/exp/sum gives the weights and log p_Y(y), and
+each engine's statistic is a matrix product of the weights.  Verification
+helpers cover the vector derivative identity dI/dsnr = mmse/2, the
+entropy/Fisher (de Bruijn) link, per-user snr derivatives, and the
+likelihood-ratio lemmas tying the score to the conditional mean.
 """
 from __future__ import annotations
 
@@ -14,7 +17,6 @@ from typing import Union
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.special import logsumexp
 
 from .errors import DegenerateCovariance
 from .laws import require_finite
@@ -148,77 +150,79 @@ def gaussian_mmse(model: VectorChannelModel) -> float:
 # Atom-set Monte Carlo engines
 # ---------------------------------------------------------------------------
 
-def _atom_posterior_logweights(model: VectorChannelModel, y: np.ndarray):
-    """Unnormalized log posterior over atoms per row of y (n, n_atoms)."""
-    atoms = model.input
-    centers = atoms.points @ model.effective_matrix.T       # (n_atoms, L)
-    d = y[:, None, :] - centers[None, :, :]
+def _atom_centers(model: VectorChannelModel):
+    """Centres c_k = H S x_k (n_atoms, L) and log p_k - ||c_k||²/2."""
+    centers = model.input.points @ model.effective_matrix.T
     with np.errstate(divide="ignore"):
-        return np.log(atoms.probs)[None, :] - 0.5 * np.einsum("nkl,nkl->nk", d, d)
+        return centers, np.log(model.input.probs) - 0.5 * np.einsum(
+            "kl,kl->k", centers, centers)
+
+
+def _atom_posterior(y: np.ndarray, centers: np.ndarray, const: np.ndarray):
+    """Posterior weights (n, n_atoms) and log p_Y(y) + (L/2) ln 2π per row of
+    y.  Built atom-major, so that the max and the sum run along rows."""
+    w = centers @ y.T                                       # (n_atoms, n)
+    w += const[:, None]
+    top = w.max(axis=0)
+    w -= top
+    np.exp(w, out=w)
+    total = w.sum(axis=0)
+    w /= total
+    return w.T, top + np.log(total) - 0.5 * np.einsum("nl,nl->n", y, y)
 
 
 def _atom_mc_sweep(model: VectorChannelModel, mc: McConfig, stats_fn) -> list:
-    """Stream MC draws of (X, N); return stats_fn's result for each chunk."""
+    """Stream MC draws of (X, N); return stats_fn(noise, y, w, log p_Y) for
+    each block.  A block holds at most 2^20 posterior weights."""
     atoms = model.input
     if not isinstance(atoms, AtomSet):
         raise TypeError("atom engines require an AtomSet input")
     rng = np.random.default_rng(mc.seed)
-    eff = model.effective_matrix
-    l_dim = eff.shape[0]
+    centers, const = _atom_centers(model)
+    rows = min(MC_CHUNK, 2 ** 20 // atoms.probs.size)
     out = []
-    remaining = mc.n_paths
-    while remaining > 0:
-        n = min(MC_CHUNK, remaining)
-        remaining -= n
+    for start in range(0, mc.n_paths, rows):
+        n = min(rows, mc.n_paths - start)
         idx = rng.choice(atoms.probs.size, size=n, p=atoms.probs)
-        noise = rng.standard_normal((n, l_dim))
-        y = atoms.points[idx] @ eff.T + noise
-        logw = _atom_posterior_logweights(model, y)
-        out.append(stats_fn(idx, noise, y, logw))
+        noise = rng.standard_normal((n, centers.shape[1]))
+        y = centers[idx] + noise
+        out.append(stats_fn(noise, y, *_atom_posterior(y, centers, const)))
     return out
-
-
-def _normalized(logw: np.ndarray) -> np.ndarray:
-    w = np.exp(logw - logw.max(axis=1, keepdims=True))
-    return w / w.sum(axis=1, keepdims=True)
 
 
 def atom_mmse(model: VectorChannelModel, mc: McConfig = McConfig()) -> McEstimate:
     """MC estimate of E ||H X - E[H X | Y]||^2 with exact per-draw posteriors."""
     hx = model.input.points @ model.H.T                     # (n_atoms, L)
+    hx_sq = np.einsum("kl,kl->k", hx, hx)
 
-    def stats(idx, noise, y, logw):
-        w = _normalized(logw)
+    def stats(noise, y, w, logp):
         mean = w @ hx                                       # (n, L)
-        dev = hx[None, :, :] - mean[:, None, :]
-        return np.einsum("nk,nkl,nkl->n", w, dev, dev)
+        return w @ hx_sq - np.einsum("nl,nl->n", mean, mean)
 
     return McEstimate.of(np.concatenate(_atom_mc_sweep(model, mc, stats)))
 
 
 def atom_mi(model: VectorChannelModel, mc: McConfig = McConfig()) -> McEstimate:
     """MC estimate of I(X;Y) = E[log p(Y|X) - log p(Y)] (nats)."""
-    def stats(idx, noise, y, logw):
+    def stats(noise, y, w, logp):
         # log p(y|x_true) - log p(y); the Gaussian normalizer cancels.
-        ll_true = -0.5 * np.einsum("nl,nl->n", noise, noise)
-        return ll_true - logsumexp(logw, axis=1)
+        return -0.5 * np.einsum("nl,nl->n", noise, noise) - logp
 
     return McEstimate.of(np.concatenate(_atom_mc_sweep(model, mc, stats)))
 
 
 def _posterior_cov_sums(model: VectorChannelModel, mc: McConfig):
     """Sums over MC draws of Cov(X | Y) (K x K), of g gᵀ (L x L) and of |g|²,
-    where g = A X̂ - y is the score of p_Y at the draw (A = H S)."""
+    where g = A X̂ - y is the score of p_Y at the draw (A = H S).  The first is
+    Pᵀ diag(Σₙ wₙ) P - MᵀM, with P the atoms and M the posterior means."""
     eff = model.effective_matrix
     points = model.input.points
 
-    def stats(idx, noise, y, logw):
-        w = _normalized(logw)
+    def stats(noise, y, w, logp):
         mean = w @ points                                   # (n, K)
-        dev = points[None, :, :] - mean[:, None, :]
         g = mean @ eff.T - y
-        return (np.einsum("nk,nki,nkj->ij", w, dev, dev), g.T @ g,
-                float(np.einsum("nl,nl->", g, g)))
+        return ((points * w.sum(axis=0)[:, None]).T @ points - mean.T @ mean,
+                g.T @ g, float(np.einsum("nl,nl->", g, g)))
 
     cov, outer, sq = zip(*_atom_mc_sweep(model, mc, stats))
     return sum(cov), sum(outer), sum(sq)
@@ -294,13 +298,6 @@ def de_bruijn_check(model: VectorChannelModel, snr: float,
     return report
 
 
-def _posterior_cross_cov(model: VectorChannelModel, mc: McConfig) -> np.ndarray:
-    """E_Y[Cov(X | Y)] (K x K) by exact posteriors per MC draw, or closed form."""
-    if isinstance(model.input, GaussianVec):
-        return gaussian_error_cov(model)
-    return _posterior_cov_sums(model, mc)[0] / mc.n_paths
-
-
 def multiuser_derivative(model: VectorChannelModel, k: int,
                          mc: McConfig = McConfig()) -> Report:
     """Per-user derivative: dI/dsnr_k vs the weighted posterior-covariance sum.
@@ -321,10 +318,12 @@ def multiuser_derivative(model: VectorChannelModel, k: int,
         return val
 
     lhs = fd_difference(mi_at, s[k])
-    cov = _posterior_cross_cov(model, mc)
+    is_gaussian = isinstance(model.input, GaussianVec)
+    # E_Y[Cov(X | Y)]: closed form, or exact posteriors per MC draw
+    cov = (gaussian_error_cov(model) if is_gaussian
+           else _posterior_cov_sums(model, mc)[0] / mc.n_paths)
     hth = model.H.T @ model.H
     rhs = 0.5 * float(np.sum(np.sqrt(s / s[k]) * hth[k, :] * cov[k, :]))
-    is_gaussian = isinstance(model.input, GaussianVec)
     tol = 1e-7 if is_gaussian else max(3.0 / np.sqrt(mc.n_paths), 1e-4)
     report = Report("multiuser-derivative")
     report.add(f"dI/dsnr_{k} vs posterior-covariance sum", lhs, rhs, tol)
@@ -345,20 +344,15 @@ def likelihood_lemmas_check(model: VectorChannelModel, y, snr: float) -> Report:
     l_dim = eff.shape[0]
 
     if isinstance(model.input, AtomSet):
-        z_pts = model.input.points @ eff.T                 # (n_atoms, L)
-        logp = np.log(model.input.probs)
+        z_pts, const = _atom_centers(model)
 
         def log_l(pt):
-            # log E_Z exp(yᵀZ - ||Z||²/2), exact for atoms.
-            return float(logsumexp(logp + z_pts @ pt - 0.5 * np.sum(z_pts ** 2, axis=1)))
+            # log E_Z exp(yᵀZ - ||Z||²/2) = log p_Y(y) + ||y||²/2 + (L/2) ln 2π
+            return float(_atom_posterior(pt[None, :], z_pts, const)[1][0] + 0.5 * pt @ pt)
 
         def z_moments(pt):
-            lw = logp + z_pts @ pt - 0.5 * np.sum(z_pts ** 2, axis=1)
-            w = np.exp(lw - lw.max())
-            w /= w.sum()
-            zbar = w @ z_pts
-            z2 = float(w @ np.sum(z_pts ** 2, axis=1))
-            return zbar, z2
+            w = _atom_posterior(pt[None, :], z_pts, const)[0][0]
+            return w @ z_pts, float(w @ np.einsum("kl,kl->k", z_pts, z_pts))
     elif isinstance(model.input, GaussianVec):
         cov_z = eff @ model.input.cov @ eff.T
         mean_z = eff @ model.input.mean

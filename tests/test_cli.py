@@ -134,10 +134,18 @@ def test_curve_nonfinite_snr_is_usage_error(tmp_path, source):
     ["curve", "mmse", "--input", "binary", "--snr", "0:inf:1"],
     ["verify", "corollary3", "--snr", "nan"],
     ["verify", "lemmas", "--snr", "nan"],
+    ["verify", "appendixE", "--xi=nan"],
 ])
 def test_nonfinite_input_is_usage_error(tmp_path, argv):
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("suite", ["corollary3", "thm9"])
+def test_negative_snr_is_usage_error(tmp_path, suite):
+    out = tmp_path / "out"
+    assert main(["verify", suite, "--snr", "-1", "--out", str(out)]) == 2
     assert not out.exists()
 
 

@@ -1,10 +1,13 @@
 """Vector channel: closed forms, atom Monte Carlo, and identity checks."""
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from immse.errors import DegenerateCovariance
 from immse.quadrature import McConfig
-from immse.scalar import mi_binary_closed, mmse_binary_closed
+from immse.scalar import McEstimate, mi_binary_closed, mmse_binary_closed
 from immse.vector import (AtomSet, GaussianVec, VectorChannelModel, atom_mi,
                           atom_mmse, de_bruijn_check, fisher_matrix,
                           gaussian_error_cov, gaussian_mi, gaussian_mmse,
@@ -82,6 +85,69 @@ def test_atom_engines_match_scalar_closed_forms():
     mmse_exact = mmse_binary_closed(snr) + \
         1.5 ** 2 * mmse_binary_closed(snr * 1.5 ** 2)
     assert abs(err.value - mmse_exact) <= 3.0 * err.se
+
+
+def _qam_model():
+    pts = np.array([[a, b] for a in (-3.0, -1.0, 1.0, 3.0)
+                    for b in (-3.0, -1.0, 1.0, 3.0)]) / np.sqrt(10.0)
+    h = np.random.default_rng(16).standard_normal((3, 2))
+    return VectorChannelModel(H=h, input=AtomSet(pts, np.full(16, 1 / 16)),
+                              snr_diag=np.full(2, 4.0))
+
+
+def _difference_form_engines(model, mc):
+    """atom_mi and atom_mmse draws and both Fisher routes from the
+    (n, n_atoms, L) difference kernel and centred posterior sums, on the
+    engines' draws (one block: n_paths is below MC_CHUNK)."""
+    atoms, eff, n = model.input, model.effective_matrix, mc.n_paths
+    rng = np.random.default_rng(mc.seed)
+    idx = rng.choice(atoms.probs.size, size=n, p=atoms.probs)
+    noise = rng.standard_normal((n, eff.shape[0]))
+    y = atoms.points[idx] @ eff.T + noise
+    d = y[:, None, :] - (atoms.points @ eff.T)[None, :, :]
+    logw = np.log(atoms.probs) - 0.5 * np.einsum("nkl,nkl->nk", d, d)
+    w = np.exp(logw - logw.max(axis=1, keepdims=True))
+    w /= w.sum(axis=1, keepdims=True)
+    mi = -0.5 * np.einsum("nl,nl->n", noise, noise) - logsumexp(logw, axis=1)
+    hx = atoms.points @ model.H.T
+    dev = hx[None, :, :] - (w @ hx)[:, None, :]
+    err = np.einsum("nk,nkl,nkl->n", w, dev, dev)
+    mean = w @ atoms.points
+    dev = atoms.points[None, :, :] - mean[:, None, :]
+    cov = np.einsum("nk,nki,nkj->ij", w, dev, dev) / n
+    g = mean @ eff.T - y
+    return (McEstimate.of(mi), McEstimate.of(err),
+            np.eye(eff.shape[0]) - eff @ cov @ eff.T, g.T @ g / n)
+
+
+@pytest.mark.parametrize("model", [
+    _qam_model(),
+    VectorChannelModel(H=np.diag([1.0, 1.5]), input=_binary_product_atoms(),
+                       snr_diag=np.full(2, 1.2))], ids=["qam16-3x2", "pair"])
+def test_atom_engines_match_difference_form(model):
+    mc = McConfig(seed=21, n_paths=20_000)
+    mi, err, j_cov, j_score = _difference_form_engines(model, mc)
+    fm = fisher_matrix(model, mc)
+    for got, ref in [(atom_mi(model, mc), mi), (atom_mmse(model, mc), err)]:
+        assert got.value == pytest.approx(ref.value, rel=1e-12, abs=0)
+        assert got.se == pytest.approx(ref.se, rel=1e-12, abs=0)
+    for got, ref in [(fm.covariance_route, j_cov), (fm.score_route, j_score)]:
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_atom_sweep_memory_bounded_by_elements():
+    # 4,096 atoms: posterior weights for all 3,000 draws at once are 98 MB
+    grid = np.linspace(-1.0, 1.0, 64)
+    pts = np.array([[a, b] for a in grid for b in grid])
+    model = VectorChannelModel(H=np.eye(2), snr_diag=np.full(2, 1.0),
+                               input=AtomSet(pts, np.full(4096, 1 / 4096)))
+    tracemalloc.start()
+    try:
+        atom_mi(model, McConfig(seed=0, n_paths=3000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20, peak
 
 
 def test_fisher_matrix_gaussian_routes_and_bounds():

@@ -1,0 +1,157 @@
+"""Paired benchmark of a parent revision against this checkout.
+
+    python3 tools/bench_pairs.py --parent HEAD --pr 9 --seed 1000
+
+The parent revision is unpacked with ``git archive`` into a temporary
+directory.  For each workload of BENCHMARK.json, PAIRS pairs of
+``perfbench/run.py --trace 0`` runs follow, one on each tree; pair i uses
+seed ``--seed`` + i on both sides, and the side that runs first alternates.
+Then one ``--trace 1`` run per side gives the per-layer numbers.  The record
+goes to BENCH_<pr>.json at the root of this checkout: every run's
+end-to-end metrics, each side's median and quartiles, the pairs the change
+won (ties count for neither side), and the traced layers.  Run it from a
+checkout whose working tree holds the change; after committing the change,
+pass ``--parent HEAD~1``.
+"""
+from __future__ import annotations
+
+import argparse
+import datetime
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PAIRS = 10
+
+
+def unpack(rev: str, dest: str) -> str:
+    """Write the files of ``rev`` into ``dest``; return its commit id."""
+    commit = subprocess.run(["git", "rev-parse", rev], cwd=ROOT, check=True,
+                            capture_output=True, text=True).stdout.strip()
+    archive = os.path.join(dest, "tree.tar")
+    subprocess.run(["git", "archive", "-o", archive, commit], cwd=ROOT, check=True)
+    tree = os.path.join(dest, "tree")
+    with tarfile.open(archive) as tar:
+        tar.extractall(tree, filter="data")
+    os.remove(archive)
+    return commit
+
+
+def src_lines(tree: str) -> int:
+    total = 0
+    for base, _, files in os.walk(os.path.join(tree, "src")):
+        for name in files:
+            if name.endswith(".py"):
+                with open(os.path.join(base, name), encoding="utf-8") as f:
+                    total += sum(1 for _ in f)
+    return total
+
+
+def run(tree: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One run.py invocation; its closing JSON line, or the failure."""
+    cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload",
+           workload, "--seed", str(seed), "--seconds", str(seconds),
+           "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
+                          timeout=600)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        return {"error": f"run.py exited {proc.returncode}",
+                "stderr": proc.stderr[-2000:]}
+    out = json.loads(lines[-1])
+    out["metrics"] = {k: v["value"] for k, v in out["metrics"].items()}
+    return out
+
+
+def quartiles(values: list) -> dict:
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": med, "q3": q3}
+
+
+def summarize(pairs: list, better: dict) -> dict:
+    """Per metric: each side's quartiles and the pairs the change won."""
+    ok = [p for p in pairs if "error" not in p["parent"] and "error" not in p["change"]]
+    if not ok:
+        return {}
+    out = {}
+    for name, direction in better.items():
+        par = [p["parent"]["metrics"][name] for p in ok]
+        chg = [p["change"]["metrics"][name] for p in ok]
+        sign = 1.0 if direction == "lower" else -1.0
+        wins = sum(sign * (c - p) < 0 for p, c in zip(par, chg))
+        ties = sum(c == p for p, c in zip(par, chg))
+        qp, qc = quartiles(par), quartiles(chg)
+        out[name] = {
+            "better": direction, "parent": qp, "change": qc,
+            "pairs": len(ok), "change_wins": wins, "ties": ties,
+            "median_rel_change": (qc["median"] / qp["median"] - 1.0
+                                  if qp["median"] else None),
+            # the change's median beats the parent's by more than the
+            # distance between the parent's quartiles
+            "median_gap_exceeds_parent_iqr":
+                sign * (qp["median"] - qc["median"]) > qp["q3"] - qp["q1"],
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
+        bench = json.load(f)
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True, help="git revision to compare against")
+    ap.add_argument("--pr", required=True, help="names the output BENCH_<pr>.json")
+    ap.add_argument("--seed", type=int, required=True, help="seed of the first pair")
+    args = ap.parse_args(argv)
+    seconds = bench["run_seconds"]
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        parent_commit = unpack(args.parent, tmp)
+        trees = {"parent": os.path.join(tmp, "tree"), "change": ROOT}
+        record = {
+            "parent": parent_commit,
+            "change": "working tree of " + subprocess.run(
+                ["git", "describe", "--always", "--dirty"], cwd=ROOT,
+                capture_output=True, text=True).stdout.strip(),
+            "date": datetime.datetime.now(datetime.timezone.utc).isoformat(
+                timespec="seconds"),
+            "host": {"nproc": os.cpu_count(), "machine": platform.machine(),
+                     "python": platform.python_version()},
+            "run_seconds": seconds,
+            "src_lines": {side: src_lines(t) for side, t in trees.items()},
+            "workloads": {},
+        }
+        for workload in (w["name"] for w in bench["workloads"]):
+            pairs = []
+            for i in range(PAIRS):
+                seed = args.seed + i
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                pair = {"seed": seed, "first": order[0]}
+                for side in order:
+                    pair[side] = run(trees[side], workload, seed, seconds, 0)
+                    print(f"{workload} pair {i} {side}: "
+                          f"{pair[side].get('metrics', pair[side].get('error'))}",
+                          file=sys.stderr, flush=True)
+                pairs.append(pair)
+            traced = {side: run(trees[side], workload, args.seed, seconds, 1)
+                      for side in ("parent", "change")}
+            record["workloads"][workload] = {
+                "pairs": pairs, "summary": summarize(pairs, better),
+                "traced": traced}
+
+    path = os.path.join(ROOT, f"BENCH_{args.pr}.json")
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(record, f, indent=1)
+        f.write("\n")
+    print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
