@@ -325,7 +325,7 @@ def cmd_simulate(args) -> int:
         args.snr = 10.0 ** (args.snr_db / 10.0)
     dtstep = args.dt
     if dtstep is None:
-        # respect the SDE stability bound dt <= 0.01 / max(nu, snr)
+        # respect the discretisation bound dt <= 0.01 / max(nu, snr)
         dtstep = min(1e-3, 0.005 / max(args.nu, args.snr))
     mc = McConfig(seed=args.seed, n_paths=args.paths, dt=dtstep,
                   horizon=args.horizon)
@@ -393,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--snr-db", dest="snr_db", type=float)
     p_sim.add_argument("--paths", type=int, default=1)
     p_sim.add_argument("--dt", type=float,
-                       help="SDE step (default respects the stability bound)")
+                       help="time step (default respects the discretisation bound)")
     p_sim.add_argument("--horizon", type=float, default=10.0)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--dump", help="write one sample-path CSV here")

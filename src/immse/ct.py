@@ -2,7 +2,7 @@
 
 Covers the random telegraph input (+/-1 Markov process with transition rate
 nu): closed-form causal and noncausal MMSEs built from the one-sided
-integrals f(i,j), the Wonham filter / two-filter smoother Monte Carlo,
+integrals f(i,j), the exact Wonham filter / Yao smoother Monte Carlo,
 Duncan's relation I = (snr/2)*cmmse, the causal = snr-averaged-noncausal
 identity, stationary-Gaussian spectral formulas for the
 Ornstein-Uhlenbeck family, and the constant-input time-snr transform.
@@ -141,11 +141,11 @@ def verify_f_recurrences(xi: float) -> Report:
 
 
 def telegraph_cmmse(m: TelegraphModel) -> float:
-    """Causal (filtering) MMSE of the random telegraph input: f(-1,-1)/f(1,-1)."""
+    """Causal (filtering) MMSE of the random telegraph input, f(-1,-1)/f(1,-1):
+    by v = sinh(u/2) (see ``_f11``), f_scaled(-1, -1, -lam) = kve(0, lam/2)."""
     if m.snr == 0:
         return 1.0
-    xi = m.xi
-    return f_scaled(-1, -1, xi) / f_scaled(1, -1, xi)
+    return kve(0, -0.5 * m.xi) / _f11(-m.xi)
 
 
 def _f11(lam: float) -> float:
@@ -299,29 +299,32 @@ def simulate_telegraph(m: TelegraphModel, T: float, dt: float, seed: int) -> Sam
     return SamplePath(dt, x_edges[0, :-1].astype(float), dy[0].copy())
 
 
-def _wonham_step(xh: np.ndarray, dy: np.ndarray, nu: float, snr: float,
-                 dt: float) -> np.ndarray:
-    one_minus = 1.0 - xh * xh
-    xh = xh + (-2.0 * nu * xh - snr * xh * one_minus) * dt \
-        + np.sqrt(snr) * one_minus * dy
-    return np.clip(xh, -1.0 + 1e-12, 1.0 - 1e-12)
+def _tanh_add(a, b):
+    """tanh(atanh a + atanh b): adds two log-odds."""
+    return (a + b) / (1.0 + a * b)
 
 
-def _wonham_pass(dy: np.ndarray, nu: float, snr: float, dt: float,
-                 backward: bool = False):
-    """Run the Wonham filter over the steps of ``dy`` (paths x steps).
+def _wonham_step(xh: np.ndarray, tau: np.ndarray, decay: float) -> np.ndarray:
+    """Exact step on the dt grid: the mean decays by ``decay`` = e^{-2 nu dt}
+    (flip probability (1 - decay)/2), then atanh X̂ gains sqrt(snr) dy."""
+    return _tanh_add(xh * decay, tau)
 
-    Step k reads the column ``dy[:, k]``; for the time-major views of
+
+def _wonham_pass(tau: np.ndarray, nu: float, dt: float, backward: bool = False):
+    """Run the Wonham filter over the steps of ``tau`` (paths x steps).
+
+    Step k reads the column ``tau[:, k]``; for the time-major views of
     ``_telegraph_paths`` that column is one contiguous row.  Yields (k, xh)
     after each step, xh holding every path's filter mean of X at t_k.
     Forward passes start at t_0 and read the increments in order; backward
     (anticausal) passes start at t_n and read them reversed.  Both start
     from the stationary prior mean 0.
     """
-    n = dy.shape[1]
-    xh = np.zeros(dy.shape[0])
+    n = tau.shape[1]
+    decay = np.exp(-2.0 * nu * dt)
+    xh = np.zeros(tau.shape[0])
     for k in (range(n - 1, -1, -1) if backward else range(n)):
-        xh = _wonham_step(xh, dy[:, k], nu, snr, dt)
+        xh = _wonham_step(xh, tau[:, k], decay)
         yield (k if backward else k + 1), xh
 
 
@@ -329,24 +332,23 @@ def wonham_filter(path: SamplePath, snr: float, nu: float,
                   backward: bool = False) -> np.ndarray:
     """Posterior mean sequence; entry k estimates X at t_k = k*dt.
 
-    Euler-Maruyama integration of the filter SDE
-    dX̂ = -[2 nu X̂ + snr X̂ (1 - X̂²)] dt + sqrt(snr) (1 - X̂²) dY
-    from the stationary prior mean X̂_0 = 0.  With ``backward`` the same
-    filter runs on the reversed increments, so entry k estimates X at t_k
-    from the observations after t_k (the anticausal filter).
+    The exact two-state filter (``_wonham_step``), dy_k observing X at
+    t_{k+1}, from the stationary prior mean X̂_0 = 0.  With ``backward`` the
+    same filter runs on the reversed increments, so entry k estimates X at
+    t_k from the observations after t_k (the anticausal filter).
     """
     _check_step(nu, snr, path.dt)
+    tau = np.tanh(np.sqrt(snr) * path.dy)[None, :]
     out = np.zeros(path.dy.size + 1)
-    for k, xh in _wonham_pass(path.dy[None, :], nu, snr, path.dt, backward):
+    for k, xh in _wonham_pass(tau, nu, path.dt, backward):
         out[k] = xh[0]
     return out
 
 
 def yao_smoother(forward: np.ndarray, backward: np.ndarray) -> np.ndarray:
     """Combine forward and backward filter means: (f + b) / (1 + f*b)."""
-    forward = np.asarray(forward, dtype=float)
-    backward = np.asarray(backward, dtype=float)
-    return (forward + backward) / (1.0 + forward * backward)
+    return _tanh_add(np.asarray(forward, dtype=float),
+                     np.asarray(backward, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -373,10 +375,10 @@ def wonham_ensemble(m: TelegraphModel, mc: McConfig) -> EnsembleResult:
     standard error of those averages.
 
     Paths are made ``ENSEMBLE_CHUNK`` at a time, time-major (see
-    ``_telegraph_paths``).
-    Each pass adds up its squared errors as it steps: the causal error on
-    the float64 forward mean, which is kept (as float32) only on the
-    smoother window; the anticausal and smoother errors in the backward pass.
+    ``_telegraph_paths``); tau = tanh(sqrt(snr) dy), made in place over dy,
+    serves both passes.  Each pass sums its squared errors as it steps:
+    the causal error on the float64 forward mean, kept (as float32) only
+    on the smoother window; the anticausal and smoother errors backward.
     """
     nu, snr, dt, horizon = m.nu, m.snr, mc.dt, mc.horizon
     _check_step(nu, snr, dt)
@@ -394,11 +396,12 @@ def wonham_ensemble(m: TelegraphModel, mc: McConfig) -> EnsembleResult:
     while remaining > 0:
         p = min(ENSEMBLE_CHUNK, remaining)
         remaining -= p
-        x_edges, dy = _telegraph_paths(nu, snr, n_steps, dt, p, rng)
+        x_edges, tau = _telegraph_paths(nu, snr, n_steps, dt, p, rng)
+        np.tanh(np.multiply(tau, np.sqrt(snr), out=tau), out=tau)
         # the pass yields from t_1 on; at t_0 the error is (X_0 - 0)^2 = 1
         fwd_err_acc = np.full(p, float(k0 == 0))
         fwd = np.zeros((sm_hi - sm_lo + 1, p), dtype=np.float32)
-        for k, xh in _wonham_pass(dy, nu, snr, dt):
+        for k, xh in _wonham_pass(tau, nu, dt):
             if k >= k0:
                 fwd_err_acc += (x_edges[:, k] - xh) ** 2
             if sm_lo <= k <= sm_hi:
@@ -409,7 +412,7 @@ def wonham_ensemble(m: TelegraphModel, mc: McConfig) -> EnsembleResult:
         bwd_err_acc = np.zeros(p)
         sm_err_acc = np.zeros(p)
         n_anti = 0
-        for idx, bh in _wonham_pass(dy, nu, snr, dt, backward=True):
+        for idx, bh in _wonham_pass(tau, nu, dt, backward=True):
             if idx <= n_steps - k0:
                 bwd_err_acc += (x_edges[:, idx] - bh) ** 2
                 n_anti += 1
@@ -418,7 +421,7 @@ def wonham_ensemble(m: TelegraphModel, mc: McConfig) -> EnsembleResult:
                 sm_err_acc += (x_edges[:, idx] - sm) ** 2
         ams.append(bwd_err_acc / n_anti)
         sms.append(sm_err_acc / (sm_hi - sm_lo + 1))
-        del x_edges, dy, fwd    # free this chunk before the next is drawn
+        del x_edges, tau, fwd   # free this chunk before the next is drawn
     c, a, s = (McEstimate.of(np.concatenate(v)) for v in (cms, ams, sms))
     return EnsembleResult(c.value, c.se, s.value, s.se, a.value, a.se, c.n,
                           dt, horizon, burn)
@@ -492,11 +495,11 @@ def constant_input_ensemble(law: InputLaw, snr: float, t: float,
     conditional mean applied to it is the causal estimate.  Returns
     (ensemble MSE, its standard error, scalar mmse(snr*t)).
     """
+    ch = ScalarChannel(law, t * snr)     # rejects snr < 0 before the draws
     rng = np.random.default_rng(mc.seed)
     n = mc.n_paths
     x = sample_with_rng(law, rng, n)
     y_t = np.sqrt(snr) * t * x + np.sqrt(t) * rng.standard_normal(n)
-    ch = ScalarChannel(law, t * snr)
     err = McEstimate.of((x - conditional_mean(ch, y_t / np.sqrt(t))) ** 2)
     return err.value, err.se, scalar_mmse(ch)
 

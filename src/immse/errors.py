@@ -10,7 +10,7 @@ class NonConvergence(ImmseError):
 
 
 class StepTooLarge(ImmseError):
-    """SDE integration step violates the stability precondition."""
+    """Simulation time step exceeds the discretisation bound."""
 
 
 class DegenerateCovariance(ImmseError):

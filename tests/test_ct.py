@@ -2,6 +2,7 @@
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import kve
 
 from immse.ct import (OUSpectrum, SamplePath, TelegraphModel, build_f_table,
                       duncan_check, f_integral, f_scaled, ou_closed_forms,
@@ -70,8 +71,12 @@ def test_telegraph_mmse_matches_mpmath(snr):
 
 @pytest.mark.parametrize("lam", [1e-4, 1e-2, 1.0, 10.0, 1e3])
 def test_f11_closed_form_matches_f_scaled(lam):
-    assert ct._f11(lam) == pytest.approx(f_scaled(1, -1, -lam), rel=1e-12,
-                                         abs=0.0)
+    f11, fm1 = f_scaled(1, -1, -lam), f_scaled(-1, -1, -lam)
+    # nu = 1 and snr = 2 / lam put xi at -lam
+    for closed, quad in [(ct._f11(lam), f11), (kve(0, 0.5 * lam), fm1),
+                         (telegraph_cmmse(TelegraphModel(1.0, 2.0 / lam)),
+                          fm1 / f11)]:
+        assert closed == pytest.approx(quad, rel=1e-12, abs=0.0)
 
 
 def test_thm7_and_time_average_at_zero_snr():
@@ -126,6 +131,29 @@ def test_backward_filter_is_forward_filter_on_reversed_path():
     mirrored = SamplePath(path.dt, path.x[::-1].copy(), path.dy[::-1].copy())
     bwd = wonham_filter(path, m.snr, m.nu, backward=True)
     assert np.array_equal(bwd, wonham_filter(mirrored, m.snr, m.nu)[::-1])
+
+
+def _hmm_forward_means(dy, nu, snr, dt):
+    """P[X=+1] - P[X=-1] from the two-state forward recursion: a flip with
+    probability (1 - e^{-2 nu dt})/2, then the likelihoods
+    N(dy_k; ±sqrt(snr) dt, dt), dy_k observing X at t_{k+1}."""
+    q = 0.5 * (1.0 - np.exp(-2.0 * nu * dt))
+    mean = np.sqrt(snr) * dt * np.array([1.0, -1.0])
+    p, out = np.array([0.5, 0.5]), [0.0]
+    for d in dy:
+        p = np.array([(1 - q) * p[0] + q * p[1], q * p[0] + (1 - q) * p[1]])
+        p = p * np.exp(-(d - mean) ** 2 / (2 * dt)) / np.sqrt(2 * np.pi * dt)
+        p /= p.sum()
+        out.append(p[0] - p[1])
+    return np.array(out)
+
+
+def test_wonham_filter_matches_hmm_forward_recursion():
+    m = TelegraphModel(1.0, 2.0)
+    path = simulate_telegraph(m, T=2.0, dt=1e-3, seed=3)
+    assert path.dy.size == 2000
+    oracle = _hmm_forward_means(path.dy, m.nu, m.snr, path.dt)
+    assert np.abs(wonham_filter(path, m.snr, m.nu) - oracle).max() <= 1e-12
 
 
 def test_yao_smoother_symmetric_and_clipped():
@@ -223,6 +251,15 @@ def test_time_snr_transform_binary():
     report = time_snr_transform_check(binary_law(), 2.0,
                                       mc=McConfig(seed=6, n_paths=50_000))
     assert report.passed, report.to_dict()
+
+
+def test_constant_input_rejects_negative_snr_before_drawing():
+    # under the suite's error::RuntimeWarning, a sqrt of the negative snr
+    # would raise a RuntimeWarning before the channel rejects it
+    with pytest.raises(ValueError, match="nonnegative"):
+        ct.constant_input_ensemble(binary_law(), -1.0, 0.5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        time_snr_transform_check(binary_law(), -1.0)
 
 
 def test_time_snr_average_binary():

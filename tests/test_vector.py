@@ -135,19 +135,35 @@ def test_atom_engines_match_difference_form(model):
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("snr", [60.0, 4.0])
+def test_atom_mmse_keeps_tiny_posterior_variances(snr):
+    # at snr 60 every sampled posterior variance is far below 1e-16 ||Hx||^2
+    model = VectorChannelModel(H=np.diag([1.0, 1.5]),
+                               input=_binary_product_atoms(),
+                               snr_diag=np.full(2, snr))
+    mc = McConfig(seed=0, n_paths=20_000)
+    ref = _difference_form_engines(model, mc)[1]
+    got = atom_mmse(model, mc)
+    assert ref.value > 0
+    assert got.value == pytest.approx(ref.value, rel=1e-9, abs=0)
+    assert got.se == pytest.approx(ref.se, rel=1e-9, abs=0)
+
+
 def test_atom_sweep_memory_bounded_by_elements():
-    # 4,096 atoms: posterior weights for all 3,000 draws at once are 98 MB
+    # 4,096 atoms: posterior weights for all 3,000 draws at once are 98 MB,
+    # and a table of the atoms' pairwise distances 134 MB
     grid = np.linspace(-1.0, 1.0, 64)
     pts = np.array([[a, b] for a in grid for b in grid])
     model = VectorChannelModel(H=np.eye(2), snr_diag=np.full(2, 1.0),
                                input=AtomSet(pts, np.full(4096, 1 / 4096)))
-    tracemalloc.start()
-    try:
-        atom_mi(model, McConfig(seed=0, n_paths=3000))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 2 ** 20, peak
+    for engine in (atom_mi, atom_mmse):
+        tracemalloc.start()
+        try:
+            engine(model, McConfig(seed=0, n_paths=3000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20, (engine.__name__, peak)
 
 
 def test_fisher_matrix_gaussian_routes_and_bounds():

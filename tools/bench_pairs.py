@@ -6,12 +6,14 @@ The parent revision is unpacked with ``git archive`` into a temporary
 directory.  For each workload of BENCHMARK.json, PAIRS pairs of
 ``perfbench/run.py --trace 0`` runs follow, one on each tree; pair i uses
 seed ``--seed`` + i on both sides, and the side that runs first alternates.
-Then one ``--trace 1`` run per side gives the per-layer numbers.  The record
-goes to BENCH_<pr>.json at the root of this checkout: every run's
-end-to-end metrics, each side's median and quartiles, the pairs the change
-won (ties count for neither side), and the traced layers.  Run it from a
-checkout whose working tree holds the change; after committing the change,
-pass ``--parent HEAD~1``.
+Then one ``--trace 1`` run per side gives the per-layer numbers.  Last,
+each tree runs acceptance criterion 10 (the 1e5-path Wonham/Yao ensemble)
+once under pytest, parent first, for its wall time.  The record goes to
+BENCH_<pr>.json at the root of this checkout: every run's end-to-end
+metrics, each side's median and quartiles, the pairs the change won (ties
+count for neither side), the traced layers and the criterion-10 runs.  Run
+it from a checkout whose working tree holds the change; after committing
+the change, pass ``--parent HEAD~1``.
 """
 from __future__ import annotations
 
@@ -25,9 +27,11 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PAIRS = 10
+CRITERION_10 = "tests/test_acceptance.py::test_criterion_10_wonham_yao_monte_carlo"
 
 
 def unpack(rev: str, dest: str) -> str:
@@ -67,6 +71,22 @@ def run(tree: str, workload: str, seed: int, seconds: float, trace: int) -> dict
     out = json.loads(lines[-1])
     out["metrics"] = {k: v["value"] for k, v in out["metrics"].items()}
     return out
+
+
+def run_criterion_10(tree: str) -> dict:
+    """Wall time of one pytest run of criterion 10 in ``tree``, its exit
+    code and its ``[criterion 10]`` line."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    cmd = [sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
+           CRITERION_10]
+    t0 = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True,
+                          text=True, timeout=1800)
+    wall = time.perf_counter() - t0
+    lines = (ln.lstrip(".") for ln in proc.stdout.splitlines())
+    line = next((ln for ln in lines if ln.startswith("[criterion 10]")),
+                proc.stdout[-2000:])
+    return {"wall_s": wall, "returncode": proc.returncode, "line": line}
 
 
 def quartiles(values: list) -> dict:
@@ -144,6 +164,11 @@ def main(argv=None) -> int:
             record["workloads"][workload] = {
                 "pairs": pairs, "summary": summarize(pairs, better),
                 "traced": traced}
+        record["criterion_10"] = {}
+        for side in ("parent", "change"):
+            record["criterion_10"][side] = run_criterion_10(trees[side])
+            print(f"criterion 10 {side}: {record['criterion_10'][side]}",
+                  file=sys.stderr, flush=True)
 
     path = os.path.join(ROOT, f"BENCH_{args.pr}.json")
     with open(path, "w", encoding="utf-8") as f:
