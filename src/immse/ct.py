@@ -51,6 +51,7 @@ class SamplePath:
     dy: np.ndarray   # observation increment over each step
 
     def __post_init__(self):
+        require_finite(dt=self.dt, dy=self.dy)
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.x.shape != self.dy.shape:
@@ -231,6 +232,7 @@ def duncan_check(m: TelegraphModel) -> Report:
 # ---------------------------------------------------------------------------
 
 def _check_step(nu: float, snr: float, dt: float) -> None:
+    require_finite(dt=dt)
     if dt > 0.01 / max(nu, snr):
         raise StepTooLarge(
             f"dt={dt:g} exceeds 0.01/max(nu, snr)={0.01 / max(nu, snr):g}")

@@ -71,43 +71,64 @@ class McEstimate:
 # Posterior statistics
 # ---------------------------------------------------------------------------
 
-def _component_log_weights(ch: ScalarChannel, y: np.ndarray):
-    """Log posterior component weights and per-component posterior (mean, var).
+def _kernel(ch: ScalarChannel):
+    """Per-component coefficients (a, b, c, p, q, pv) of the posterior kernel.
 
-    Each mixture component j of the law (``laws.components``) contributes an
-    output Gaussian N(sqrt(snr)*m_j, 1 + snr*v_j); conditioning within a
-    component is Gaussian algebra.  Returns (logw, mu, var) with shapes
-    (m, K), where logw is unnormalized.
+    Component j of the law (``laws.components``: weight w, mean m, variance
+    v) is seen at the output as N(sqrt(snr)*m, o), o = 1 + snr*v.  Its log
+    weight at y, less ln(2 pi)/2, is a + b*y + c*y**2, and given y and j, X is
+    N(p + q*y, pv):
+
+        a = ln w - ln(o)/2 - snr*m**2/(2o),  b = sqrt(snr)*m/o,  c = -1/(2o),
+        p = m/o,  q = sqrt(snr)*v/o,  pv = v/o.
+
+    c is returned as a float when it is the same for every component (atoms,
+    gridded laws), so callers can leave c*y**2 out of the weights.
     """
     w, m, v = components(ch.law)
-    s = ch.snr
-    rs = np.sqrt(s)
-    out_var = 1.0 + s * v
+    s, rs = ch.snr, np.sqrt(ch.snr)
+    o = 1.0 + s * v
     with np.errstate(divide="ignore"):
-        logw = (np.log(w)[None, :]
-                - 0.5 * np.log(out_var)[None, :]
-                - 0.5 * (y[:, None] - rs * m[None, :]) ** 2 / out_var[None, :])
-    gain = rs * v / out_var
-    mu = m[None, :] + gain[None, :] * (y[:, None] - rs * m[None, :])
-    post_var = v / out_var
-    return logw, mu, np.broadcast_to(post_var[None, :], mu.shape)
+        a = np.log(w) - 0.5 * np.log(o) - 0.5 * s * m * m / o
+    c = -0.5 / o
+    return a, rs * m / o, (c[0] if np.all(c == c[0]) else c), m / o, rs * v / o, v / o
+
+
+def _log_weights(a, b, c, y: np.ndarray):
+    """(y.size, n_components) log weights a + b*y + c*y**2 as outer products,
+    and the term c*y**2 left out of them when c is common (else zeros)."""
+    logw = np.multiply.outer(y, b)
+    logw += a
+    if np.ndim(c):
+        logw += np.multiply.outer(y * y, c)
+        return logw, np.zeros_like(y)
+    return logw, c * y * y
 
 
 def _posterior_stats(ch: ScalarChannel, y: np.ndarray):
     """E[X | Y=y], Var(X | Y=y) and log p_Y(y), from one kernel evaluation.
 
-    The posterior weights are normalised by max_j logw_j + ln sum_j
-    e^{logw_j - max}, which is log p_Y(y) + ln(2 pi)/2.
+    With the coefficients of ``_kernel``, the weights are e^{logw - top} for
+    the row maximum top, E[X|y] is their mat-vecs with p and q over their
+    sum, and Var(X|y) is the centred sum of w_j (pv_j + (p_j + q_j y -
+    E[X|y])**2), in which nothing cancels where the MMSE is tiny.  log p_Y is
+    top + ln(sum) plus the common c*y**2 and -ln(2 pi)/2.
     """
+    a, b, c, p, q, pv = _kernel(ch)
+
     def block(ys):
-        logw, mu, pv = _component_log_weights(ch, ys)
-        top = logw.max(axis=1, keepdims=True)
-        wgt = np.exp(logw - top)
-        total = wgt.sum(axis=1, keepdims=True)
-        wgt /= total
-        xhat = np.sum(wgt * mu, axis=1)
-        var = np.sum(wgt * (pv + (mu - xhat[:, None]) ** 2), axis=1)
-        return xhat, var, (top + np.log(total))[:, 0] - 0.5 * LOG_2PI
+        wgt, common = _log_weights(a, b, c, ys)
+        top = wgt.max(axis=1)
+        wgt -= top[:, None]
+        np.exp(wgt, out=wgt)
+        total = wgt.sum(axis=1)
+        xhat = (wgt @ p + ys * (wgt @ q)) / total
+        dev = np.multiply.outer(ys, q)
+        dev += p
+        dev -= xhat[:, None]
+        dev *= dev
+        var = (wgt @ pv + np.einsum("ij,ij->i", wgt, dev)) / total
+        return xhat, var, top + np.log(total) + common - 0.5 * LOG_2PI
 
     return by_rows(block, np.atleast_1d(np.asarray(y, dtype=float)))
 
@@ -129,11 +150,12 @@ def q_moment(ch: ScalarChannel, y: float, i: int) -> float:
     if i < 0:
         raise ValueError("i must be >= 0")
     ya = np.atleast_1d(np.asarray(y, dtype=float))
-    logw, mu, pv = _component_log_weights(ch, ya)
-    logw = logw - 0.5 * LOG_2PI
-    mom = gaussian_raw_moments(mu, pv, i)[i]
+    a, b, c, p, q, pv = _kernel(ch)
+    logw, common = _log_weights(a, b, c, ya)
+    mu = p + np.multiply.outer(ya, q)
+    mom = gaussian_raw_moments(mu, np.broadcast_to(pv, mu.shape), i)[i]
     val, sign = logsumexp(logw, b=mom, axis=1, return_sign=True)
-    return float(sign[0] * np.exp(val[0]))
+    return float(sign[0] * np.exp(val[0] + common[0] - 0.5 * LOG_2PI))
 
 
 def log_output_density(ch: ScalarChannel, y) -> np.ndarray:
@@ -324,16 +346,16 @@ def posterior_sample(ch: ScalarChannel, y: np.ndarray,
         raise TypeError("gridded laws have no exact posterior draws; their "
                         "atom view is a discretisation")
     y = np.asarray(y, dtype=float)
-    logw, mu, pv = _component_log_weights(ch, y)
-    logw = logw - logw.max(axis=1, keepdims=True)
+    a, b, c, p, q, pv = _kernel(ch)
+    logw = _log_weights(a, b, c, y)[0]
+    logw -= logw.max(axis=1, keepdims=True)
     wgt = np.exp(logw)
     wgt /= wgt.sum(axis=1, keepdims=True)
     cum = np.cumsum(wgt, axis=1)
     u = rng.random(y.size)
     idx = np.minimum((u[:, None] > cum).sum(axis=1), wgt.shape[1] - 1)
-    rows = np.arange(y.size)
-    draw = mu[rows, idx]
-    var = pv[rows, idx]
+    draw = p[idx] + q[idx] * y
+    var = pv[idx]
     hot = var > 0
     if np.any(hot):
         draw = draw + np.sqrt(np.where(hot, var, 0.0)) * rng.standard_normal(y.size) * hot

@@ -119,6 +119,20 @@ def test_step_too_large_guard():
         simulate_telegraph(TelegraphModel(1.0, 100.0), T=1.0, dt=1e-2, seed=0)
 
 
+def test_sample_path_rejects_nan_dt():
+    with pytest.raises(ValueError, match="dt must be finite"):
+        SamplePath(np.nan, np.ones(5), np.full(5, 0.01))
+    with pytest.raises(ValueError, match="dt must be finite"):
+        simulate_telegraph(TelegraphModel(1.0, 1.0), T=1.0, dt=np.nan, seed=0)
+
+
+def test_sample_path_rejects_nan_increment():
+    dy = np.full(5, 0.01)
+    dy[2] = np.nan
+    with pytest.raises(ValueError, match="dy must be finite"):
+        SamplePath(1e-3, np.ones(5), dy)
+
+
 @pytest.mark.parametrize("nu, snr", [(np.nan, 1.0), (1.0, np.inf)])
 def test_telegraph_model_rejects_nonfinite(nu, snr):
     with pytest.raises(ValueError, match="finite"):

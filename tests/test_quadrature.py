@@ -8,6 +8,7 @@ from immse.errors import NonConvergence
 from immse.laws import (DiscreteAtoms, Gaussian, GaussianMixture,
                         GriddedDensity, binary_law, moments)
 from immse.ct import OUSpectrum, ou_closed_forms
+from immse import quadrature
 from immse.quadrature import (McConfig, fd_derivative, fd_difference,
                               integrate_output, snr_integral)
 from immse.scalar import (ScalarChannel, fisher_information,
@@ -25,6 +26,42 @@ def expect(f, law, snr):
 MIX3 = GaussianMixture(weights=np.array([0.3, 0.5, 0.2]),
                        means=np.array([-1.5, 0.2, 1.8]),
                        variances=np.array([0.4, 0.9, 0.2]))
+
+
+def test_kronrod_table_embeds_gauss_10():
+    gauss = quadrature._G10_WEIGHTS > 0
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    assert np.abs(quadrature._K21_NODES[gauss] - nodes).max() <= 1e-15
+    assert np.abs(quadrature._G10_WEIGHTS[gauss] - weights).max() <= 1e-15
+    assert gauss.sum() == 10 and quadrature._K21_NODES.size == 21
+
+
+def test_kronrod_21_exact_to_degree_31():
+    for k in range(32):
+        exact = (1.0 - (-1.0) ** (k + 1)) / (k + 1)
+        got = quadrature._K21_WEIGHTS @ quadrature._K21_NODES ** k
+        assert abs(got - exact) <= 1e-15, k
+
+
+def test_refinement_resolves_a_narrow_bump():
+    # a bump of width 0.02 inside a panel of width 0.25: level 0 misses it,
+    # and the halvings that follow resolve it to its closed form
+    a, sd, snr = np.sqrt(2.0) / 10.0, 0.02, 4.0
+    ch = ScalarChannel(binary_law(), snr)
+    levels = []
+
+    def g(y):
+        levels.append(y.size)
+        return (np.exp(-(y - a) ** 2 / (2.0 * sd ** 2))
+                * np.exp(log_output_density(ch, y)))
+
+    val = integrate_output(g, binary_law(), snr)
+    # N(y; c, 1) * exp(-(y - a)^2 / (2 sd^2)) integrates in closed form
+    ref = sum(0.5 * sd / np.sqrt(1.0 + sd ** 2)
+              * np.exp(-(a - c) ** 2 / (2.0 * (1.0 + sd ** 2)))
+              for c in (2.0, -2.0))
+    assert len(levels) >= 2
+    assert val == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("law", [
@@ -77,8 +114,9 @@ def test_nonconvergence_raised_on_order_cap():
 
 
 def test_stop_is_relative_below_one():
-    # the same jump scaled by 1e-12: levels agree to 1e-10 absolute after one
-    # halving, but not to 1e-10 of the value, so the cap is still reached
+    # the same jump scaled by 1e-12: the error estimate is below 1e-10
+    # absolute from the first level on, but not below 1e-10 of the value, so
+    # the cap is still reached
     jump = np.sqrt(2.0) / 10.0
     with pytest.raises(NonConvergence):
         expect(lambda y: 1e-12 * (y > jump), binary_law(), 4.0)
@@ -146,7 +184,7 @@ def _pam16_mpmath(snr):
         return float(err), float(ent - mp.log(2 * mp.pi * mp.e) / 2)
 
 
-@pytest.mark.parametrize("snr", [0.1, 10.0, 1000.0])
+@pytest.mark.parametrize("snr", [0.1, 10.0, 1000.0, 4250.0])
 def test_pam16_against_mpmath(snr):
     ch = ScalarChannel(DiscreteAtoms(values=PAM16, probs=np.full(16, 1 / 16)),
                        snr)

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from immse import scalar
+from immse import quadrature, scalar
 from immse.errors import NonConvergence
 from immse.laws import (DiscreteAtoms, Gaussian, GaussianMixture,
-                        GriddedDensity, binary_law, moments, sample,
-                        standard_gaussian_law)
+                        GriddedDensity, binary_law, components, moments,
+                        sample, standard_gaussian_law)
 from immse.quadrature import McConfig, integrate_output
 from immse.scalar import (McEstimate, ScalarChannel, conditional_mean,
                           divergence_derivative, fisher_from_mmse,
@@ -126,6 +126,55 @@ def test_q_moments_consistent_with_posterior():
     assert q1 / q0 == pytest.approx(conditional_mean(ch, y), abs=1e-12)
     assert q2 / q0 - (q1 / q0) ** 2 == pytest.approx(
         posterior_variance(ch, y), abs=1e-12)
+
+
+def _difference_form(law, snr, y):
+    """E[X|y], Var(X|y) and log p_Y(y) with each log weight taken about its
+    own output centre, (y - sqrt(snr) m)**2, as the kernel once was."""
+    w, m, v = components(law)
+    rs, out_var = np.sqrt(snr), 1.0 + snr * v
+    with np.errstate(divide="ignore"):
+        logw = (np.log(w) - 0.5 * np.log(out_var)
+                - 0.5 * (y[:, None] - rs * m) ** 2 / out_var)
+    mu = m + rs * v / out_var * (y[:, None] - rs * m)
+    top = logw.max(axis=1, keepdims=True)
+    wgt = np.exp(logw - top)
+    total = wgt.sum(axis=1, keepdims=True)
+    wgt /= total
+    xhat = np.sum(wgt * mu, axis=1)
+    var = np.sum(wgt * (v / out_var + (mu - xhat[:, None]) ** 2), axis=1)
+    return xhat, var, (top + np.log(total))[:, 0] - 0.5 * np.log(2 * np.pi)
+
+
+@pytest.mark.parametrize("law", [
+    binary_law(),
+    DiscreteAtoms(values=(2.0 * np.arange(1, 17) - 17.0) / np.sqrt(85.0),
+                  probs=np.full(16, 1 / 16)),
+    MIX3,
+    GriddedDensity(grid=np.linspace(-np.sqrt(3), np.sqrt(3), 201),
+                   pdf=np.full(201, 1 / (2 * np.sqrt(3)))),
+], ids=["binary", "pam16", "mix3", "gridded201"])
+def test_posterior_stats_match_difference_form(law):
+    # the expanded logits a + b y (+ c y^2) round like eps * snr * m^2, so
+    # at snr 1e4 they are ~1e-12 off the difference form; the gates are 1e-10
+    for snr in np.geomspace(1e-3, 1e4, 29):
+        edges = quadrature._panel_edges(law, snr)
+        mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+        y = (mid[:, None] + half[:, None] * quadrature._K21_NODES).ravel()
+        xhat, var, logp = scalar._posterior_stats(ScalarChannel(law, snr), y)
+        ref_xhat, ref_var, ref_logp = _difference_form(law, snr, y)
+        # relative, but not below the input's unit scale where E[X|y]
+        # crosses 0
+        assert np.all(np.abs(xhat - ref_xhat)
+                      <= 1e-10 * np.maximum(np.abs(ref_xhat), 1.0)), snr
+        # relative wherever p_Y * Var is within 1e-15 of its largest value
+        with np.errstate(divide="ignore"):
+            log_weight = ref_logp + np.log(ref_var)
+        held = log_weight >= log_weight.max() + np.log(1e-15)
+        assert np.all(np.abs(var - ref_var)[held]
+                      <= 1e-10 * ref_var[held]), snr
+        assert np.all(np.abs(logp - ref_logp)
+                      <= 1e-10 * np.maximum(np.abs(ref_logp), 1.0)), snr
 
 
 def test_gridded_law_is_trapezoid_weighted_atoms():

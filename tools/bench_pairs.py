@@ -8,10 +8,11 @@ directory.  For each workload of BENCHMARK.json, PAIRS pairs of
 seed ``--seed`` + i on both sides, and the side that runs first alternates.
 Then one ``--trace 1`` run per side gives the per-layer numbers.  Last,
 each tree runs acceptance criterion 10 (the 1e5-path Wonham/Yao ensemble)
-once under pytest, parent first, for its wall time.  The record goes to
-BENCH_<pr>.json at the root of this checkout: every run's end-to-end
-metrics, each side's median and quartiles, the pairs the change won (ties
-count for neither side), the traced layers and the criterion-10 runs.  Run
+once under pytest, then the whole tier-1 suite once, parent first each
+time, for their wall times.  The record goes to BENCH_<pr>.json at the root
+of this checkout: every run's end-to-end metrics, each side's median and
+quartiles, the pairs the change won (ties count for neither side), the
+traced layers, and the criterion-10 and tier-1 runs.  Run
 it from a checkout whose working tree holds the change; after committing
 the change, pass ``--parent HEAD~1``.
 """
@@ -73,20 +74,33 @@ def run(tree: str, workload: str, seed: int, seconds: float, trace: int) -> dict
     return out
 
 
-def run_criterion_10(tree: str) -> dict:
-    """Wall time of one pytest run of criterion 10 in ``tree``, its exit
-    code and its ``[criterion 10]`` line."""
+def run_pytest(tree: str, args: list):
+    """One pytest run in ``tree`` on its own sources: (wall time, process)."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
-    cmd = [sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
-           CRITERION_10]
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *args]
     t0 = time.perf_counter()
     proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True,
                           text=True, timeout=1800)
-    wall = time.perf_counter() - t0
+    return time.perf_counter() - t0, proc
+
+
+def run_criterion_10(tree: str) -> dict:
+    """Wall time of one pytest run of criterion 10 in ``tree``, its exit
+    code and its ``[criterion 10]`` line."""
+    wall, proc = run_pytest(tree, ["-s", CRITERION_10])
     lines = (ln.lstrip(".") for ln in proc.stdout.splitlines())
     line = next((ln for ln in lines if ln.startswith("[criterion 10]")),
                 proc.stdout[-2000:])
     return {"wall_s": wall, "returncode": proc.returncode, "line": line}
+
+
+def run_tier1(tree: str) -> dict:
+    """Wall time of one tier-1 pytest run in ``tree`` (ROADMAP.md), its exit
+    code and pytest's closing summary line."""
+    wall, proc = run_pytest(tree, ["--continue-on-collection-errors"])
+    lines = proc.stdout.strip().splitlines()
+    return {"wall_s": wall, "returncode": proc.returncode,
+            "line": lines[-1] if lines else proc.stderr[-2000:]}
 
 
 def quartiles(values: list) -> dict:
@@ -164,11 +178,12 @@ def main(argv=None) -> int:
             record["workloads"][workload] = {
                 "pairs": pairs, "summary": summarize(pairs, better),
                 "traced": traced}
-        record["criterion_10"] = {}
-        for side in ("parent", "change"):
-            record["criterion_10"][side] = run_criterion_10(trees[side])
-            print(f"criterion 10 {side}: {record['criterion_10'][side]}",
-                  file=sys.stderr, flush=True)
+        for key, fn in (("criterion_10", run_criterion_10), ("tier1", run_tier1)):
+            record[key] = {}
+            for side in ("parent", "change"):
+                record[key][side] = fn(trees[side])
+                print(f"{key} {side}: {record[key][side]}", file=sys.stderr,
+                      flush=True)
 
     path = os.path.join(ROOT, f"BENCH_{args.pr}.json")
     with open(path, "w", encoding="utf-8") as f:
