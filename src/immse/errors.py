@@ -18,4 +18,5 @@ class DegenerateCovariance(ImmseError):
 
 
 class TailNotResolved(ImmseError):
-    """Truncated snr-integral tail is too large and no tail estimator was allowed."""
+    """An snr integral leaves too much beyond its end: truncated at an
+    overriding snr_max, or closed on a tail that diverges."""

@@ -20,16 +20,18 @@ The edges are then thinned to the first one in each cell of the finest of
 those scales, so a law with hundreds of atoms gets hundreds of panels, not
 thousands.
 
-``snr_integral(f, snr)`` evaluates ∫_0^snr f(g) dg on the one panel
-[0, ln(1+snr)] in t = ln(1+g): an MMSE-like integrand falls like 1/(1+g), so
-in t it is flat.  Both integrals use the embedded 10-point Gauss / 21-point
-Kronrod pair of QUADPACK's ``qk21`` (Piessens et al., 1983): each level
-evaluates the integrand once, on 21 nodes per panel, and takes the Kronrod
-sum.  The sum over panels of |K21 - G10| is the level's error estimate; it
-stops when that is at most ``REL_TOL * min(1, |value|)``: absolute at 1e-10
-for values of order one, relative below, where the MMSE at high snr lives.
-Otherwise every panel is halved, and NonConvergence is raised after
-``MAX_LEVELS`` halvings.
+``snr_integral(f, snr)`` evaluates ∫_0^snr f(g) dg in t = ln(1+g), on the
+unit panels [0, 1], [1, 2], ... up to ln(1+snr), the last one cut short: an
+MMSE-like integrand falls like 1/(1+g), so in t it is flat, and one panel per
+e-fold of 1+g keeps the panels alike out to snr 1e4 and beyond.  Both
+integrals use the embedded 10-point Gauss / 21-point Kronrod pair of
+QUADPACK's ``qk21`` (Piessens et al., 1983): each level evaluates the
+integrand once, on 21 nodes per panel, and takes the Kronrod sum.  The sum
+over panels of |K21 - G10| is the level's error estimate; it stops when that
+is at most ``REL_TOL * min(1, |value|)``: absolute at 1e-10 for values of
+order one, relative below, where the MMSE at high snr lives.  Otherwise
+every panel is halved, and NonConvergence is raised after ``MAX_LEVELS``
+halvings.
 
 ``fd_derivative`` is d/dsnr by one Richardson step on ``fd_difference``,
 both with the one step ``FD_STEP * max(1, snr)``.
@@ -170,7 +172,9 @@ def snr_integral(f, snr: float) -> float:
         g = np.expm1(t)
         return np.array([f(float(x)) for x in g]) * (1.0 + g)
 
-    return _gauss_kronrod(in_t, np.array([0.0, np.log1p(snr)]), "snr integral")
+    t_max = np.log1p(snr)
+    edges = np.append(np.arange(max(np.ceil(t_max), 1.0)), t_max)
+    return _gauss_kronrod(in_t, edges, "snr integral")
 
 
 def _difference(f, snr: float, d: float, central: bool) -> float:

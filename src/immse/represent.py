@@ -7,6 +7,24 @@ same way yields its non-Gaussianness (the KL divergence to that Gaussian),
 hence its differential entropy and the entropy-power index gamma = exp(-D).
 Mutual information between two finite variables falls out as the integrated
 gap between unconditional and conditional estimation errors.
+
+Every quantity is half a sum of MMSE integrals, each run on the package's one
+snr rule, ``quadrature.snr_integral``, and differences are taken after
+integrating.  Where an integral ends is set by the law:
+
+* atoms: at snr * d_min**2 / 8 = 25, d_min the smallest gap between atoms;
+  the MMSE then falls like exp(-snr d_min**2 / 8) (Lozano, Tulino and Verdu,
+  IEEE Trans. IT, 2006), so what is left beyond is below 1e-11;
+* laws with a density: at snr 1e4, closed by f(S) S / (alpha - 1) for an
+  integrand f that falls like snr**-alpha: alpha = 2 for Gaussian mixtures,
+  whose Fisher information is finite, and 3/2 for a gridded density with a
+  jump at an end.  A closure above REL_TOL whose integrand falls no faster
+  than 1/snr from S/4 to S, f(S/4) <= 4 f(S), raises TailNotResolved: the
+  integral diverges, as a gridded density's does once snr h**2 is large for
+  its grid step h and its grid points resolve as atoms.
+
+A discrete law has infinite non-Gaussianness; its truncated value at snr 100
+is returned.  ``TailPolicy`` overrides the end.
 """
 from __future__ import annotations
 
@@ -16,37 +34,39 @@ import numpy as np
 
 from . import laws
 from .errors import TailNotResolved
-from .laws import DiscreteAtoms, InputLaw, variance
+from .laws import DiscreteAtoms, GriddedDensity, InputLaw, require_finite, variance
+from .quadrature import REL_TOL, snr_integral
 from .report import Report
 from .scalar import ScalarChannel, _nonnegative, mmse
 
-_SNR_MIN = 1e-3
-_POINTS_PER_DECADE = 40
+_ATOM_END = 25.0             # snr * d_min**2 / 8 where an atom law's integral ends
+_DENSITY_SNR_MAX = 1e4       # where a density's integral ends and is closed
+_ATOM_NONGAUSS_SNR_MAX = 100.0
 
 
 @dataclass(frozen=True)
 class TailPolicy:
-    """Truncation control for the outer snr integral.
+    """Override of where the snr integrals end.
 
-    The integrand is sampled on a log grid up to snr_max; tail_estimator
-    picks how the integral beyond snr_max is closed from those samples:
+    Each integral stops at snr_max.  For a law with a density,
+    tail_estimator picks how the integral beyond it is closed:
       none            no closure: integrate to snr_max and stop
-      exponential_fit fit f ~ A exp(-c snr) over [snr_max/10, snr_max] and
-                      add f(snr_max)/c (discrete laws, whose MMSE decays
-                      exponentially)
-      gaussian_tail   fit f ~ C/snr^alpha over [snr_max/4, snr_max] and add
-                      f(snr_max) snr_max/(alpha - 1) (laws with a density:
-                      alpha = 2, or 3/2 with density jumps); alpha <= 1
-                      raises TailNotResolved, the tail would diverge
+      gaussian_tail   add f(snr_max) snr_max / (alpha - 1), alpha the law's
+                      known decay rate, after the divergence check of the
+                      module docstring
+    Atoms have nothing to close: their integrals stop at snr_max under
+    either value.  A truncated entropy or mutual information whose
+    integrand at snr_max is above 1e-4 of the estimate raises
+    TailNotResolved.
     """
-    snr_max: float = 80.0
-    tail_estimator: str = "exponential_fit"
+    snr_max: float = _DENSITY_SNR_MAX
+    tail_estimator: str = "gaussian_tail"
 
     def __post_init__(self):
+        require_finite(snr_max=self.snr_max)
         if self.snr_max < 1:
             raise ValueError("snr_max must be >= 1")
-        if self.tail_estimator not in ("none", "gaussian_tail",
-                                       "exponential_fit"):
+        if self.tail_estimator not in ("none", "gaussian_tail"):
             raise ValueError(f"unknown tail estimator {self.tail_estimator}")
 
 
@@ -63,6 +83,7 @@ class JointAtoms:
         p = np.asarray(self.probs, dtype=float)
         if not (x.shape == z.shape == p.shape) or x.ndim != 1:
             raise ValueError("x, z, probs must be matching 1-d arrays")
+        require_finite(x=x, z=z, probs=p)
         if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
             raise ValueError("probs must be nonnegative and sum to 1")
         object.__setattr__(self, "x", x)
@@ -70,68 +91,42 @@ class JointAtoms:
         object.__setattr__(self, "probs", p)
 
 
-def _snr_grid(snr_max: float) -> np.ndarray:
-    n_decades = np.log10(snr_max / _SNR_MIN)
-    n = int(round(_POINTS_PER_DECADE * n_decades)) + 1
-    return np.geomspace(_SNR_MIN, snr_max, n)
+def _mmse_integral(law: InputLaw, snr_max: float) -> float:
+    """∫_0^snr_max mmse(law, g) dg on ``snr_integral``, run in u = sigma^2 g
+    so that its unit panels are unit in ln(1 + sigma^2 g)."""
+    v = variance(law)
+    return snr_integral(lambda u: mmse(ScalarChannel(law, u / v)),
+                        v * snr_max) / v
 
 
-def _tail_integral(grid: np.ndarray, values: np.ndarray,
-                   estimator: str) -> float:
-    """Integral beyond grid[-1] of an integrand known at the grid points.
+def _half_atom_integrals(terms, tail: TailPolicy | None, what: str) -> float:
+    """Half of sum w * ∫ mmse(law) over the (w, law) atom laws of ``terms``.
 
-    Each estimator closes the tail from a least-squares fit of log(values)
-    over the grid points near snr_max (see TailPolicy).  An integrand that
-    has vanished at snr_max has no tail.
+    Each integral ends where snr * d_min**2 / 8 = _ATOM_END for its law, or
+    at the override's snr_max; a law with one live atom has MMSE 0 and is
+    left out.  A sum below -REL_TOL raises NonConvergence, one within it
+    counts as 0.  Under an override, an integrand at snr_max above 1e-4 of
+    the estimate raises TailNotResolved.
     """
-    if estimator == "none" or values[-1] < 1e-300:
-        return 0.0
-    s_max, f_max = grid[-1], values[-1]
-    if estimator == "exponential_fit":
-        sel = (grid >= s_max / 10) & (values > 0)
-        if sel.sum() < 2:
-            return 0.0
-        rate = -np.polyfit(grid[sel], np.log(values[sel]), 1)[0]
-        return float(f_max / rate) if rate > 0 else 0.0
-    sel = (grid >= s_max / 4) & (values > 0)
-    if sel.sum() < 2:
-        return 0.0
-    alpha = -np.polyfit(np.log(grid[sel]), np.log(values[sel]), 1)[0]
-    if alpha <= 1.0:
-        raise TailNotResolved(
-            f"the integrand decays like snr^-{alpha:.3g} near snr_max = "
-            f"{s_max:g}, so its tail integral diverges")
-    return float(f_max * s_max / (alpha - 1.0))
+    def end(law: DiscreteAtoms) -> float:
+        if tail is not None:
+            return tail.snr_max
+        d_min = np.diff(np.sort(law.values[law.probs > 0])).min()
+        return 8.0 * _ATOM_END / d_min ** 2
 
-
-def _snr_integral(f, f_at_zero: float, tail: TailPolicy):
-    """Integral of f over all snr >= 0; returns it and f(snr_max).
-
-    One trapezoid panel covers [0, _SNR_MIN]; the grid up to snr_max is
-    integrated by the trapezoid rule in ln(snr) (the integrand snr*f is
-    smooth across decades); the tail closure of ``tail`` adds the rest.
-    """
-    grid = _snr_grid(tail.snr_max)
-    values = np.array([f(s) for s in grid])
-    head = 0.5 * (f_at_zero + values[0]) * grid[0]
-    main = float(np.trapezoid(values * grid, np.log(grid)))
-    return (head + main + _tail_integral(grid, values, tail.tail_estimator),
-            values[-1])
-
-
-def _half_integral(f, f_at_zero: float, tail: TailPolicy, what: str) -> float:
-    """Half the snr integral of an MMSE (or MMSE gap) that decays to 0.
-
-    With no tail estimator the integral stops at snr_max, so f(snr_max)
-    above 1e-4 of the estimate raises TailNotResolved.
-    """
-    total, f_last = _snr_integral(f, f_at_zero, tail)
-    half = 0.5 * total
-    if tail.tail_estimator == "none" and f_last > 1e-4 * max(half, 1e-12):
-        raise TailNotResolved(
-            f"the integrand at snr_max = {tail.snr_max:g} is {f_last:.3e}, "
-            f"more than 1e-4 of the {what} estimate; raise snr_max or "
-            "enable a tail estimator")
+    terms = [(w, law) for w, law in terms if np.count_nonzero(law.probs) > 1]
+    ends = [end(law) for _, law in terms]
+    half = _nonnegative(0.5 * sum(w * _mmse_integral(law, s)
+                                  for (w, law), s in zip(terms, ends)),
+                        what, max(ends, default=0.0))
+    if tail is not None:
+        f_last = sum(w * mmse(ScalarChannel(law, tail.snr_max))
+                     for w, law in terms)
+        if f_last > 1e-4 * max(half, 1e-12):
+            raise TailNotResolved(
+                f"the integrand at snr_max = {tail.snr_max:g} is "
+                f"{f_last:.3e}, more than 1e-4 of the {what} estimate; raise "
+                "snr_max or leave the end to the law")
     return half
 
 
@@ -139,8 +134,8 @@ def _check_degenerate(atoms: DiscreteAtoms) -> None:
     live = atoms.probs[atoms.probs > 0]
     if live.size > 1 and np.any(live < 1e-6):
         raise ValueError(
-            "atom probabilities below 1e-6 make the decay rate of the MMSE "
-            "tail unreliable to fit; rejected")
+            "atom probabilities below 1e-6 are rejected: the relative error "
+            "of the entropy integral grows as the smallest probability falls")
 
 
 def entropy_via_mmse(atoms: DiscreteAtoms, tail: TailPolicy | None = None,
@@ -151,23 +146,13 @@ def entropy_via_mmse(atoms: DiscreteAtoms, tail: TailPolicy | None = None,
     limit does not depend on it because the integral only sees which atom
     was sent, not where it sits on the line.
     """
-    tail = tail or TailPolicy()
     values = atoms.values if g is None else np.asarray(
         [g(v) for v in atoms.values], dtype=float)
     if np.unique(values).size != values.size:
         raise ValueError("g must be injective on the atom values")
     _check_degenerate(atoms)
     law = DiscreteAtoms(values=values, probs=atoms.probs)
-    if law.values.size == 1:
-        return 0.0
-    return _half_integral(lambda s: mmse(ScalarChannel(law, s)),
-                          variance(law), tail, "entropy")
-
-
-def _default_nongauss_tail(law: InputLaw) -> TailPolicy:
-    if isinstance(law, DiscreteAtoms):
-        return TailPolicy(snr_max=100.0, tail_estimator="none")
-    return TailPolicy(snr_max=1e4, tail_estimator="gaussian_tail")
+    return _half_atom_integrals([(1.0, law)], tail, "entropy")
 
 
 def nongauss_integrand(law: InputLaw, snr: float) -> float:
@@ -179,17 +164,32 @@ def nongauss_integrand(law: InputLaw, snr: float) -> float:
 def nongaussianness(law: InputLaw, tail: TailPolicy | None = None) -> float:
     """KL divergence from the law to the Gaussian of equal mean and variance.
 
-    D = (1/2) integral over snr of [sigma^2/(1 + snr sigma^2) - mmse(snr)].
-    For laws with a density the integrand decays like C/snr^alpha (alpha = 2
-    for smooth densities, 3/2 with density jumps) and the gaussian_tail
-    estimator closes the integral; discrete laws have infinite divergence
-    and the truncated running value at snr_max is returned.
+    D = (1/2) integral over snr of [sigma^2/(1 + snr sigma^2) - mmse(snr)],
+    taken as (1/2)[ln(1 + sigma^2 S) - ∫_0^S mmse] up to the end S, plus the
+    closure of the module docstring, after its divergence check, for laws
+    with a density.  Discrete laws have infinite divergence, and the
+    truncated value at S is returned.
     """
-    tail = tail or _default_nongauss_tail(law)
-    if isinstance(law, DiscreteAtoms):
-        tail = TailPolicy(tail.snr_max, "none")
-    total, _ = _snr_integral(lambda s: nongauss_integrand(law, s), 0.0, tail)
-    return 0.5 * total
+    atoms = isinstance(law, DiscreteAtoms)
+    if tail is not None:
+        snr_max, close = tail.snr_max, tail.tail_estimator == "gaussian_tail"
+    else:
+        snr_max, close = ((_ATOM_NONGAUSS_SNR_MAX, False) if atoms
+                          else (_DENSITY_SNR_MAX, True))
+    d = np.log1p(variance(law) * snr_max) - _mmse_integral(law, snr_max)
+    if atoms or not close:
+        return 0.5 * d
+    jump = isinstance(law, GriddedDensity) and max(law.pdf[0], law.pdf[-1]) > 0
+    alpha = 1.5 if jump else 2.0
+    f_end = nongauss_integrand(law, snr_max)
+    closure = f_end * snr_max / (alpha - 1.0)
+    if (abs(closure) > REL_TOL
+            and nongauss_integrand(law, snr_max / 4.0) <= 4.0 * f_end):
+        raise TailNotResolved(
+            f"the integrand falls no faster than 1/snr from snr {snr_max / 4:g}"
+            f" to {snr_max:g}, so its tail integral diverges; refine the grid "
+            "or lower snr_max")
+    return 0.5 * (d + closure)
 
 
 def differential_entropy_via_mmse(law: InputLaw,
@@ -232,17 +232,16 @@ def gamma_epi_check(law_a: InputLaw, law_b: InputLaw,
     return report
 
 
-def _conditional_slices(joint: JointAtoms):
-    """Marginal law of Z plus (weight, conditional law of Z) per X value."""
+def _signed_laws(joint: JointAtoms):
+    """(1, law of Z), then (-P(X = x), law of Z given X = x) per x."""
     z_vals, z_probs = laws._merge_atoms(joint.z, joint.probs)
-    marginal = DiscreteAtoms(values=z_vals, probs=z_probs)
-    slices = []
+    terms = [(1.0, DiscreteAtoms(values=z_vals, probs=z_probs))]
     for xv in np.unique(joint.x):
         sel = joint.x == xv
         w = joint.probs[sel].sum()
         zv, zp = laws._merge_atoms(joint.z[sel], joint.probs[sel] / w)
-        slices.append((float(w), DiscreteAtoms(values=zv, probs=zp)))
-    return marginal, slices
+        terms.append((-float(w), DiscreteAtoms(values=zv, probs=zp)))
+    return terms
 
 
 def mi_via_mmse_difference(joint: JointAtoms,
@@ -250,21 +249,11 @@ def mi_via_mmse_difference(joint: JointAtoms,
     """I(X;Z) in nats from estimation errors of Z in Gaussian noise.
 
     Observing Y = sqrt(snr) Z + N, the gap between the second moments of
-    E[Z|Y,X] and E[Z|Y] equals mmse(Z|Y) - E_X mmse(Z|Y,X); integrating half
-    of that gap over all snr gives the mutual information.  The difference
-    form avoids cancelling two near-equal second moments at low snr.  A gap
-    below -REL_TOL raises NonConvergence; one within it counts as 0.
+    E[Z|Y,X] and E[Z|Y] equals mmse(Z|Y) - E_X mmse(Z|Y,X); half its
+    integral over all snr is the mutual information.  Each MMSE is
+    integrated on its own and the difference is taken after, so a tiny
+    information is not asked to meet a relative stop on a tiny integrand.  A
+    result below -REL_TOL raises NonConvergence; one within it counts as 0.
     """
-    tail = tail or TailPolicy()
-    marginal, slices = _conditional_slices(joint)
-
-    def gap(s):
-        unconditional = mmse(ScalarChannel(marginal, s))
-        conditional = sum(
-            w * mmse(ScalarChannel(law, s)) if law.values.size > 1 else 0.0
-            for w, law in slices)
-        return _nonnegative(unconditional - conditional, "mmse gap", s)
-
-    var_cond = sum(w * variance(law) for w, law in slices)
-    return _half_integral(gap, variance(marginal) - var_cond, tail,
-                          "mutual information")
+    return _half_atom_integrals(_signed_laws(joint), tail,
+                                "mutual information")

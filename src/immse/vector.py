@@ -40,6 +40,7 @@ class AtomSet:
         object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
         if self.points.shape[0] != self.probs.size:
             raise ValueError("points/probs length mismatch")
+        require_finite(points=self.points, probs=self.probs)
         if self.points.shape[0] > 2 ** 16:
             raise ValueError("atom sets limited to 2^16 points")
         if np.any(self.probs < 0) or abs(self.probs.sum() - 1.0) > 1e-12:
@@ -55,6 +56,7 @@ class GaussianVec:
     def __post_init__(self):
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
         object.__setattr__(self, "cov", np.asarray(self.cov, dtype=float))
+        require_finite(mean=self.mean, cov=self.cov)
         if not np.allclose(self.cov, self.cov.T, atol=1e-12):
             raise ValueError("covariance must be symmetric")
 

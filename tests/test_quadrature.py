@@ -122,13 +122,26 @@ def test_stop_is_relative_below_one():
         expect(lambda y: 1e-12 * (y > jump), binary_law(), 4.0)
 
 
-@pytest.mark.parametrize("s", [1e-3, 1.0, 100.0])
+@pytest.mark.parametrize("s", [1e-3, 1.0, 20.0, 100.0, 1e4])
 def test_snr_integral_closed_forms(s):
+    # one panel below snr e - 1, then unit panels in ln(1 + snr): ten at 1e4
     assert snr_integral(lambda g: 1.0 / (1.0 + g), s) == pytest.approx(
         np.log1p(s), rel=1e-12, abs=0.0)
+    assert snr_integral(lambda g: (1.0 + g) ** -2, s) == pytest.approx(
+        s / (1.0 + s), rel=1e-12, abs=0.0)
+    assert snr_integral(lambda g: np.exp(-g), s) == pytest.approx(
+        -np.expm1(-s), rel=1e-12, abs=0.0)
     ou = OUSpectrum()
     assert snr_integral(lambda g: ou_closed_forms(ou, g)[1], s) == \
         pytest.approx(s * ou_closed_forms(ou, s)[2], rel=1e-12, abs=0.0)
+
+
+def test_snr_integral_unit_panels_stop_at_level_0():
+    # ten unit panels in ln(1 + snr) up to snr 1e4, each of 21 nodes, and
+    # the first level already meets the stop
+    nodes = []
+    snr_integral(lambda g: nodes.append(g) or (1.0 + g) ** -2, 1e4)
+    assert len(nodes) == 10 * 21
 
 
 def test_snr_integral_nonconvergence_on_jump():
@@ -160,7 +173,9 @@ PAM16 = (2.0 * np.arange(1, 17) - 17.0) / np.sqrt(85.0)
 
 def _pam16_mpmath(snr):
     """(mmse, MI) of uniform 16-PAM by mpmath Gauss-Legendre at 20 digits,
-    split at the midpoints between the output centres."""
+    split at the midpoints between the output centres and, around each
+    midpoint m, at m +- w 2^k out to the centres, w = 1/(gap between them):
+    the posterior switches over that width, and the MMSE lives there."""
     with mp.workdps(20):
         xs = [mp.mpf(float(x)) for x in PAM16]
         cs = [mp.sqrt(snr) * x for x in xs]
@@ -176,15 +191,21 @@ def _pam16_mpmath(snr):
             p = density_and_variance(y)[0]
             return -p * mp.log(p)
 
-        pts = ([cs[0] - 14] + [(a + b) / 2 for a, b in zip(cs, cs[1:])]
-               + [cs[-1] + 14])
+        pts = [cs[0] - 14, cs[-1] + 14]
+        for a, b in zip(cs, cs[1:]):
+            mid, w = (a + b) / 2, 1 / (b - a)
+            pts.append(mid)
+            while w < (b - a) / 2:
+                pts += [mid - w, mid + w]
+                w *= 2
+        pts.sort()
         err = mp.quad(lambda y: mp.fprod(density_and_variance(y)), pts,
                       method="gauss-legendre")
         ent = mp.quad(neg_p_log_p, pts, method="gauss-legendre")
         return float(err), float(ent - mp.log(2 * mp.pi * mp.e) / 2)
 
 
-@pytest.mark.parametrize("snr", [0.1, 10.0, 1000.0, 4250.0])
+@pytest.mark.parametrize("snr", [0.1, 10.0, 1000.0, 4250.0, 1e4])
 def test_pam16_against_mpmath(snr):
     ch = ScalarChannel(DiscreteAtoms(values=PAM16, probs=np.full(16, 1 / 16)),
                        snr)

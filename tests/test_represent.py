@@ -1,4 +1,5 @@
 """MMSE-integral representations of entropy, divergence, and information."""
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
@@ -11,7 +12,7 @@ from immse.represent import (JointAtoms, TailPolicy, differential_entropy_via_mm
                              entropy_via_mmse, gamma_epi_check, gamma_index,
                              mi_via_mmse_difference, nongauss_integrand,
                              nongaussianness)
-from immse.scalar import ScalarChannel, mutual_information
+from immse.scalar import ScalarChannel, mmse, mutual_information
 
 FOUR_ATOMS = DiscreteAtoms(values=np.array([-3.0, -1.0, 1.0, 3.0]),
                            probs=np.full(4, 0.25))
@@ -50,6 +51,29 @@ def test_entropy_four_atoms():
                                                          abs=1e-3)
 
 
+PAM16 = DiscreteAtoms(values=(2.0 * np.arange(1, 17) - 17.0) / np.sqrt(85.0),
+                      probs=np.full(16, 1 / 16))
+
+
+@pytest.mark.parametrize("law", [binary_law(), FOUR_ATOMS, PAM16],
+                         ids=["binary", "pam4", "pam16"])
+def test_entropy_of_atoms_to_1e9(law):
+    # the integral ends where snr * d_min^2 / 8 = 25, so what is left is
+    # below 1e-11; unit-variance 16-PAM ends at snr 4250
+    assert entropy_via_mmse(law) == pytest.approx(np.log(law.values.size),
+                                                  rel=0.0, abs=1e-9)
+
+
+def test_entropy_runs_in_variance_scaled_snr(monkeypatch):
+    # 4-PAM (variance 5) ends at snr 50; in u = 5 snr that is six unit panels
+    # up to ln(1 + 250), each resolved at its first level: 6 * 21 MMSEs
+    calls = []
+    monkeypatch.setattr(represent, "mmse",
+                        lambda ch: calls.append(ch.snr) or mmse(ch))
+    entropy_via_mmse(FOUR_ATOMS)
+    assert len(calls) == 6 * 21
+
+
 def test_entropy_single_atom_zero():
     one = DiscreteAtoms(values=np.array([2.0]), probs=np.array([1.0]))
     assert entropy_via_mmse(one) == 0.0
@@ -80,11 +104,13 @@ def test_tail_not_resolved_without_estimator():
 
 
 def test_entropy_running_integral_nondecreasing():
+    # truncations at 20, 40 and 80, then the default end at snr 50 whose
+    # remainder is below 1e-11
     vals = [entropy_via_mmse(binary_law(),
-                             TailPolicy(snr_max=smax,
-                                        tail_estimator="exponential_fit"))
+                             TailPolicy(snr_max=smax, tail_estimator="none"))
             for smax in (20.0, 40.0, 80.0)]
-    assert vals[0] <= vals[1] + 1e-9 and vals[1] <= vals[2] + 1e-9
+    vals.append(entropy_via_mmse(binary_law()))
+    assert all(np.diff(vals) >= -1e-9)
     assert vals[-1] == pytest.approx(np.log(2.0), abs=1e-3)
 
 
@@ -223,6 +249,22 @@ def test_mi_noisy_copy_case():
     assert mi_via_mmse_difference(j) == pytest.approx(target, abs=3e-3)
 
 
+def test_mi_of_a_nearly_independent_copy():
+    # I = 2.0e-8: each MMSE is integrated on its own and subtracted after,
+    # so no relative stop is asked of the tiny gap.  A difference of two
+    # integrals of size ln 2 resolves I to a few units of 1.1e-16, the
+    # spacing of doubles near ln 2, so 1e-15 is about 5e-8 of I
+    p = 0.4999
+    j = JointAtoms(x=np.array([-1.0, -1.0, 1.0, 1.0]),
+                   z=np.array([-1.0, 1.0, -1.0, 1.0]),
+                   probs=np.array([(1 - p) / 2, p / 2, p / 2, (1 - p) / 2]))
+    with mp.workdps(40):
+        q = mp.mpf(p)
+        target = float(mp.log(2) + q * mp.log(q) + (1 - q) * mp.log(1 - q))
+    assert mi_via_mmse_difference(j) == pytest.approx(target, rel=0.0,
+                                                      abs=1e-15)
+
+
 def test_mi_gap_clamps_only_within_tolerance(monkeypatch):
     # every conditional MMSE is shifted up by `excess`, so the gap is -excess
     # at every snr: within REL_TOL it counts as 0, beyond it raises
@@ -242,10 +284,9 @@ def test_mi_gap_clamps_only_within_tolerance(monkeypatch):
         mi_via_mmse_difference(j)
 
 
-@pytest.mark.parametrize("estimator", ["none", "exponential_fit",
-                                       "gaussian_tail"])
+@pytest.mark.parametrize("estimator", ["none", "gaussian_tail"])
 def test_mi_of_a_copy_equals_entropy(estimator):
-    # I(X;X) = H(X): both integrate the same MMSE curve with the same closure
+    # I(X;X) = H(X): both integrate the same MMSE curve to the same end
     tail = TailPolicy(snr_max=20.0, tail_estimator=estimator)
     j = JointAtoms(x=np.array([-1.0, 1.0]), z=np.array([-1.0, 1.0]),
                    probs=np.array([0.5, 0.5]))
@@ -261,24 +302,16 @@ def test_mi_tail_not_resolved_without_estimator():
         mi_via_mmse_difference(j, TailPolicy(snr_max=4.0, tail_estimator="none"))
 
 
-# ---------------------------------------------------------------------------
-# The snr-integral driver on closed-form integrands
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("f, snr_max, estimator", [
-    (lambda s: np.exp(-s), 20.0, "exponential_fit"),
-    (lambda s: (1.0 + s) ** -2, 1e4, "gaussian_tail"),
-], ids=["exponential", "power"])
-def test_snr_integral_closes_the_tail(f, snr_max, estimator):
-    total, _ = represent._snr_integral(f, f(0.0),
-                                       TailPolicy(snr_max, estimator))
-    assert total == pytest.approx(1.0, abs=1e-6)
-
-
 def test_snr_integral_divergent_power_tail_raises():
-    with pytest.raises(TailNotResolved):
-        represent._snr_integral(lambda s: 1.0 / (1.0 + s), 1.0,
-                                TailPolicy(1e4, "gaussian_tail"))
+    # a 21-point grid has step h = 0.173: by snr 1e4 (snr h^2 / 8 = 37.5) its
+    # grid points resolve as atoms, the MMSE is about 0 and the integrand
+    # falls like 1/snr, so the closure would add about 2 to the integral;
+    # at snr_max 400 the integrand already rises from 100 to 400
+    x = np.linspace(-np.sqrt(3), np.sqrt(3), 21)
+    coarse = GriddedDensity(grid=x, pdf=np.full_like(x, 1 / (2 * np.sqrt(3))))
+    for tail in (None, TailPolicy(400.0, "gaussian_tail")):
+        with pytest.raises(TailNotResolved, match="diverges"):
+            differential_entropy_via_mmse(coarse, tail)
 
 
 def test_joint_atoms_validation():
@@ -288,6 +321,9 @@ def test_joint_atoms_validation():
     with pytest.raises(ValueError):
         JointAtoms(x=np.array([0.0, 1.0]), z=np.array([0.0, 1.0]),
                    probs=np.array([0.7, 0.7]))
+    with pytest.raises(ValueError, match="finite"):
+        JointAtoms(x=np.array([np.nan, 1.0]), z=np.array([0.0, 1.0]),
+                   probs=np.array([0.5, 0.5]))
 
 
 def test_tail_policy_validation():
@@ -295,3 +331,8 @@ def test_tail_policy_validation():
         TailPolicy(snr_max=0.5)
     with pytest.raises(ValueError):
         TailPolicy(tail_estimator="bogus")
+    with pytest.raises(ValueError):
+        TailPolicy(20.0, "exponential_fit")
+    for snr_max in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            TailPolicy(snr_max=snr_max)

@@ -30,11 +30,17 @@ def _binary_product_atoms(k_dim=2):
                    probs=np.full(4, 0.25))
 
 
-@pytest.mark.parametrize("h, snr", [([[1.0, np.nan]], 1.0),
-                                    ([[1.0, 0.0]], np.inf)])
-def test_model_rejects_nonfinite(h, snr):
+@pytest.mark.parametrize("h, snr, make_input", [
+    pytest.param([[1.0, np.nan]], 1.0, _binary_product_atoms, id="h0-1.0"),
+    pytest.param([[1.0, 0.0]], np.inf, _binary_product_atoms, id="h1-inf"),
+    pytest.param([[1.0, 0.0]], 1.0, lambda: AtomSet(
+        points=[[0.0, np.nan], [1.0, 1.0]], probs=[0.5, 0.5]), id="nan-atom"),
+    pytest.param([[1.0, 0.0]], 1.0, lambda: GaussianVec(
+        np.array([np.nan, 0.0]), np.eye(2)), id="nan-mean"),
+])
+def test_model_rejects_nonfinite(h, snr, make_input):
     with pytest.raises(ValueError, match="finite"):
-        VectorChannelModel(H=h, input=_binary_product_atoms(), snr_diag=snr)
+        VectorChannelModel(H=h, input=make_input(), snr_diag=snr)
 
 
 def test_gaussian_mi_rotation_invariance():

@@ -12,9 +12,12 @@ once under pytest, then the whole tier-1 suite once, parent first each
 time, for their wall times.  The record goes to BENCH_<pr>.json at the root
 of this checkout: every run's end-to-end metrics, each side's median and
 quartiles, the pairs the change won (ties count for neither side), the
-traced layers, and the criterion-10 and tier-1 runs.  Run
-it from a checkout whose working tree holds the change; after committing
-the change, pass ``--parent HEAD~1``.
+traced layers, and the criterion-10 and tier-1 runs.  Each tree also
+records, under ``represent``, the check, the relative error against
+perfbench/refs.json and the wall time of each of the benchmark's five MMSE
+integrals, and under ``curve`` the wall time of one ``immse curve mmse``
+process on the benchmark's 16-PAM input.  Run it from a checkout whose working tree holds
+the change; after committing the change, pass ``--parent HEAD~1``.
 """
 from __future__ import annotations
 
@@ -31,8 +34,31 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+import inputs  # noqa: E402  (the benchmark's input definitions, plain values)
 PAIRS = 10
 CRITERION_10 = "tests/test_acceptance.py::test_criterion_10_wonham_yao_monte_carlo"
+# times each of the five MMSE integrals of perfbench's represent part, built
+# by the tree's own perfbench/workloads.py (its gamma_epi gates are left
+# out); prints one JSON object
+REPRESENT_PROBE = r"""
+import json, sys, tempfile, time
+sys.path.insert(0, "perfbench")
+import workloads
+
+with tempfile.TemporaryDirectory() as tmp:
+    work = workloads.build_represent(1, "full", workloads.load_refs(), tmp)
+    work.warmup()
+    out = {}
+    for op in work.ops:
+        if op.name.startswith("gamma_epi"):
+            continue
+        t0 = time.perf_counter()
+        (check,), _, _ = op.run()
+        out[op.name] = {"ok": bool(check.ok), "rel_err": check.rel_err,
+                        "wall_s": time.perf_counter() - t0}
+print(json.dumps(out))
+"""
 
 
 def unpack(rev: str, dest: str) -> str:
@@ -101,6 +127,36 @@ def run_tier1(tree: str) -> dict:
     lines = proc.stdout.strip().splitlines()
     return {"wall_s": wall, "returncode": proc.returncode,
             "line": lines[-1] if lines else proc.stderr[-2000:]}
+
+
+def run_represent(tree: str) -> dict:
+    """Check, relative error and wall time of each of the benchmark's five
+    MMSE integrals, computed by ``tree``'s sources in one process."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    proc = subprocess.run([sys.executable, "-c", REPRESENT_PROBE], cwd=tree,
+                          env=env, capture_output=True, text=True, timeout=600)
+    if proc.returncode != 0:
+        return {"error": f"exited {proc.returncode}",
+                "stderr": proc.stderr[-2000:]}
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def run_curve(tree: str) -> dict:
+    """Wall time of one ``immse curve mmse`` process on the benchmark's
+    16-PAM input and dB grid, interpreter start included, and its exit code."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    with tempfile.TemporaryDirectory(prefix="bench_curve_") as tmp:
+        cmd = [sys.executable, "-m", "immse.cli", "curve", "mmse", "--input",
+               inputs.CURVE_INPUTS["pam16"], f"--snr-db={inputs.SNR_DB_SPEC}",
+               "--out", os.path.join(tmp, "pam16.csv")]
+        t0 = time.perf_counter()
+        proc = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True,
+                              text=True, timeout=600)
+        wall = time.perf_counter() - t0
+    out = {"wall_s": wall, "returncode": proc.returncode}
+    if proc.returncode != 0:
+        out["stderr"] = proc.stderr[-2000:]
+    return out
 
 
 def quartiles(values: list) -> dict:
@@ -178,7 +234,8 @@ def main(argv=None) -> int:
             record["workloads"][workload] = {
                 "pairs": pairs, "summary": summarize(pairs, better),
                 "traced": traced}
-        for key, fn in (("criterion_10", run_criterion_10), ("tier1", run_tier1)):
+        for key, fn in (("represent", run_represent), ("curve", run_curve),
+                        ("criterion_10", run_criterion_10), ("tier1", run_tier1)):
             record[key] = {}
             for side in ("parent", "change"):
                 record[key][side] = fn(trees[side])
