@@ -18,5 +18,5 @@ class DegenerateCovariance(ImmseError):
 
 
 class TailNotResolved(ImmseError):
-    """An snr integral leaves too much beyond its end: truncated at an
-    overriding snr_max, or closed on a tail that diverges."""
+    """An snr integral was to be closed beyond its end on a tail that
+    diverges: its integrand falls no faster than 1/snr there."""

@@ -96,11 +96,6 @@ class GaussianMixture:
         if np.any(self.variances <= 0):
             raise ValueError("component variances must be positive")
 
-    @classmethod
-    def from_components(cls, components) -> "GaussianMixture":
-        w, m, v = (np.array(col, dtype=float) for col in zip(*components))
-        return cls(w, m, v)
-
 
 @dataclass(frozen=True)
 class GriddedDensity:
@@ -198,11 +193,11 @@ def convolve(law_a: InputLaw, law_b: InputLaw) -> InputLaw:
     w = np.outer(wa, wb).ravel()
     m = np.add.outer(ma, mb).ravel()
     v = np.add.outer(va, vb).ravel()
+    # atoms have variance 0 and the other families positive variances, so v
+    # is all 0 or all positive
     if np.all(v > 0):
         return GaussianMixture(w, m, v)
-    if np.all(v == 0):
-        return DiscreteAtoms(*_merge_atoms(m, w))
-    raise TypeError("mixed atom/density convolution with zero-variance parts unsupported")
+    return DiscreteAtoms(*_merge_atoms(m, w))
 
 
 def _merge_atoms(values: np.ndarray, probs: np.ndarray):
@@ -256,11 +251,8 @@ def _sample_gridded(law: GriddedDensity, u: np.ndarray) -> np.ndarray:
     r = u - cdf[k]                      # mass to place inside cell k
     p0, p1, hk = p[k], p[k + 1], h[k]
     slope = (p1 - p0) / hk
-    # Solve 0.5*slope*t^2 + p0*t - r = 0 for t in [0, hk].
-    with np.errstate(invalid="ignore", divide="ignore"):
-        disc = np.sqrt(np.maximum(p0 ** 2 + 2.0 * slope * r, 0.0))
-        t_quad = np.where(slope >= 0, (disc - p0) / slope, -(p0 - disc) / (-slope))
-        t_lin = r / np.where(p0 > 0, p0, 1.0)
-    t = np.where(np.abs(slope) * hk > 1e-14 * (p0 + p1 + 1e-300), t_quad, t_lin)
-    t = np.clip(np.nan_to_num(t, nan=0.0), 0.0, hk)
-    return x[k] + t
+    # the root in [0, hk] of 0.5*slope*t^2 + p0*t = r, in the form that is
+    # stable for either sign of slope; t = 0 where p0 = 0 and r = 0
+    denom = p0 + np.sqrt(np.maximum(p0 ** 2 + 2.0 * slope * r, 0.0))
+    t = 2.0 * r / np.where(denom > 0, denom, np.inf)
+    return x[k] + np.clip(t, 0.0, hk)

@@ -24,7 +24,9 @@ integrating.  Where an integral ends is set by the law:
   its grid step h and its grid points resolve as atoms.
 
 A discrete law has infinite non-Gaussianness; its truncated value at snr 100
-is returned.  ``TailPolicy`` overrides the end.
+is returned.  ``TailPolicy`` overrides the end of a non-Gaussianness (and so
+of a differential entropy); entropy and mutual information always end where
+their laws set.
 """
 from __future__ import annotations
 
@@ -46,18 +48,13 @@ _ATOM_NONGAUSS_SNR_MAX = 100.0
 
 @dataclass(frozen=True)
 class TailPolicy:
-    """Override of where the snr integrals end.
+    """Override of where a non-Gaussianness integral ends.
 
-    Each integral stops at snr_max.  For a law with a density,
-    tail_estimator picks how the integral beyond it is closed:
-      none            no closure: integrate to snr_max and stop
-      gaussian_tail   add f(snr_max) snr_max / (alpha - 1), alpha the law's
-                      known decay rate, after the divergence check of the
-                      module docstring
-    Atoms have nothing to close: their integrals stop at snr_max under
-    either value.  A truncated entropy or mutual information whose
-    integrand at snr_max is above 1e-4 of the estimate raises
-    TailNotResolved.
+    The integral stops at snr_max.  A law with a density is then closed by
+    f(snr_max) snr_max / (alpha - 1), alpha the law's known decay rate, after
+    the divergence check of the module docstring; an atom law's value is the
+    truncated one at snr_max.  tail_estimator names that closure and accepts
+    "gaussian_tail" only.
     """
     snr_max: float = _DENSITY_SNR_MAX
     tail_estimator: str = "gaussian_tail"
@@ -66,7 +63,7 @@ class TailPolicy:
         require_finite(snr_max=self.snr_max)
         if self.snr_max < 1:
             raise ValueError("snr_max must be >= 1")
-        if self.tail_estimator not in ("none", "gaussian_tail"):
+        if self.tail_estimator != "gaussian_tail":
             raise ValueError(f"unknown tail estimator {self.tail_estimator}")
 
 
@@ -99,35 +96,20 @@ def _mmse_integral(law: InputLaw, snr_max: float) -> float:
                         v * snr_max) / v
 
 
-def _half_atom_integrals(terms, tail: TailPolicy | None, what: str) -> float:
+def _half_atom_integrals(terms, what: str) -> float:
     """Half of sum w * ∫ mmse(law) over the (w, law) atom laws of ``terms``.
 
-    Each integral ends where snr * d_min**2 / 8 = _ATOM_END for its law, or
-    at the override's snr_max; a law with one live atom has MMSE 0 and is
-    left out.  A sum below -REL_TOL raises NonConvergence, one within it
-    counts as 0.  Under an override, an integrand at snr_max above 1e-4 of
-    the estimate raises TailNotResolved.
+    Each integral ends where snr * d_min**2 / 8 = _ATOM_END for its law; a
+    law with one live atom has MMSE 0 and is left out.  A sum below -REL_TOL
+    raises NonConvergence, one within it counts as 0.
     """
-    def end(law: DiscreteAtoms) -> float:
-        if tail is not None:
-            return tail.snr_max
-        d_min = np.diff(np.sort(law.values[law.probs > 0])).min()
-        return 8.0 * _ATOM_END / d_min ** 2
-
     terms = [(w, law) for w, law in terms if np.count_nonzero(law.probs) > 1]
-    ends = [end(law) for _, law in terms]
-    half = _nonnegative(0.5 * sum(w * _mmse_integral(law, s)
+    ends = [8.0 * _ATOM_END
+            / np.diff(np.sort(law.values[law.probs > 0])).min() ** 2
+            for _, law in terms]
+    return _nonnegative(0.5 * sum(w * _mmse_integral(law, s)
                                   for (w, law), s in zip(terms, ends)),
                         what, max(ends, default=0.0))
-    if tail is not None:
-        f_last = sum(w * mmse(ScalarChannel(law, tail.snr_max))
-                     for w, law in terms)
-        if f_last > 1e-4 * max(half, 1e-12):
-            raise TailNotResolved(
-                f"the integrand at snr_max = {tail.snr_max:g} is "
-                f"{f_last:.3e}, more than 1e-4 of the {what} estimate; raise "
-                "snr_max or leave the end to the law")
-    return half
 
 
 def _check_degenerate(atoms: DiscreteAtoms) -> None:
@@ -138,8 +120,7 @@ def _check_degenerate(atoms: DiscreteAtoms) -> None:
             "of the entropy integral grows as the smallest probability falls")
 
 
-def entropy_via_mmse(atoms: DiscreteAtoms, tail: TailPolicy | None = None,
-                     g=None) -> float:
+def entropy_via_mmse(atoms: DiscreteAtoms, g=None) -> float:
     """H(X) in nats as half the integral of mmse(g(X); snr) over all snr.
 
     g may be any injective map on the atom values (default identity); the
@@ -152,7 +133,7 @@ def entropy_via_mmse(atoms: DiscreteAtoms, tail: TailPolicy | None = None,
         raise ValueError("g must be injective on the atom values")
     _check_degenerate(atoms)
     law = DiscreteAtoms(values=values, probs=atoms.probs)
-    return _half_atom_integrals([(1.0, law)], tail, "entropy")
+    return _half_atom_integrals([(1.0, law)], "entropy")
 
 
 def nongauss_integrand(law: InputLaw, snr: float) -> float:
@@ -168,16 +149,16 @@ def nongaussianness(law: InputLaw, tail: TailPolicy | None = None) -> float:
     taken as (1/2)[ln(1 + sigma^2 S) - ∫_0^S mmse] up to the end S, plus the
     closure of the module docstring, after its divergence check, for laws
     with a density.  Discrete laws have infinite divergence, and the
-    truncated value at S is returned.
+    truncated value at S is returned.  S is the law's end unless ``tail``
+    overrides it.
     """
     atoms = isinstance(law, DiscreteAtoms)
     if tail is not None:
-        snr_max, close = tail.snr_max, tail.tail_estimator == "gaussian_tail"
+        snr_max = tail.snr_max
     else:
-        snr_max, close = ((_ATOM_NONGAUSS_SNR_MAX, False) if atoms
-                          else (_DENSITY_SNR_MAX, True))
+        snr_max = _ATOM_NONGAUSS_SNR_MAX if atoms else _DENSITY_SNR_MAX
     d = np.log1p(variance(law) * snr_max) - _mmse_integral(law, snr_max)
-    if atoms or not close:
+    if atoms:
         return 0.5 * d
     jump = isinstance(law, GriddedDensity) and max(law.pdf[0], law.pdf[-1]) > 0
     alpha = 1.5 if jump else 2.0
@@ -202,21 +183,20 @@ def differential_entropy_via_mmse(law: InputLaw,
         law, tail)
 
 
-def gamma_index(law: InputLaw, tail: TailPolicy | None = None) -> float:
+def gamma_index(law: InputLaw) -> float:
     """gamma = exp(-D): 1 for Gaussian laws, smaller the harder to estimate."""
-    return float(np.exp(-nongaussianness(law, tail)))
+    return float(np.exp(-nongaussianness(law)))
 
 
-def gamma_epi_check(law_a: InputLaw, law_b: InputLaw,
-                    tail: TailPolicy | None = None) -> Report:
+def gamma_epi_check(law_a: InputLaw, law_b: InputLaw) -> Report:
     """Entropy-power inequality in gamma form for independent summands.
 
     With alpha = var_A / (var_A + var_B), checks
     alpha*gamma_A^2 + (1-alpha)*gamma_B^2 <= gamma_{A+B}^2.
     """
-    g_a = gamma_index(law_a, tail)
-    g_b = gamma_index(law_b, tail)
-    g_sum = gamma_index(laws.convolve(law_a, law_b), tail)
+    g_a = gamma_index(law_a)
+    g_b = gamma_index(law_b)
+    g_sum = gamma_index(laws.convolve(law_a, law_b))
     v_a, v_b = variance(law_a), variance(law_b)
     alpha = v_a / (v_a + v_b)
     lhs = alpha * g_a**2 + (1.0 - alpha) * g_b**2
@@ -244,8 +224,7 @@ def _signed_laws(joint: JointAtoms):
     return terms
 
 
-def mi_via_mmse_difference(joint: JointAtoms,
-                           tail: TailPolicy | None = None) -> float:
+def mi_via_mmse_difference(joint: JointAtoms) -> float:
     """I(X;Z) in nats from estimation errors of Z in Gaussian noise.
 
     Observing Y = sqrt(snr) Z + N, the gap between the second moments of
@@ -255,5 +234,4 @@ def mi_via_mmse_difference(joint: JointAtoms,
     information is not asked to meet a relative stop on a tiny integrand.  A
     result below -REL_TOL raises NonConvergence; one within it counts as 0.
     """
-    return _half_atom_integrals(_signed_laws(joint), tail,
-                                "mutual information")
+    return _half_atom_integrals(_signed_laws(joint), "mutual information")

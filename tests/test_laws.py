@@ -112,6 +112,24 @@ def test_sample_gridded_uniform_ks():
     assert stats.kstest(draws, "uniform").pvalue > 1e-3
 
 
+def test_sample_gridded_rising_and_falling_cells_ks():
+    # the pdf rises on the first cell and falls on the other two; within a
+    # cell the exact CDF is quadratic
+    x = np.array([0.0, 0.5, 1.0, 1.5])
+    p = np.array([0.0, 2.0, 1.0, 0.0]) / 1.5
+    law = GriddedDensity(grid=x, pdf=p)
+    h = np.diff(x)
+    cell_cdf = np.concatenate(([0.0], np.cumsum(0.5 * (p[:-1] + p[1:]) * h)))
+
+    def cdf(y):
+        k = np.clip(np.searchsorted(x, y, side="right") - 1, 0, h.size - 1)
+        t = np.clip(y - x[k], 0.0, h[k])
+        return cell_cdf[k] + p[k] * t + 0.5 * (p[k + 1] - p[k]) / h[k] * t ** 2
+
+    draws = sample(law, seed=3, n=100_000)
+    assert stats.kstest(draws, cdf).pvalue > 1e-3
+
+
 def test_sample_is_seed_deterministic():
     a = sample(standard_gaussian_law(), seed=5, n=100)
     b = sample(standard_gaussian_law(), seed=5, n=100)

@@ -3,6 +3,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import ndtr
 
 from immse import represent
 from immse.errors import NonConvergence, TailNotResolved
@@ -97,21 +98,14 @@ def test_entropy_rejects_near_degenerate_probs():
         entropy_via_mmse(skew)
 
 
-def test_tail_not_resolved_without_estimator():
-    with pytest.raises(TailNotResolved):
-        entropy_via_mmse(binary_law(),
-                         TailPolicy(snr_max=4.0, tail_estimator="none"))
-
-
 def test_entropy_running_integral_nondecreasing():
-    # truncations at 20, 40 and 80, then the default end at snr 50 whose
-    # remainder is below 1e-11
-    vals = [entropy_via_mmse(binary_law(),
-                             TailPolicy(snr_max=smax, tail_estimator="none"))
-            for smax in (20.0, 40.0, 80.0)]
-    vals.append(entropy_via_mmse(binary_law()))
+    # half the running integral at 20, 40, 50 and 80; the entropy ends at
+    # snr 50, where snr d_min**2 / 8 = 25 and the remainder is below 1e-11
+    vals = [0.5 * represent._mmse_integral(binary_law(), smax)
+            for smax in (20.0, 40.0, 50.0, 80.0)]
     assert all(np.diff(vals) >= -1e-9)
-    assert vals[-1] == pytest.approx(np.log(2.0), abs=1e-3)
+    assert entropy_via_mmse(binary_law()) == vals[2]
+    assert vals[2] == pytest.approx(np.log(2.0), abs=1e-3)
 
 
 def test_discrete_mi_saturates_at_entropy():
@@ -137,10 +131,8 @@ def test_nongaussianness_matches_direct_kl():
 
 
 def test_nongaussianness_binary_truncated_grows():
-    d100 = nongaussianness(binary_law(),
-                           TailPolicy(snr_max=100.0, tail_estimator="none"))
-    d50 = nongaussianness(binary_law(),
-                          TailPolicy(snr_max=50.0, tail_estimator="none"))
+    d100 = nongaussianness(binary_law(), TailPolicy(100.0))
+    d50 = nongaussianness(binary_law(), TailPolicy(50.0))
     assert d100 > 1.0
     assert d100 > d50
 
@@ -284,22 +276,16 @@ def test_mi_gap_clamps_only_within_tolerance(monkeypatch):
         mi_via_mmse_difference(j)
 
 
-@pytest.mark.parametrize("estimator", ["none", "gaussian_tail"])
-def test_mi_of_a_copy_equals_entropy(estimator):
-    # I(X;X) = H(X): both integrate the same MMSE curve to the same end
-    tail = TailPolicy(snr_max=20.0, tail_estimator=estimator)
-    j = JointAtoms(x=np.array([-1.0, 1.0]), z=np.array([-1.0, 1.0]),
-                   probs=np.array([0.5, 0.5]))
-    assert mi_via_mmse_difference(j, tail) == entropy_via_mmse(binary_law(),
-                                                               tail)
-
-
-def test_mi_tail_not_resolved_without_estimator():
-    # truncated at snr_max 4 the copy's MI would read 0.63, not ln 2
-    j = JointAtoms(x=np.array([-1.0, 1.0]), z=np.array([-1.0, 1.0]),
-                   probs=np.array([0.5, 0.5]))
-    with pytest.raises(TailNotResolved):
-        mi_via_mmse_difference(j, TailPolicy(snr_max=4.0, tail_estimator="none"))
+@pytest.mark.parametrize("g", [pytest.param(None, id="none"),
+                               pytest.param(lambda v: ndtr(-v),
+                                            id="gaussian_tail")])
+def test_mi_of_a_copy_equals_entropy(g):
+    # I(X; g(X)) = H(X) for injective g, here none or the Gaussian tail
+    # Q(x) = P(N > x): both integrate the same MMSE curve of g(X) to the end
+    # that g(X)'s own atom gap sets
+    x = np.array([-1.0, 1.0])
+    j = JointAtoms(x=x, z=x if g is None else g(x), probs=np.array([0.5, 0.5]))
+    assert mi_via_mmse_difference(j) == entropy_via_mmse(binary_law(), g)
 
 
 def test_snr_integral_divergent_power_tail_raises():
@@ -333,6 +319,8 @@ def test_tail_policy_validation():
         TailPolicy(tail_estimator="bogus")
     with pytest.raises(ValueError):
         TailPolicy(20.0, "exponential_fit")
+    with pytest.raises(ValueError):
+        TailPolicy(20.0, "none")
     for snr_max in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
             TailPolicy(snr_max=snr_max)

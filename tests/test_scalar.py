@@ -368,6 +368,17 @@ def test_high_snr_decay_rates():
     assert report.passed, report.to_dict()
 
 
+@pytest.mark.parametrize("wrong", [
+    lambda exact, ch: exact(ScalarChannel(ch.law, ch.snr / 2.0)),
+    lambda exact, ch: exact(ch) * ch.snr ** 0.1,
+], ids=["binary-rate-halved", "gaussian-rate-0.9"])
+def test_high_snr_decay_detects_wrong_mmse(monkeypatch, wrong):
+    # the rates must be read off the package's mmse, not off closed forms
+    exact = scalar.mmse
+    monkeypatch.setattr(scalar, "mmse", lambda ch: wrong(exact, ch))
+    assert not high_snr_decay().passed
+
+
 # ---------------------------------------------------------------------------
 # Order and shape properties
 # ---------------------------------------------------------------------------
