@@ -68,13 +68,6 @@ class OUSpectrum:
         return 2.0 * self.variance * self.beta / (self.beta ** 2 + np.asarray(omega) ** 2)
 
 
-@dataclass(frozen=True)
-class FIntegralTable:
-    """Values of f(i,j) = ∫_1^∞ u^{i/2} (u-1)^{j/2} e^{xi*u} du for i,j in {-1,1,3}."""
-    xi: float
-    values: dict
-
-
 # ---------------------------------------------------------------------------
 # f(i,j) integrals and telegraph closed forms
 # ---------------------------------------------------------------------------
@@ -104,11 +97,6 @@ def f_scaled(i: int, j: int, xi: float) -> float:
 def f_integral(i: int, j: int, xi: float) -> float:
     """f(i,j) = ∫_1^∞ u^{i/2} (u-1)^{j/2} e^{xi*u} du for xi < 0."""
     return np.exp(xi) * f_scaled(i, j, xi)
-
-
-def build_f_table(xi: float) -> FIntegralTable:
-    values = {(i, j): f_integral(i, j, xi) for i in (-1, 1, 3) for j in (-1, 1, 3)}
-    return FIntegralTable(xi, values)
 
 
 def _xi_derivative(f, xi: float) -> float:
@@ -161,16 +149,18 @@ def telegraph_mmse(m: TelegraphModel) -> float:
     With lam = 2 nu / snr it is 4 G / F(lam)^2, G the two-sided integral
     ∫∫_{a,b>0} sqrt((1+a^2)(1+b^2)) e^{-lam(a^2+b^2)} / (1+a^2+b^2) da db.
     Writing 1/(1+a^2+b^2) = ∫_0^∞ e^{-s(1+a^2+b^2)} ds factors G, so
-    mmse = ∫_0^∞ e^{-s} F(lam+s)^2 ds / F(lam)^2, run on ``snr_integral``
-    in g = s/lam (the integrand then falls like 1/(1+g)) up to s = 60.
+    mmse = ∫_0^∞ e^{-s} (F(lam+s) / F(lam))^2 ds, run on ``snr_integral``
+    in g = s/lam (the integrand then falls like 1/(1+g)) up to s = 60.  The
+    ratio keeps the integral of order one, where the quadrature's absolute
+    stop can be met; F(lam) alone grows like 1/lam.
     """
     if m.snr == 0:
         return 1.0
     lam = -m.xi
-    num = snr_integral(
-        lambda g: lam * np.exp(-lam * g) * _f11(lam * (1.0 + g)) ** 2,
+    f0 = _f11(lam)
+    return snr_integral(
+        lambda g: lam * np.exp(-lam * g) * (_f11(lam * (1.0 + g)) / f0) ** 2,
         60.0 / lam)
-    return num / _f11(lam) ** 2
 
 
 def thm7_differential_check(nu: float, snr: float) -> Report:

@@ -28,10 +28,12 @@ integrals use the embedded 10-point Gauss / 21-point Kronrod pair of
 QUADPACK's ``qk21`` (Piessens et al., 1983): each level evaluates the
 integrand once, on 21 nodes per panel, and takes the Kronrod sum.  The sum
 over panels of |K21 - G10| is the level's error estimate; it stops when that
-is at most ``REL_TOL * min(1, |value|)``: absolute at 1e-10 for values of
-order one, relative below, where the MMSE at high snr lives.  Otherwise
-every panel is halved, and NonConvergence is raised after ``MAX_LEVELS``
-halvings.
+is at most ``REL_TOL * min(1, |value|)``: absolute at 1e-10 above |value| = 1,
+relative below, where the MMSE at high snr lives.  Otherwise every panel is
+halved, and NonConvergence is raised after ``MAX_LEVELS`` halvings.  A
+caller must therefore hand over an integral of order one or below: at
+|value| = 1e6 the stop asks for 1e-16 relative, which no double reaches
+(``ct.telegraph_mmse`` integrates a ratio for this reason).
 
 ``fd_derivative`` is d/dsnr by one Richardson step on ``fd_difference``,
 both with the one step ``FD_STEP * max(1, snr)``.

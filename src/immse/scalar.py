@@ -76,34 +76,32 @@ def _kernel(ch: ScalarChannel):
     """Per-component coefficients (a, b, c, p, q, pv) of the posterior kernel.
 
     Component j of the law (``laws.components``: weight w, mean m, variance
-    v) is seen at the output as N(sqrt(snr)*m, o), o = 1 + snr*v.  Its log
-    weight at y, less ln(2 pi)/2, is a + b*y + c*y**2, and given y and j, X is
-    N(p + q*y, pv):
+    v) is seen at the output as N(b, o), centred at b = sqrt(snr)*m with
+    variance o = 1 + snr*v.  Its log weight at y, less ln(2 pi)/2, is
+    a + c*(y - b)**2, and given y and j, X is N(p + q*y, pv):
 
-        a = ln w - ln(o)/2 - snr*m**2/(2o),  b = sqrt(snr)*m/o,  c = -1/(2o),
-        p = m/o,  q = sqrt(snr)*v/o,  pv = v/o.
+        a = ln w - ln(o)/2,  c = -1/(2o),  p = m/o,  q = sqrt(snr)*v/o,
+        pv = v/o.
 
-    c is returned as a float when it is the same for every component (atoms,
-    gridded laws), so callers can leave c*y**2 out of the weights.
+    Each log weight is taken about its own centre, so no term of size snr
+    is added and taken away again: every log weight is at most ln w, and
+    log p_Y at most -ln(2 pi)/2.
     """
     w, m, v = components(ch.law)
-    s, rs = ch.snr, np.sqrt(ch.snr)
-    o = 1.0 + s * v
+    rs = np.sqrt(ch.snr)
+    o = 1.0 + ch.snr * v
     with np.errstate(divide="ignore"):
-        a = np.log(w) - 0.5 * np.log(o) - 0.5 * s * m * m / o
-    c = -0.5 / o
-    return a, rs * m / o, (c[0] if np.all(c == c[0]) else c), m / o, rs * v / o, v / o
+        a = np.log(w) - 0.5 * np.log(o)
+    return a, rs * m, -0.5 / o, m / o, rs * v / o, v / o
 
 
-def _log_weights(a, b, c, y: np.ndarray):
-    """(y.size, n_components) log weights a + b*y + c*y**2 as outer products,
-    and the term c*y**2 left out of them when c is common (else zeros)."""
-    logw = np.multiply.outer(y, b)
+def _log_weights(a, b, c, y: np.ndarray) -> np.ndarray:
+    """(y.size, n_components) log weights a + c*(y - b)**2."""
+    logw = np.subtract.outer(y, b)
+    logw *= logw
+    logw *= c
     logw += a
-    if np.ndim(c):
-        logw += np.multiply.outer(y * y, c)
-        return logw, np.zeros_like(y)
-    return logw, c * y * y
+    return logw
 
 
 def _posterior_stats(ch: ScalarChannel, y: np.ndarray):
@@ -113,12 +111,12 @@ def _posterior_stats(ch: ScalarChannel, y: np.ndarray):
     the row maximum top, E[X|y] is their mat-vecs with p and q over their
     sum, and Var(X|y) is the centred sum of w_j (pv_j + (p_j + q_j y -
     E[X|y])**2), in which nothing cancels where the MMSE is tiny.  log p_Y is
-    top + ln(sum) plus the common c*y**2 and -ln(2 pi)/2.
+    top + ln(sum) - ln(2 pi)/2.
     """
     a, b, c, p, q, pv = _kernel(ch)
 
     def block(ys):
-        wgt, common = _log_weights(a, b, c, ys)
+        wgt = _log_weights(a, b, c, ys)
         top = wgt.max(axis=1)
         wgt -= top[:, None]
         np.exp(wgt, out=wgt)
@@ -129,7 +127,7 @@ def _posterior_stats(ch: ScalarChannel, y: np.ndarray):
         dev -= xhat[:, None]
         dev *= dev
         var = (wgt @ pv + np.einsum("ij,ij->i", wgt, dev)) / total
-        return xhat, var, top + np.log(total) + common - 0.5 * LOG_2PI
+        return xhat, var, top + np.log(total) - 0.5 * LOG_2PI
 
     return by_rows(block, np.atleast_1d(np.asarray(y, dtype=float)))
 
@@ -152,11 +150,11 @@ def q_moment(ch: ScalarChannel, y: float, i: int) -> float:
         raise ValueError("i must be >= 0")
     ya = np.atleast_1d(np.asarray(y, dtype=float))
     a, b, c, p, q, pv = _kernel(ch)
-    logw, common = _log_weights(a, b, c, ya)
+    logw = _log_weights(a, b, c, ya)
     mu = p + np.multiply.outer(ya, q)
     mom = gaussian_raw_moments(mu, np.broadcast_to(pv, mu.shape), i)[i]
     val, sign = logsumexp(logw, b=mom, axis=1, return_sign=True)
-    return float(sign[0] * np.exp(val[0] + common[0] - 0.5 * LOG_2PI))
+    return float(sign[0] * np.exp(val[0] - 0.5 * LOG_2PI))
 
 
 def log_output_density(ch: ScalarChannel, y) -> np.ndarray:
@@ -348,7 +346,7 @@ def posterior_sample(ch: ScalarChannel, y: np.ndarray,
                         "atom view is a discretisation")
     y = np.asarray(y, dtype=float)
     a, b, c, p, q, pv = _kernel(ch)
-    logw = _log_weights(a, b, c, y)[0]
+    logw = _log_weights(a, b, c, y)
     logw -= logw.max(axis=1, keepdims=True)
     wgt = np.exp(logw)
     wgt /= wgt.sum(axis=1, keepdims=True)

@@ -93,6 +93,18 @@ def test_curve_telegraph_mmse_high_snr(tmp_path):
     assert len(vals) == 5 and all(np.diff(vals) < 0)
 
 
+@pytest.mark.parametrize("argv, exact", [
+    (["mi", "--input", "binary", "--snr", "3e7"], np.log(2.0)),
+    (["mmse", "--telegraph", "nu=1", "--snr", "1e7"], 2.00004621495615e-07),
+], ids=["binary-mi", "telegraph-mmse"])
+def test_curve_at_snr_1e7_and_above(tmp_path, argv, exact):
+    # a stalled quadrature would exit 3; the telegraph value is mpmath's
+    out = tmp_path / "hi.csv"
+    assert main(["curve", *argv, "--out", str(out)]) == 0
+    assert float(_read_csv(out)[0]["value"]) == pytest.approx(exact, rel=1e-12,
+                                                             abs=0.0)
+
+
 def test_curve_ar_quantities(tmp_path):
     out = tmp_path / "ar.csv"
     assert main(["curve", "pmmse", "--ar", "a=0.9,n=20", "--snr", "1",

@@ -16,9 +16,10 @@ from immse.scalar import (McEstimate, ScalarChannel, conditional_mean,
                           incremental_decompose, lemma1_low_snr,
                           log_output_density, mi_binary_closed, mi_taylor,
                           mmse, mmse_binary_closed, mmse_taylor,
-                          posterior_sample, posterior_variance,
-                          preprocessor_derivative, q_moment, score,
-                          verify_immse, verify_immse_integral)
+                          mutual_information, posterior_sample,
+                          posterior_variance, preprocessor_derivative,
+                          q_moment, score, verify_immse,
+                          verify_immse_integral)
 
 SNR_GRID = [0.1, 0.5, 1.0, 2.0, 5.0, 10.0]
 
@@ -130,7 +131,8 @@ def test_q_moments_consistent_with_posterior():
 
 def _difference_form(law, snr, y):
     """E[X|y], Var(X|y) and log p_Y(y) with each log weight taken about its
-    own output centre, (y - sqrt(snr) m)**2, as the kernel once was."""
+    own output centre, (y - sqrt(snr) m)**2, and each posterior mean about
+    m, written out per component apart from the kernel's coefficients."""
     w, m, v = components(law)
     rs, out_var = np.sqrt(snr), 1.0 + snr * v
     with np.errstate(divide="ignore"):
@@ -155,8 +157,8 @@ def _difference_form(law, snr, y):
                    pdf=np.full(201, 1 / (2 * np.sqrt(3)))),
 ], ids=["binary", "pam16", "mix3", "gridded201"])
 def test_posterior_stats_match_difference_form(law):
-    # the expanded logits a + b y (+ c y^2) round like eps * snr * m^2, so
-    # at snr 1e4 they are ~1e-12 off the difference form; the gates are 1e-10
+    # the two forms round apart by about eps * snr * m^2 in each log weight,
+    # ~1e-12 at snr 1e4; the gates are 1e-10
     for snr in np.geomspace(1e-3, 1e4, 29):
         edges = quadrature._panel_edges(law, snr)
         mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
@@ -175,6 +177,28 @@ def test_posterior_stats_match_difference_form(law):
                       <= 1e-10 * ref_var[held]), snr
         assert np.all(np.abs(logp - ref_logp)
                       <= 1e-10 * np.maximum(np.abs(ref_logp), 1.0)), snr
+
+
+UNEQUAL3 = DiscreteAtoms(values=(-1.0, 0.0, 2.0), probs=(0.2, 0.5, 0.3))
+
+
+@pytest.mark.parametrize("law, snr", [
+    (binary_law(), 1e7), (binary_law(), 3e7), (binary_law(), 1e8),
+    (UNEQUAL3, 1e7),
+], ids=["binary-1e7", "binary-3e7", "binary-1e8", "unequal3-1e7"])
+def test_mi_and_fisher_exact_at_high_snr(law, snr):
+    # the remainders are e^{-snr d^2/8}: H(X) and 1 are the double values
+    ch = ScalarChannel(law, snr)
+    assert mutual_information(ch) == pytest.approx(
+        -np.sum(law.probs * np.log(law.probs)), rel=1e-12, abs=0)
+    assert fisher_information(ch) == pytest.approx(1.0, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("snr", [1e19, 1e20])
+def test_binary_mmse_underflows_without_warning(snr):
+    # the suite turns RuntimeWarning into an error: exp(log p_Y) may not
+    # overflow, since log p_Y <= -ln(2 pi)/2 at every node
+    assert mmse(ScalarChannel(binary_law(), snr)) == 0.0
 
 
 def test_gridded_law_is_trapezoid_weighted_atoms():
