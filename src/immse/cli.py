@@ -1,9 +1,12 @@
 """Command-line surface: curves, verification suites, and simulations.
 
-Artifacts are CSV (RFC-4180-style, header row) and JSON (stable key order);
-every output file gets a RunManifest written beside it so a run can be
-replayed bit-identically.  Exit codes: 0 pass, 1 verification failure,
-2 usage error, 3 numerical non-convergence.
+Artifacts are CSV (RFC-4180-style, header row) and JSON (stable key order).
+Each command returns its exit code, the files it wrote, its seeds and its
+tolerances; on exit 0 or 1 ``main`` writes ``<file>.manifest.json`` beside
+each of those files, so a run can be replayed bit-identically.  `simulate
+--dump` writes a sample path for the telegraph model only.  Exit codes:
+0 pass, 1 verification failure, 2 usage error (nothing is written),
+3 numerical non-convergence.
 """
 from __future__ import annotations
 
@@ -12,7 +15,6 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,34 +29,6 @@ from .scalar import ScalarChannel
 LN2 = float(np.log(2.0))
 
 
-@dataclass
-class RunManifest:
-    """Replay record written beside every artifact."""
-    command: str
-    params: dict
-    seeds: list
-    version: str = __version__
-    tolerances: dict = field(default_factory=dict)
-    wall_clock_s: float = 0.0
-
-    def write(self, artifact_path: str) -> None:
-        payload = {
-            "command": self.command,
-            "params": self.params,
-            "seeds": self.seeds,
-            "version": self.version,
-            "tolerances": self.tolerances,
-            "wall_clock_s": self.wall_clock_s,
-        }
-        with open(artifact_path + ".manifest.json", "w", encoding="utf-8") as f:
-            json.dump(payload, f, indent=2)
-            f.write("\n")
-
-
-def _params(args) -> dict:
-    return {k: v for k, v in vars(args).items() if k not in ("fn",)}
-
-
 def parse_input_spec(spec: str) -> InputLaw:
     """Input laws: gaussian[:mean,var], binary, mixture:w,m,v;..., atoms:v,p;..."""
     kind, _, body = spec.partition(":")
@@ -65,15 +39,13 @@ def parse_input_spec(spec: str) -> InputLaw:
         return Gaussian(mean, var)
     if kind == "binary":
         return binary_law()
-    if kind == "mixture":
-        rows = [tuple(float(t) for t in part.split(","))
-                for part in body.split(";")]
-        w, m, v = (np.array(col) for col in zip(*rows))
-        return GaussianMixture(weights=w, means=m, variances=v)
-    if kind == "atoms":
-        rows = [tuple(float(t) for t in part.split(","))
-                for part in body.split(";")]
-        vals, probs = (np.array(col) for col in zip(*rows))
+    if kind in ("mixture", "atoms"):
+        cols = [np.array(col) for col in zip(*(
+            [float(t) for t in part.split(",")] for part in body.split(";")))]
+        if kind == "mixture":
+            w, m, v = cols
+            return GaussianMixture(weights=w, means=m, variances=v)
+        vals, probs = cols
         return DiscreteAtoms(values=vals, probs=probs)
     raise ValueError(f"unknown input spec {spec!r}")
 
@@ -129,71 +101,45 @@ def _emit_json(payload: dict, out: str | None) -> None:
 # curve
 # ---------------------------------------------------------------------------
 
-def _scalar_curve(quantity: str, law: InputLaw, grid: np.ndarray):
-    fns = {"mi": scalar.mutual_information, "mmse": scalar.mmse,
-           "fisher": scalar.fisher_information}
-    if quantity not in fns:
-        raise ValueError(f"quantity {quantity!r} needs --telegraph or --ar")
-    fn = fns[quantity]
-    return [fn(ScalarChannel(law, s)) for s in grid], "quadrature", REL_TOL
-
-
-def _telegraph_curve(quantity: str, nu: float, grid: np.ndarray):
-    if quantity == "cmmse":
-        vals = [ct.telegraph_cmmse(ct.TelegraphModel(nu, s)) for s in grid]
-    elif quantity == "mmse":
-        vals = [ct.telegraph_mmse(ct.TelegraphModel(nu, s)) for s in grid]
-    elif quantity == "mi":
-        # information rate by the causal-MMSE identity
-        vals = [0.5 * s * ct.telegraph_cmmse(ct.TelegraphModel(nu, s))
-                for s in grid]
-    else:
-        raise ValueError(f"quantity {quantity!r} undefined for --telegraph")
-    return vals, "closed-form", 1e-9
-
-
-def _ar_curve(quantity: str, a: float, n: int, grid: np.ndarray):
-    p = dt.ARProcess(a, n)
-    vals = []
-    for s in grid:
-        triple = dt.kalman_triple(p, s)
-        if quantity == "mi":
-            vals.append(dt.block_mi(p, s))
-        elif quantity == "mmse":
-            vals.append(float(triple.mmse.mean()))
-        elif quantity == "cmmse":
-            vals.append(float(triple.cmmse.mean()))
-        elif quantity == "pmmse":
-            vals.append(float(triple.pmmse.mean()))
-        else:
-            raise ValueError(f"quantity {quantity!r} undefined for --ar")
-    return vals, "kalman", 0.0
-
-
-def cmd_curve(args) -> int:
-    t0 = time.perf_counter()
-    grid = parse_snr_grid(args.snr_db, db=True) if args.snr_db \
-        else parse_snr_grid(args.snr)
+def _curve_model(args):
+    """Quantity -> value at one snr for the chosen model, its method and tol."""
     if args.telegraph:
         nu = parse_kv(args.telegraph)["nu"]
-        values, method, tol = _telegraph_curve(args.quantity, nu, grid)
-    elif args.ar:
+        tm = lambda s: ct.TelegraphModel(nu, s)
+        return {"cmmse": lambda s: ct.telegraph_cmmse(tm(s)),
+                "mmse": lambda s: ct.telegraph_mmse(tm(s)),
+                # information rate by the causal-MMSE identity
+                "mi": lambda s: 0.5 * s * ct.telegraph_cmmse(tm(s)),
+                }, "closed-form", 1e-9
+    if args.ar:
         kv = parse_kv(args.ar)
-        values, method, tol = _ar_curve(args.quantity, kv["a"], int(kv["n"]),
-                                        grid)
-    else:
-        law = parse_input_spec(args.input)
-        values, method, tol = _scalar_curve(args.quantity, law, grid)
+        p = dt.ARProcess(kv["a"], int(kv["n"]))
+        mean = lambda name: lambda s: float(
+            getattr(dt.kalman_triple(p, s), name).mean())
+        return {"mi": lambda s: dt.block_mi(p, s), "mmse": mean("mmse"),
+                "cmmse": mean("cmmse"), "pmmse": mean("pmmse")}, "kalman", 0.0
+    law = parse_input_spec(args.input)
+    fns = {"mi": scalar.mutual_information, "mmse": scalar.mmse,
+           "fisher": scalar.fisher_information}
+    return ({q: (lambda s, f=f: f(ScalarChannel(law, s))) for q, f in fns.items()},
+            "quadrature", REL_TOL)
+
+
+def cmd_curve(args):
+    grid = parse_snr_grid(args.snr_db, db=True) if args.snr_db \
+        else parse_snr_grid(args.snr)
+    quantities, method, tol = _curve_model(args)
+    if args.quantity not in quantities:
+        flag = "--telegraph" if args.telegraph else "--ar" if args.ar else None
+        raise ValueError(f"quantity {args.quantity!r} " + (
+            f"undefined for {flag}" if flag else "needs --telegraph or --ar"))
+    values = [quantities[args.quantity](s) for s in grid]
     if args.bits and args.quantity == "mi":
         values = [v / LN2 for v in values]
     rows = [(_fmt(s), _fmt(v), method, _fmt(tol))
             for s, v in zip(grid, values)]
     _write_csv(args.out, ["snr", "value", "method", "tol"], rows)
-    manifest = RunManifest(
-        command="curve", params=_params(args), seeds=[],
-        tolerances={"tol": tol}, wall_clock_s=time.perf_counter() - t0)
-    manifest.write(args.out)
-    return 0
+    return 0, [args.out], [], {"tol": tol}
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +173,7 @@ def _default_vector_model(args, gaussian: bool = True):
                                      snr_diag=np.full(2, args.snr))
 
 
-def cmd_verify(args) -> int:
-    t0 = time.perf_counter()
+def cmd_verify(args):
     mc = McConfig(seed=args.seed, n_paths=args.paths)
     if args.suite == "immse":
         law = parse_input_spec(args.input)
@@ -256,15 +201,9 @@ def cmd_verify(args) -> int:
         report = ct.verify_f_recurrences(args.xi)
     else:  # pragma: no cover - argparse choices guard this
         raise ValueError(f"unknown suite {args.suite!r}")
-    payload = report.to_dict()
-    _emit_json(payload, args.out)
-    if args.out:
-        manifest = RunManifest(
-            command="verify", params=_params(args), seeds=[args.seed],
-            tolerances={c.name: c.tolerance for c in report.checks},
-            wall_clock_s=time.perf_counter() - t0)
-        manifest.write(args.out)
-    return 0 if report.passed else 1
+    _emit_json(report.to_dict(), args.out)
+    return (0 if report.passed else 1, [args.out] if args.out else [],
+            [args.seed], {c.name: c.tolerance for c in report.checks})
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +258,9 @@ def _simulate_constant(args, mc: McConfig) -> dict:
     }
 
 
-def cmd_simulate(args) -> int:
-    t0 = time.perf_counter()
+def cmd_simulate(args):
+    if args.dump and args.model != "telegraph":
+        raise ValueError("--dump writes a telegraph sample path only")
     if args.snr_db is not None:
         args.snr = 10.0 ** (args.snr_db / 10.0)
     dtstep = args.dt
@@ -334,11 +274,7 @@ def cmd_simulate(args) -> int:
     else:
         summary = _simulate_constant(args, mc)
     _emit_json(summary, args.out)
-    for artifact in filter(None, (args.out, args.dump)):
-        RunManifest(command="simulate", params=_params(args),
-                    seeds=[mc.seed], tolerances={},
-                    wall_clock_s=time.perf_counter() - t0).write(artifact)
-    return 0
+    return 0, list(filter(None, (args.out, args.dump))), [mc.seed], {}
 
 
 # ---------------------------------------------------------------------------
@@ -405,14 +341,25 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.fn(args)
+        code, written, seeds, tolerances = args.fn(args)
     except NonConvergence as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return 3
     except (ValueError, KeyError, StepTooLarge) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    manifest = {"command": args.command,
+                "params": {k: v for k, v in vars(args).items() if k != "fn"},
+                "seeds": seeds, "version": __version__,
+                "tolerances": tolerances,
+                "wall_clock_s": time.perf_counter() - t0}
+    for path in written:
+        with open(path + ".manifest.json", "w", encoding="utf-8") as f:
+            json.dump(manifest, f, indent=2)
+            f.write("\n")
+    return code
 
 
 if __name__ == "__main__":

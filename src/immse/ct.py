@@ -75,23 +75,34 @@ class OUSpectrum:
 def f_scaled(i: int, j: int, xi: float) -> float:
     """e^{-xi} * f(i,j,xi), free of the e^{xi} underflow as xi -> -inf.
 
-    Substituting u = 1 + v^2 regularizes the (u-1)^{-1/2} endpoint:
-    e^{-xi} f(i,j) = 2 ∫_0^∞ (1+v^2)^{i/2} v^{j+1} e^{xi v^2} dv.
+    Substituting u = 1 + v^2 regularizes the (u-1)^{-1/2} endpoint, and
+    w = sqrt(-xi) v keeps the Gaussian factor at unit width for every xi:
+    e^{-xi} f(i,j) = 2 (-xi)^{-(j+2)/2} ∫_0^∞ (1 + w^2/(-xi))^{i/2} w^{j+1} e^{-w^2} dw.
+    The first factor bends at w = sqrt(-xi); breaks at its octaves up to
+    w = 1 hold each value to a few ulps, which the f recurrences need at
+    xi near 0, where they difference values of size xi^-2.
     """
     require_finite(xi=xi)
     if xi >= 0:
         raise ValueError("xi must be negative")
     if j < -1:
         raise ValueError("j must be >= -1")
+    lam = np.float64(-xi)
 
-    def integrand(v):
-        return 2.0 * (1.0 + v * v) ** (0.5 * i) * v ** (j + 1) * np.exp(xi * v * v)
+    def integrand(w):
+        return (1.0 + w * w / lam) ** (0.5 * i) * w ** (j + 1) * np.exp(-w * w)
 
-    val, err = integrate.quad(integrand, 0.0, np.inf,
-                              epsabs=1e-300, epsrel=1e-12, limit=400)
+    knees = np.sqrt(lam) * 2.0 ** np.arange(-0.5 * np.log2(lam))
+    # a value past the float range comes out inf or nan and raises below
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = [integrate.quad(integrand, a, b, points=pts, epsabs=1e-300,
+                                epsrel=1e-12, limit=400 + knees.size)
+                 for a, b, pts in [(0.0, 1.0, knees if knees.size else None),
+                                   (1.0, np.inf, None)]]
+        val, err = (2.0 * lam ** (-0.5 * (j + 2)) * sum(col) for col in zip(*parts))
     if not np.isfinite(val) or (val != 0 and err > 1e-8 * abs(val)):
         raise NonConvergence(f"f integral did not converge at i={i}, j={j}, xi={xi}")
-    return val
+    return float(val)
 
 
 def f_integral(i: int, j: int, xi: float) -> float:

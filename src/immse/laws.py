@@ -167,7 +167,13 @@ def moments(law: InputLaw) -> Moments:
     w, m, v = components(law)
     raw = [float(w @ mk) for mk in gaussian_raw_moments(m, v, 4)]
     mean = raw[1]
-    return Moments(mean=mean, variance=raw[2] - mean ** 2, third=raw[3], fourth=raw[4])
+    # about the mean, so no term of size mean^2 cancels; a gridded density's
+    # trapezoid weights sum to 1 only within 1e-8, and its variance is the
+    # trapezoid E X^2 - mean^2, which differs by (1 - sum w) mean^2
+    variance = float(w @ (v + (m - mean) ** 2))
+    if isinstance(law, GriddedDensity):
+        variance += (1.0 - float(w.sum())) * mean ** 2
+    return Moments(mean=mean, variance=variance, third=raw[3], fourth=raw[4])
 
 
 def variance(law: InputLaw) -> float:

@@ -100,16 +100,19 @@ def _half_atom_integrals(terms, what: str) -> float:
     """Half of sum w * ∫ mmse(law) over the (w, law) atom laws of ``terms``.
 
     Each integral ends where snr * d_min**2 / 8 = _ATOM_END for its law; a
-    law with one live atom has MMSE 0 and is left out.  A sum below -REL_TOL
-    raises NonConvergence, one within it counts as 0.
+    law with one live atom has MMSE 0 and is left out.  A sum within one ulp
+    of its terms' size keeps no digit and is 0; a sum below -REL_TOL raises
+    NonConvergence, one within it counts as 0.
     """
     terms = [(w, law) for w, law in terms if np.count_nonzero(law.probs) > 1]
     ends = [8.0 * _ATOM_END
             / np.diff(np.sort(law.values[law.probs > 0])).min() ** 2
             for _, law in terms]
-    return _nonnegative(0.5 * sum(w * _mmse_integral(law, s)
-                                  for (w, law), s in zip(terms, ends)),
-                        what, max(ends, default=0.0))
+    parts = [0.5 * w * _mmse_integral(law, s) for (w, law), s in zip(terms, ends)]
+    total = sum(parts)
+    if abs(total) <= np.finfo(float).eps * sum(map(abs, parts)):
+        total = 0.0
+    return _nonnegative(total, what, max(ends, default=0.0))
 
 
 def _check_degenerate(atoms: DiscreteAtoms) -> None:

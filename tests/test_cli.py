@@ -10,9 +10,17 @@ from immse.laws import DiscreteAtoms, Gaussian, GaussianMixture
 from immse.report import Report
 
 
+MANIFEST_KEYS = ["command", "params", "seeds", "version", "tolerances",
+                 "wall_clock_s"]
+
+
 def _read_csv(path):
     with open(path, newline="") as f:
         return list(csv.DictReader(f))
+
+
+def _manifest(path):
+    return json.loads((path.parent / (path.name + ".manifest.json")).read_text())
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +67,7 @@ def test_curve_gaussian_mi(tmp_path):
     assert manifest["command"] == "curve"
     assert set(manifest) == {"command", "params", "seeds", "version",
                              "tolerances", "wall_clock_s"}
+    assert list(manifest) == MANIFEST_KEYS
 
 
 def test_curve_binary_mmse_at_zero(tmp_path):
@@ -140,6 +149,7 @@ def test_curve_nonfinite_snr_is_usage_error(tmp_path, source):
     assert main(["curve", "mmse", *source, "--snr", "nan",
                  "--out", str(out)]) == 2
     assert not out.exists()
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv", [
@@ -175,6 +185,11 @@ def test_verify_json_schema(tmp_path, capsys):
     for check in payload["checks"]:
         assert list(check.keys()) == ["name", "lhs", "rhs", "deviation",
                                       "tolerance", "pass"]
+    manifest = _manifest(out)
+    assert list(manifest) == MANIFEST_KEYS
+    assert manifest["command"] == "verify" and manifest["seeds"] == [0]
+    assert manifest["tolerances"] == {c["name"]: c["tolerance"]
+                                      for c in payload["checks"]}
 
 
 def test_verify_stdout_and_exit(capsys):
@@ -206,6 +221,34 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     monkeypatch.setattr("immse.scalar.verify_immse",
                         lambda *a, **k: failing)
     assert main(["verify", "immse", "--input", "binary"]) == 1
+
+
+def test_verify_failure_writes_manifest(tmp_path, monkeypatch):
+    # exit 1 is a finished run: its report and manifest are written
+    failing = Report("forced")
+    failing.add("impossible", 0.0, 1.0, 1e-9)
+    monkeypatch.setattr("immse.scalar.verify_immse",
+                        lambda *a, **k: failing)
+    out = tmp_path / "r.json"
+    assert main(["verify", "immse", "--input", "binary",
+                 "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["pass"] is False
+    manifest = _manifest(out)
+    assert list(manifest) == MANIFEST_KEYS
+    assert manifest["tolerances"] == {"impossible": 1e-9}
+
+
+def test_nonconvergence_writes_nothing(tmp_path, monkeypatch):
+    from immse.errors import NonConvergence
+
+    def boom(*a, **k):
+        raise NonConvergence("stalled")
+
+    monkeypatch.setattr("immse.scalar.mmse", boom)
+    out = tmp_path / "c.csv"
+    assert main(["curve", "mmse", "--input", "binary", "--snr", "1",
+                 "--out", str(out)]) == 3
+    assert not list(tmp_path.iterdir())
 
 
 def test_verify_nonconvergence_exit_code(monkeypatch, capsys):
@@ -255,6 +298,10 @@ def test_simulate_dump_columns(tmp_path):
                                     "xhat_smooth"]
     assert all(float(r["x"]) in (-1.0, 1.0) for r in rows[:50])
     assert (tmp_path / "path.csv.manifest.json").exists()
+    for artifact in (dump, out):
+        manifest = _manifest(artifact)
+        assert list(manifest) == MANIFEST_KEYS
+        assert manifest["command"] == "simulate" and manifest["seeds"] == [0]
 
 
 def test_simulate_ensemble_within_mc_error(tmp_path):
@@ -288,8 +335,12 @@ def test_simulate_constant_input(tmp_path, capsys):
     ["telegraph", "--paths", "-5"],
     ["constant-input", "--horizon", "0"],
     ["constant-input", "--paths", "1"],
+    ["constant-input", "--paths", "100", "--dump", "d.csv"],
 ])
-def test_simulate_unrunnable_config_is_usage_error(tmp_path, argv, capsys):
+def test_simulate_unrunnable_config_is_usage_error(tmp_path, argv, capsys,
+                                                   monkeypatch):
+    monkeypatch.chdir(tmp_path)
     out = tmp_path / "s.json"
     assert main(["simulate", *argv, "--out", str(out)]) == 2
     assert not out.exists()
+    assert not list(tmp_path.iterdir())

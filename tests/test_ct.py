@@ -95,7 +95,17 @@ def test_thm7_differential_below_the_step():
     assert report.passed, report.to_dict()
 
 
-@pytest.mark.parametrize("snr", [1e5, 1e6, 1e7])
+@pytest.mark.parametrize("xi", [-2e-8, -2e-7, -1e-4, -1.0, -1e3])
+@pytest.mark.parametrize("i", [-1, 1, 3])
+def test_f_scaled_matches_bessel_forms(i, xi):
+    # v = sinh(u/2) gives F(i,-1) in scaled Bessel K functions at z = -xi/2
+    z = -0.5 * xi
+    closed = {-1: kve(0, z), 1: 0.5 * (kve(0, z) + kve(1, z)),
+              3: 0.375 * kve(0, z) + 0.5 * kve(1, z) + 0.125 * kve(2, z)}[i]
+    assert f_scaled(i, -1, xi) == pytest.approx(closed, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("snr", [1e5, 1e6, 1e7, 1e8])
 def test_thm7_differential_at_high_snr(snr):
     # xi = -2/snr is within 2e-5 of 0: the A' difference may not step past it
     report = thm7_differential_check(1.0, snr)

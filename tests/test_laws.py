@@ -7,6 +7,7 @@ from immse.laws import (DiscreteAtoms, Gaussian, GaussianMixture,
                         GriddedDensity, binary_law, convolve,
                         gaussian_components, moments, sample,
                         standard_gaussian_law, variance)
+from immse.scalar import ScalarChannel, mmse
 
 
 def test_binary_law_moments():
@@ -35,6 +36,20 @@ def test_mixture_moments_weighted():
     # variance = E X^2 - mean^2 with E X^2 = sum w (m^2 + v)
     ex2 = 0.25 * (4.0 + 0.5) + 0.75 * (1.0 + 1.5)
     assert m.variance == pytest.approx(ex2 - m.mean ** 2, abs=1e-14)
+
+
+@pytest.mark.parametrize("offset", [1e6, 1e7, 1e8])
+@pytest.mark.parametrize("build, central", [
+    (lambda c: GaussianMixture(weights=[0.3, 0.7], means=[c - 1.0, c + 0.5],
+                               variances=[0.25, 0.5]), 0.8975),
+    (lambda c: DiscreteAtoms(values=[c - 1.0, c + 1.0], probs=[0.5, 0.5]), 1.0),
+], ids=["mixture", "atoms"])
+def test_variance_at_large_mean(build, central, offset):
+    # E X^2 - mean^2 cancels here: it gave 0.0 for the atoms at 1e8
+    law = build(offset)
+    assert moments(law).variance == pytest.approx(central, rel=1e-12, abs=0.0)
+    assert mmse(ScalarChannel(law, 0.0)) == pytest.approx(central, rel=1e-12,
+                                                          abs=0.0)
 
 
 def test_atom_probs_must_sum_to_one():
