@@ -183,8 +183,9 @@ def cmd_verify(args):
     elif args.suite == "thm7":
         report = ct.verify_thm7(args.nu, [0.5, 1.0, args.snr])
     elif args.suite == "debruijn":
-        gaussian = args.input.startswith("gaussian")
-        model = _default_vector_model(args, gaussian)
+        if args.input not in ("gaussian", "binary"):
+            raise ValueError("verify debruijn takes --input gaussian or binary")
+        model = _default_vector_model(args, args.input == "gaussian")
         report = vector.de_bruijn_check(model, args.snr, mc=mc)
     elif args.suite == "corollary3":
         report = dt.verify_corollary3(dt.ARProcess(args.a, args.n), args.snr)

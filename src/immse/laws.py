@@ -19,6 +19,7 @@ is an exact Gaussian mixture.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Union
 
@@ -178,6 +179,16 @@ def moments(law: InputLaw) -> Moments:
 
 def variance(law: InputLaw) -> float:
     return moments(law).variance
+
+
+def shift(law: InputLaw, c: float) -> InputLaw:
+    """The law of X + c.  A finite shift keeps a valid law valid, so the copy
+    is not checked again: the checks cost several times what the copy does."""
+    out = copy.copy(law)
+    name = {DiscreteAtoms: "values", Gaussian: "mean", GaussianMixture: "means",
+            GriddedDensity: "grid"}[type(law)]
+    object.__setattr__(out, name, getattr(law, name) + c)
+    return out
 
 
 def gaussian_components(law: InputLaw):

@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.special import expit, logsumexp
+from scipy.special import expit
 
 from .laws import (Gaussian, GaussianMixture, GriddedDensity, InputLaw,
                    Moments, binary_law, components, gaussian_raw_moments,
-                   moments, require_finite)
+                   moments, require_finite, shift)
 from .errors import NonConvergence
 from .quadrature import (REL_TOL, McConfig, by_rows, fd_derivative,
                          integrate_output, snr_integral)
@@ -37,8 +37,9 @@ class ScalarChannel:
     snr: float
 
     def __post_init__(self):
-        require_finite(snr=self.snr)
-        if self.snr < 0:
+        # NaN fails this too; cheaper than require_finite where snr is valid
+        if not 0.0 <= self.snr < np.inf:
+            require_finite(snr=self.snr)
             raise ValueError("snr must be nonnegative")
 
 
@@ -72,62 +73,49 @@ class McEstimate:
 # Posterior statistics
 # ---------------------------------------------------------------------------
 
-def _kernel(ch: ScalarChannel):
-    """Per-component coefficients (a, b, c, p, q, pv) of the posterior kernel.
+def _posterior(ch: ScalarChannel, y: np.ndarray):
+    """The posterior at outputs y: (wgt, total, p, q, pv, log p_Y).
 
     Component j of the law (``laws.components``: weight w, mean m, variance
-    v) is seen at the output as N(b, o), centred at b = sqrt(snr)*m with
-    variance o = 1 + snr*v.  Its log weight at y, less ln(2 pi)/2, is
-    a + c*(y - b)**2, and given y and j, X is N(p + q*y, pv):
-
-        a = ln w - ln(o)/2,  c = -1/(2o),  p = m/o,  q = sqrt(snr)*v/o,
-        pv = v/o.
-
-    Each log weight is taken about its own centre, so no term of size snr
-    is added and taken away again: every log weight is at most ln w, and
-    log p_Y at most -ln(2 pi)/2.
+    v) is seen at the output as N(b, o), b = sqrt(snr)*m, o = 1 + snr*v.
+    Its log weight at y, less ln(2 pi)/2, is ln w - ln(o)/2 - (y - b)**2/(2o),
+    and given y and j, X is N(p + q*y, pv): p = m/o, q = sqrt(snr)*v/o,
+    pv = v/o.  ``wgt`` is e^{logw - top} for the row maximum top, one row per
+    y, ``total`` its row sums, and log p_Y = top + ln(total) - ln(2 pi)/2.
+    Each log weight is taken about its own centre, so no term of size snr is
+    added and taken away again: every log weight is at most ln w, and log p_Y
+    at most -ln(2 pi)/2, so exp(log p_Y) cannot overflow.
     """
     w, m, v = components(ch.law)
     rs = np.sqrt(ch.snr)
     o = 1.0 + ch.snr * v
     with np.errstate(divide="ignore"):
         a = np.log(w) - 0.5 * np.log(o)
-    return a, rs * m, -0.5 / o, m / o, rs * v / o, v / o
-
-
-def _log_weights(a, b, c, y: np.ndarray) -> np.ndarray:
-    """(y.size, n_components) log weights a + c*(y - b)**2."""
-    logw = np.subtract.outer(y, b)
-    logw *= logw
-    logw *= c
-    logw += a
-    return logw
+    wgt = np.subtract.outer(y, rs * m)
+    wgt *= wgt
+    wgt *= -0.5 / o
+    wgt += a
+    top = wgt.max(axis=1)
+    wgt -= top[:, None]
+    np.exp(wgt, out=wgt)
+    total = wgt.sum(axis=1)
+    return wgt, total, m / o, rs * v / o, v / o, top + np.log(total) - 0.5 * LOG_2PI
 
 
 def _posterior_stats(ch: ScalarChannel, y: np.ndarray):
-    """E[X | Y=y], Var(X | Y=y) and log p_Y(y), from one kernel evaluation.
-
-    With the coefficients of ``_kernel``, the weights are e^{logw - top} for
-    the row maximum top, E[X|y] is their mat-vecs with p and q over their
-    sum, and Var(X|y) is the centred sum of w_j (pv_j + (p_j + q_j y -
-    E[X|y])**2), in which nothing cancels where the MMSE is tiny.  log p_Y is
-    top + ln(sum) - ln(2 pi)/2.
-    """
-    a, b, c, p, q, pv = _kernel(ch)
-
+    """E[X | Y=y], Var(X | Y=y) and log p_Y(y), one ``_posterior`` call per
+    block of outputs: E[X|y] is the weights' mat-vecs with p and q over their
+    sum, and Var(X|y) the centred sum of w_j (pv_j + (p_j + q_j y -
+    E[X|y])**2), in which nothing cancels where the MMSE is tiny."""
     def block(ys):
-        wgt = _log_weights(a, b, c, ys)
-        top = wgt.max(axis=1)
-        wgt -= top[:, None]
-        np.exp(wgt, out=wgt)
-        total = wgt.sum(axis=1)
+        wgt, total, p, q, pv, logp = _posterior(ch, ys)
         xhat = (wgt @ p + ys * (wgt @ q)) / total
         dev = np.multiply.outer(ys, q)
         dev += p
         dev -= xhat[:, None]
         dev *= dev
         var = (wgt @ pv + np.einsum("ij,ij->i", wgt, dev)) / total
-        return xhat, var, top + np.log(total) - 0.5 * LOG_2PI
+        return xhat, var, logp
 
     return by_rows(block, np.atleast_1d(np.asarray(y, dtype=float)))
 
@@ -145,16 +133,13 @@ def posterior_variance(ch: ScalarChannel, y):
 
 
 def q_moment(ch: ScalarChannel, y: float, i: int) -> float:
-    """E[X^i * p_{Y|X}(y | X)]; i = 0 gives the output density at y."""
+    """E[X^i * p_{Y|X}(y | X)] = p_Y(y) E[X^i | Y=y]; i = 0 gives p_Y(y)."""
     if i < 0:
         raise ValueError("i must be >= 0")
-    ya = np.atleast_1d(np.asarray(y, dtype=float))
-    a, b, c, p, q, pv = _kernel(ch)
-    logw = _log_weights(a, b, c, ya)
-    mu = p + np.multiply.outer(ya, q)
-    mom = gaussian_raw_moments(mu, np.broadcast_to(pv, mu.shape), i)[i]
-    val, sign = logsumexp(logw, b=mom, axis=1, return_sign=True)
-    return float(sign[0] * np.exp(val[0] - 0.5 * LOG_2PI))
+    y = float(y)
+    wgt, total, p, q, pv, logp = _posterior(ch, np.array([y]))
+    mom = gaussian_raw_moments(p + q * y, pv, i)[i]
+    return float(np.exp(logp[0]) * (wgt[0] @ mom) / total[0])
 
 
 def log_output_density(ch: ScalarChannel, y) -> np.ndarray:
@@ -168,7 +153,13 @@ def log_output_density(ch: ScalarChannel, y) -> np.ndarray:
 
 def _expect(ch: ScalarChannel, stat) -> float:
     """E_Y[stat(y, E[X|y], Var(X|y), log p_Y(y))]: the integrand p_Y * stat
-    is built from one ``_posterior_stats`` call per node block."""
+    is built from one ``_posterior_stats`` call per node block.  Each stat is
+    invariant under a shift of X, so the law is centred at its mean first: far
+    from 0 the output nodes would carry the rounding of their centre,
+    ulp(sqrt(snr) * mean), which no relative stop meets."""
+    w, m, _ = components(ch.law)
+    ch = ScalarChannel(shift(ch.law, -float(w @ m)), ch.snr)
+
     def g(y):
         xhat, var, logp = _posterior_stats(ch, y)
         return np.exp(logp) * stat(y, xhat, var, logp)
@@ -345,19 +336,13 @@ def posterior_sample(ch: ScalarChannel, y: np.ndarray,
         raise TypeError("gridded laws have no exact posterior draws; their "
                         "atom view is a discretisation")
     y = np.asarray(y, dtype=float)
-    a, b, c, p, q, pv = _kernel(ch)
-    logw = _log_weights(a, b, c, y)
-    logw -= logw.max(axis=1, keepdims=True)
-    wgt = np.exp(logw)
-    wgt /= wgt.sum(axis=1, keepdims=True)
+    wgt, total, p, q, pv, _ = _posterior(ch, y)
     cum = np.cumsum(wgt, axis=1)
-    u = rng.random(y.size)
+    u = rng.random(y.size) * total
     idx = np.minimum((u[:, None] > cum).sum(axis=1), wgt.shape[1] - 1)
     draw = p[idx] + q[idx] * y
-    var = pv[idx]
-    hot = var > 0
-    if np.any(hot):
-        draw = draw + np.sqrt(np.where(hot, var, 0.0)) * rng.standard_normal(y.size) * hot
+    if np.any(pv > 0):       # atoms draw no normals
+        draw = draw + np.sqrt(pv[idx]) * rng.standard_normal(y.size)
     return draw
 
 

@@ -211,6 +211,14 @@ def test_verify_debruijn_zero_snr_is_usage_error(capsys):
     assert main(["verify", "debruijn", "--snr", "0"]) == 2
 
 
+@pytest.mark.parametrize("spec", ["nonsense", "gaussian:3,2", "atoms:0,1"])
+def test_verify_debruijn_unknown_input_is_usage_error(tmp_path, spec, capsys):
+    # the vector model has a Gaussian and a +/-1 input only
+    out = tmp_path / "r.json"
+    assert main(["verify", "debruijn", "--input", spec, "--out", str(out)]) == 2
+    assert not list(tmp_path.iterdir())
+
+
 def test_verify_negative_paths_is_usage_error(capsys):
     assert main(["verify", "immse", "--paths", "-1"]) == 2
 

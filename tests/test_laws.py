@@ -7,7 +7,8 @@ from immse.laws import (DiscreteAtoms, Gaussian, GaussianMixture,
                         GriddedDensity, binary_law, convolve,
                         gaussian_components, moments, sample,
                         standard_gaussian_law, variance)
-from immse.scalar import ScalarChannel, mmse
+from immse.scalar import (ScalarChannel, fisher_information, mmse,
+                          mutual_information)
 
 
 def test_binary_law_moments():
@@ -50,6 +51,13 @@ def test_variance_at_large_mean(build, central, offset):
     assert moments(law).variance == pytest.approx(central, rel=1e-12, abs=0.0)
     assert mmse(ScalarChannel(law, 0.0)) == pytest.approx(central, rel=1e-12,
                                                           abs=0.0)
+    # a shift of X moves no output statistic; uncentred, the output nodes
+    # near sqrt(snr) * offset carry its rounding, and the quadrature stalls
+    # or misses by up to 1e-8
+    for snr in (30.0, 1e3):
+        for stat in (mmse, mutual_information, fisher_information):
+            assert stat(ScalarChannel(law, snr)) == pytest.approx(
+                stat(ScalarChannel(build(0.0), snr)), rel=1e-12, abs=0.0)
 
 
 def test_atom_probs_must_sum_to_one():

@@ -337,6 +337,20 @@ def test_posterior_sample_marginal_ks():
     assert stats.ks_2samp(xp, fresh).pvalue > 1e-3
 
 
+@pytest.mark.parametrize("law, snr, y", [(MIX3, 1.5, 0.4),
+                                         (binary_law(), 1.0, 0.5)],
+                         ids=["mix3", "binary"])
+def test_posterior_sample_at_fixed_output(law, snr, y):
+    # draws at one y have the posterior mean and variance, within 3 SE
+    ch = ScalarChannel(law, snr)
+    xp = posterior_sample(ch, np.full(200_000, y), np.random.default_rng(17))
+    xhat, var = conditional_mean(ch, y), posterior_variance(ch, y)
+    mean = McEstimate.of(xp)
+    assert abs(mean.value - xhat) <= 3.0 * mean.se
+    spread = McEstimate.of((xp - xhat) ** 2)
+    assert abs(spread.value - var) <= 3.0 * spread.se
+
+
 def test_divergence_derivative_gaussian_oracle():
     # for Gaussian X, D(P_{Y|X=x} || P_Y) = 0.5[ln(1+s) + (1+s x^2)/(1+s) - 1]
     snr, x = 1.0, 1.0
