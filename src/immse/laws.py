@@ -7,12 +7,12 @@ Four families are supported:
 * ``GaussianMixture`` -- a finite mixture of Gaussians,
 * ``GriddedDensity`` -- a piecewise-linear density tabulated on a grid.
 
-``components`` views every law as a finite Gaussian mixture, and the scalar
-channel and its quadrature compute through that view only: atoms are
+``components`` views every law as a probability mixture of Gaussians, and the
+scalar channel and its quadrature compute through that view only: atoms are
 zero-variance components, and a gridded density is atoms at its grid points
-weighted by the trapezoid rule, so every sum over its components is a
-trapezoid integral over the grid.  This module is the only one that knows the
-gridded format.  Raw moments up to order four are exact (trapezoid, for
+with trapezoid weights scaled to sum to 1, so every sum over its components is
+a trapezoid integral over the grid.  This module is the only one that knows
+the gridded format.  Raw moments up to order four are exact (trapezoid, for
 gridded laws); sampling is deterministic given a seed.  The first three
 families are closed under convolution with a Gaussian: their output density
 is an exact Gaussian mixture.
@@ -143,12 +143,13 @@ def gaussian_raw_moments(mean, var, order: int) -> list:
 
 
 def components(law: InputLaw):
-    """View ``law`` as a Gaussian mixture: (weights, means, variances) arrays.
+    """View ``law`` as a probability mixture of Gaussians: (weights, means,
+    variances) arrays, the weights summing to 1.
 
     Atoms map to zero-variance components.  A gridded density maps to atoms
     at its grid points with trapezoid weights pdf_i * (h_{i-1} + h_i) / 2
-    (h_i the grid spacings, zero beyond the ends), not renormalised, so that
-    a sum over components is the trapezoid integral over the grid.
+    (h_i the grid spacings, zero beyond the ends) divided by their sum, which
+    the constructor holds to 1 within 1e-8 only.
     """
     if isinstance(law, DiscreteAtoms):
         return law.probs, law.values, np.zeros_like(law.values)
@@ -159,7 +160,8 @@ def components(law: InputLaw):
     if isinstance(law, GriddedDensity):
         h = np.diff(law.grid)
         span = np.concatenate(([0.0], h)) + np.concatenate((h, [0.0]))
-        return law.pdf * span / 2.0, law.grid, np.zeros_like(law.grid)
+        w = law.pdf * span
+        return w / w.sum(), law.grid, np.zeros_like(law.grid)
     raise TypeError(f"unsupported law type: {type(law)!r}")
 
 
@@ -168,12 +170,8 @@ def moments(law: InputLaw) -> Moments:
     w, m, v = components(law)
     raw = [float(w @ mk) for mk in gaussian_raw_moments(m, v, 4)]
     mean = raw[1]
-    # about the mean, so no term of size mean^2 cancels; a gridded density's
-    # trapezoid weights sum to 1 only within 1e-8, and its variance is the
-    # trapezoid E X^2 - mean^2, which differs by (1 - sum w) mean^2
+    # about the mean, so no term of size mean^2 cancels
     variance = float(w @ (v + (m - mean) ** 2))
-    if isinstance(law, GriddedDensity):
-        variance += (1.0 - float(w.sum())) * mean ** 2
     return Moments(mean=mean, variance=variance, third=raw[3], fourth=raw[4])
 
 
@@ -239,17 +237,16 @@ def sample(law: InputLaw, seed: int, n: int) -> np.ndarray:
 
 
 def sample_with_rng(law: InputLaw, rng: np.random.Generator, n: int) -> np.ndarray:
-    if isinstance(law, DiscreteAtoms):
-        idx = rng.choice(law.values.size, size=n, p=law.probs)
-        return law.values[idx]
-    if isinstance(law, Gaussian):
-        return law.mean + np.sqrt(law.variance) * rng.standard_normal(n)
-    if isinstance(law, GaussianMixture):
-        idx = rng.choice(law.weights.size, size=n, p=law.weights)
-        return law.means[idx] + np.sqrt(law.variances[idx]) * rng.standard_normal(n)
-    if isinstance(law, GriddedDensity):
+    """``n`` draws from ``rng``; a gridded law's from its continuous density."""
+    comps = gaussian_components(law)
+    if comps is None:
         return _sample_gridded(law, rng.random(n))
-    raise TypeError(f"unsupported law type: {type(law)!r}")
+    w, m, v = comps
+    # a one-component law draws no component index
+    idx = rng.choice(w.size, size=n, p=w) if w.size > 1 else np.zeros(n, int)
+    if np.any(v > 0):        # atoms draw no normals
+        return m[idx] + np.sqrt(v[idx]) * rng.standard_normal(n)
+    return m[idx]
 
 
 def _sample_gridded(law: GriddedDensity, u: np.ndarray) -> np.ndarray:

@@ -99,14 +99,12 @@ def by_rows(fn, y: np.ndarray):
 
     Per-component kernels build (y.size, n_components) arrays; blocking keeps
     them bounded for gridded laws, which have one component per grid point.
-    ``fn`` returns an array, or a tuple of arrays, with one entry per y.
+    ``fn`` returns a tuple of arrays, each with one entry per y.
     """
     if y.size <= Y_CHUNK:
         return fn(y)
     parts = [fn(y[lo:lo + Y_CHUNK]) for lo in range(0, y.size, Y_CHUNK)]
-    if isinstance(parts[0], tuple):
-        return tuple(np.concatenate(col) for col in zip(*parts))
-    return np.concatenate(parts)
+    return tuple(np.concatenate(col) for col in zip(*parts))
 
 
 def _panel_edges(law: InputLaw, snr: float) -> np.ndarray:

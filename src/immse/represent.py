@@ -23,10 +23,10 @@ integrating.  Where an integral ends is set by the law:
   integral diverges, as a gridded density's does once snr h**2 is large for
   its grid step h and its grid points resolve as atoms.
 
-A discrete law has infinite non-Gaussianness; its truncated value at snr 100
-is returned.  ``TailPolicy`` overrides the end of a non-Gaussianness (and so
-of a differential entropy); entropy and mutual information always end where
-their laws set.
+A discrete law has infinite non-Gaussianness, and +inf is returned unless a
+``TailPolicy`` truncates it.  ``TailPolicy`` overrides the end of a
+non-Gaussianness (and so of a differential entropy); entropy and mutual
+information always end where their laws set.
 """
 from __future__ import annotations
 
@@ -43,7 +43,6 @@ from .scalar import ScalarChannel, _nonnegative, mmse
 
 _ATOM_END = 25.0             # snr * d_min**2 / 8 where an atom law's integral ends
 _DENSITY_SNR_MAX = 1e4       # where a density's integral ends and is closed
-_ATOM_NONGAUSS_SNR_MAX = 100.0
 
 
 @dataclass(frozen=True)
@@ -151,15 +150,14 @@ def nongaussianness(law: InputLaw, tail: TailPolicy | None = None) -> float:
     D = (1/2) integral over snr of [sigma^2/(1 + snr sigma^2) - mmse(snr)],
     taken as (1/2)[ln(1 + sigma^2 S) - ∫_0^S mmse] up to the end S, plus the
     closure of the module docstring, after its divergence check, for laws
-    with a density.  Discrete laws have infinite divergence, and the
-    truncated value at S is returned.  S is the law's end unless ``tail``
-    overrides it.
+    with a density.  S is the law's end unless ``tail`` overrides it.  A
+    discrete law has infinite divergence: +inf, or its truncated value at S
+    where ``tail`` sets S.
     """
     atoms = isinstance(law, DiscreteAtoms)
-    if tail is not None:
-        snr_max = tail.snr_max
-    else:
-        snr_max = _ATOM_NONGAUSS_SNR_MAX if atoms else _DENSITY_SNR_MAX
+    if tail is None and atoms:
+        return np.inf
+    snr_max = _DENSITY_SNR_MAX if tail is None else tail.snr_max
     d = np.log1p(variance(law) * snr_max) - _mmse_integral(law, snr_max)
     if atoms:
         return 0.5 * d

@@ -18,8 +18,8 @@ import numpy as np
 from scipy import integrate
 from scipy.special import expit
 
-from .laws import (Gaussian, GaussianMixture, GriddedDensity, InputLaw,
-                   Moments, binary_law, components, gaussian_raw_moments,
+from .laws import (Gaussian, GaussianMixture, InputLaw, Moments, binary_law,
+                   components, gaussian_components, gaussian_raw_moments,
                    moments, require_finite, shift)
 from .errors import NonConvergence
 from .quadrature import (REL_TOL, McConfig, by_rows, fd_derivative,
@@ -329,21 +329,21 @@ def lemma1_low_snr(law: InputLaw, deltas) -> Report:
 # Divergence derivative (posterior resampling Monte Carlo)
 # ---------------------------------------------------------------------------
 
-def posterior_sample(ch: ScalarChannel, y: np.ndarray,
-                     rng: np.random.Generator) -> np.ndarray:
-    """One exact draw from P(X | Y=y_i) for each y_i (mixture laws only)."""
-    if isinstance(ch.law, GriddedDensity):
+def posterior_sample(ch: ScalarChannel, y, rng: np.random.Generator):
+    """One exact draw from P(X | Y=y_i) for each y_i (mixture laws only).
+    Accepts a scalar or array y."""
+    if gaussian_components(ch.law) is None:
         raise TypeError("gridded laws have no exact posterior draws; their "
                         "atom view is a discretisation")
-    y = np.asarray(y, dtype=float)
-    wgt, total, p, q, pv, _ = _posterior(ch, y)
+    ys = np.atleast_1d(np.asarray(y, dtype=float))
+    wgt, total, p, q, pv, _ = _posterior(ch, ys)
     cum = np.cumsum(wgt, axis=1)
-    u = rng.random(y.size) * total
+    u = rng.random(ys.size) * total
     idx = np.minimum((u[:, None] > cum).sum(axis=1), wgt.shape[1] - 1)
-    draw = p[idx] + q[idx] * y
+    draw = p[idx] + q[idx] * ys
     if np.any(pv > 0):       # atoms draw no normals
-        draw = draw + np.sqrt(pv[idx]) * rng.standard_normal(y.size)
-    return draw
+        draw = draw + np.sqrt(pv[idx]) * rng.standard_normal(ys.size)
+    return float(draw[0]) if np.ndim(y) == 0 else draw
 
 
 def divergence_derivative(law: InputLaw, x: float, snr: float,

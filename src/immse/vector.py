@@ -269,11 +269,10 @@ def verify_immse_vector(model: VectorChannelModel) -> Report:
     return report
 
 
-def _mi_value(model: VectorChannelModel, mc: McConfig) -> tuple:
+def _mi_value(model: VectorChannelModel, mc: McConfig) -> float:
     if isinstance(model.input, GaussianVec):
-        return gaussian_mi(model), 0.0
-    est = atom_mi(model, mc)
-    return est.value, est.se
+        return gaussian_mi(model)
+    return atom_mi(model, mc).value
 
 
 def de_bruijn_check(model: VectorChannelModel, snr: float,
@@ -291,13 +290,12 @@ def de_bruijn_check(model: VectorChannelModel, snr: float,
     l_dim = model.H.shape[0]
     t = 1.0 / snr
 
-    def entropy_at(tv: float, seed: int) -> float:
+    def entropy_at(tv: float) -> float:
         s = 1.0 / tv
-        m = model.with_snr(np.full(model.H.shape[1], s))
-        mi, _ = _mi_value(m, McConfig(seed=seed, n_paths=mc.n_paths))
+        mi = _mi_value(model.with_snr(np.full(model.H.shape[1], s)), mc)
         return mi - 0.5 * l_dim * np.log(s / (2.0 * np.pi * np.e))
 
-    fd = fd_difference(lambda tv: entropy_at(tv, mc.seed), t)
+    fd = fd_difference(entropy_at, t)
     base = model.with_snr(np.full(model.H.shape[1], snr))
     fm = fisher_matrix(base, mc)
     rhs = 0.5 * snr * float(np.trace(fm.score_route))
@@ -323,9 +321,7 @@ def multiuser_derivative(model: VectorChannelModel, k: int,
     def mi_at(sk: float) -> float:
         sd = s.copy()
         sd[k] = sk
-        val, _ = _mi_value(model.with_snr(sd),
-                           McConfig(seed=mc.seed, n_paths=mc.n_paths))
-        return val
+        return _mi_value(model.with_snr(sd), mc)
 
     lhs = fd_difference(mi_at, s[k])
     is_gaussian = isinstance(model.input, GaussianVec)

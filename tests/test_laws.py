@@ -4,7 +4,7 @@ import pytest
 from scipy import stats
 
 from immse.laws import (DiscreteAtoms, Gaussian, GaussianMixture,
-                        GriddedDensity, binary_law, convolve,
+                        GriddedDensity, binary_law, components, convolve,
                         gaussian_components, moments, sample,
                         standard_gaussian_law, variance)
 from immse.scalar import (ScalarChannel, fisher_information, mmse,
@@ -97,6 +97,18 @@ def test_gaussian_components_structure():
     x = np.linspace(-1, 1, 51)
     unif = GriddedDensity(grid=x, pdf=np.full_like(x, 0.5))
     assert gaussian_components(unif) is None
+
+
+@pytest.mark.parametrize("law", [
+    Gaussian(0.3, 2.0),
+    GaussianMixture([0.3, 0.5, 0.2], [-1.5, 0.2, 1.8], [0.4, 0.9, 0.2]),
+    DiscreteAtoms([-1.0, 0.5, 2.0], [0.2, 0.5, 0.3]),
+    GriddedDensity(grid=np.linspace(0.0, 1.0, 61) ** 2, pdf=np.full(61, 1 + 5e-9)),
+], ids=["gaussian", "mixture", "atoms", "gridded"])
+def test_component_weights_sum_to_one(law):
+    # every law is a probability mixture, a gridded one of trapezoid mass
+    # 1 + 5e-9 on an uneven grid included
+    assert abs(components(law)[0].sum() - 1.0) <= 1e-15
 
 
 def test_convolve_adds_variances():

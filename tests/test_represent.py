@@ -130,6 +130,11 @@ def test_nongaussianness_matches_direct_kl():
                                                  abs=1e-4)
 
 
+def test_nongaussianness_of_atoms_is_infinite():
+    assert nongaussianness(binary_law()) == np.inf
+    assert gamma_index(binary_law()) == 0.0
+
+
 def test_nongaussianness_binary_truncated_grows():
     d100 = nongaussianness(binary_law(), TailPolicy(100.0))
     d50 = nongaussianness(binary_law(), TailPolicy(50.0))

@@ -201,16 +201,22 @@ def test_binary_mmse_underflows_without_warning(snr):
     assert mmse(ScalarChannel(binary_law(), snr)) == 0.0
 
 
-def test_gridded_law_is_trapezoid_weighted_atoms():
-    # a non-uniform pdf on an unevenly spaced grid: every posterior statistic
-    # must be the trapezoid rule over the grid, endpoints and uneven cells
-    # included, without renormalising the weights (the mass is 1 + 5e-9,
-    # inside the constructor's 1e-8 tolerance)
+def _uneven_gridded_law():
+    """A non-uniform pdf on an unevenly spaced 61-point grid, of trapezoid
+    mass 1 + 5e-9 (inside the constructor's 1e-8 tolerance)."""
     u = np.linspace(0.0, 1.0, 61)
     x = -2.0 + 4.5 * u ** 1.7
     pdf = np.exp(-0.5 * (x - 0.4) ** 2) * (1.2 + np.sin(2.0 * x))
-    law = GriddedDensity(grid=x, pdf=pdf / np.trapezoid(pdf, x) * (1 + 5e-9))
-    pdf = law.pdf
+    return GriddedDensity(grid=x, pdf=pdf / np.trapezoid(pdf, x) * (1 + 5e-9))
+
+
+def test_gridded_law_is_trapezoid_weighted_atoms():
+    # every posterior statistic must be the trapezoid rule over the grid,
+    # endpoints and uneven cells included, of the pdf scaled to unit
+    # trapezoid mass
+    law = _uneven_gridded_law()
+    x = law.grid
+    pdf = law.pdf / np.trapezoid(law.pdf, x)
     snr = 3.0
     ch = ScalarChannel(law, snr)
 
@@ -244,6 +250,17 @@ def test_gridded_law_is_trapezoid_weighted_atoms():
 
     with pytest.raises(TypeError):
         posterior_sample(ch, y, np.random.default_rng(0))
+
+
+def test_gridded_mmse_at_snr_zero_is_its_limit_and_shift_free():
+    # mmse(0) is the law's variance; it must be the kernel's limit as snr
+    # falls to 0 and must not depend on where the grid sits, also for a mass
+    # off 1 by 5e-9
+    law = _uneven_gridded_law()
+    at0 = mmse(ScalarChannel(law, 0.0))
+    assert mmse(ScalarChannel(law, 1e-12)) == pytest.approx(at0, rel=1e-11)
+    moved = GriddedDensity(grid=law.grid + 3.0, pdf=law.pdf)
+    assert mmse(ScalarChannel(moved, 0.0)) == pytest.approx(at0, rel=1e-13)
 
 
 def test_orthogonality_of_estimation_error():
@@ -335,6 +352,16 @@ def test_posterior_sample_marginal_ks():
     xp = posterior_sample(ch, y, rng)
     fresh = sample(MIX3, seed=9, n=n)
     assert stats.ks_2samp(xp, fresh).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("law", [MIX3, binary_law()], ids=["mix3", "binary"])
+def test_posterior_sample_scalar_y(law):
+    # a scalar y gives a float, the draw of a 1-element array with the seed
+    ch = ScalarChannel(law, 1.5)
+    draw = posterior_sample(ch, 0.5, np.random.default_rng(5))
+    assert isinstance(draw, float)
+    assert draw == posterior_sample(ch, np.array([0.5]),
+                                    np.random.default_rng(5))[0]
 
 
 @pytest.mark.parametrize("law, snr, y", [(MIX3, 1.5, 0.4),

@@ -10,7 +10,8 @@ Then one ``--trace 1`` run per side gives the per-layer numbers.  Last,
 each tree runs acceptance criterion 10 (the 1e5-path Wonham/Yao ensemble)
 once under pytest, then the whole tier-1 suite once, parent first each
 time, for their wall times.  The record goes to BENCH_<pr>.json at the root
-of this checkout: every run's end-to-end metrics, each side's median and
+of this checkout: each tree's src/ line count, in total and per file, every
+run's end-to-end metrics, each side's median and
 quartiles, the pairs the change won (ties count for neither side), the
 traced layers, and the criterion-10 and tier-1 runs.  Each tree also
 records, under ``represent``, the check, the relative error against
@@ -74,14 +75,18 @@ def unpack(rev: str, dest: str) -> str:
     return commit
 
 
-def src_lines(tree: str) -> int:
-    total = 0
-    for base, _, files in os.walk(os.path.join(tree, "src")):
+def src_file_lines(tree: str) -> dict:
+    """Line count of each .py file under ``tree``/src, keyed by its path
+    relative to src."""
+    src = os.path.join(tree, "src")
+    counts = {}
+    for base, _, files in os.walk(src):
         for name in files:
             if name.endswith(".py"):
-                with open(os.path.join(base, name), encoding="utf-8") as f:
-                    total += sum(1 for _ in f)
-    return total
+                path = os.path.join(base, name)
+                with open(path, encoding="utf-8") as f:
+                    counts[os.path.relpath(path, src)] = sum(1 for _ in f)
+    return dict(sorted(counts.items()))
 
 
 def run(tree: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -204,6 +209,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         parent_commit = unpack(args.parent, tmp)
         trees = {"parent": os.path.join(tmp, "tree"), "change": ROOT}
+        lines = {side: src_file_lines(t) for side, t in trees.items()}
         record = {
             "parent": parent_commit,
             "change": "working tree of " + subprocess.run(
@@ -214,7 +220,8 @@ def main(argv=None) -> int:
             "host": {"nproc": os.cpu_count(), "machine": platform.machine(),
                      "python": platform.python_version()},
             "run_seconds": seconds,
-            "src_lines": {side: src_lines(t) for side, t in trees.items()},
+            "src_lines": {side: sum(c.values()) for side, c in lines.items()},
+            "src_file_lines": lines,
             "workloads": {},
         }
         for workload in (w["name"] for w in bench["workloads"]):
