@@ -9,6 +9,8 @@ Ornstein-Uhlenbeck family, and the constant-input time-snr transform.
 """
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +24,8 @@ from .report import Report
 from .scalar import (McEstimate, ScalarChannel, conditional_mean,
                      mmse as scalar_mmse, mutual_information)
 
-ENSEMBLE_CHUNK = 2000  # telegraph paths per block of ``wonham_ensemble``
+ENSEMBLE_CHUNK = 2000  # telegraph paths per chunk of ``wonham_ensemble``
+STEP_BLOCK = 64        # time steps per block of normals drawn, filtered and summed
 
 
 @dataclass(frozen=True)
@@ -239,17 +242,37 @@ def _check_step(nu: float, snr: float, dt: float) -> None:
             f"dt={dt:g} exceeds 0.01/max(nu, snr)={0.01 / max(nu, snr):g}")
 
 
-def _telegraph_paths(nu: float, snr: float, n_steps: int, dt: float,
-                     n_paths: int, rng: np.random.Generator):
-    """Exact-holding-time telegraph paths on a dt grid, stored time-major.
+@contextmanager
+def _normals_thread():
+    """One helper thread for the step normals.  On exit the draws not yet
+    started are cancelled and the thread is joined, so a failure stops the
+    draws and leaves no thread behind."""
+    pool = ThreadPoolExecutor(1)
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
 
-    Returns (x_edges, dy), (n_paths, n_steps+1) and (n_paths, n_steps) views
-    of C-order (steps, paths) arrays, so step k of every path is one
-    contiguous row (``x_edges[:, k]``, ``dy[:, k]``).  x_edges[p, k] is the
-    int8 state +/-1 at t_k; dy[p, k] is sqrt(snr) * ∫ X dt + dW over step k,
-    with the occupation integral computed exactly from the flip times.  The
-    stream is consumed as x0, flip times, then the step normals in (steps,
-    paths) order, so a single path draws the same numbers at any layout.
+
+def _telegraph_blocks(nu: float, snr: float, n_steps: int, dt: float,
+                      n_paths: int, rng: np.random.Generator, pool):
+    """Exact-holding-time telegraph paths on a dt grid, made STEP_BLOCK steps
+    at a time.
+
+    Returns (x_edges, dy, blocks).  x_edges (n_steps+1, paths) and dy
+    (n_steps, paths) are C-order, so step k of every path is one contiguous
+    row.  x_edges[k, p] is the int8 state +/-1 at t_k, complete on return.
+    dy[k, p] is sqrt(snr) * ∫ X dt + dW over step k, with the occupation
+    integral computed exactly from the flip times; ``blocks`` yields
+    (k, dy[k:k + STEP_BLOCK]) as each block of rows is made final, in order.
+
+    x0 and the flip times are drawn here.  The step normals are drawn on
+    ``pool``'s one thread (``_normals_thread``), one row block per task, all
+    submitted here in row order, while this thread finishes x_edges and then
+    each block in turn.  Nothing else may draw from ``rng`` until ``blocks``
+    is used up.  So the stream is read as x0, flip times, then the normals in
+    (steps, paths) order: row blocks draw what one whole-array draw would,
+    and a single path draws the same numbers at any layout.
     """
     horizon = n_steps * dt
     x0 = rng.choice(np.array([-1.0, 1.0]), size=n_paths)
@@ -261,35 +284,62 @@ def _telegraph_paths(nu: float, snr: float, n_steps: int, dt: float,
     while np.any(flips[:, -1] < horizon):
         extra = np.cumsum(rng.exponential(1.0 / nu, size=(n_paths, m_cols)), axis=1)
         flips = np.concatenate([flips, flips[:, -1:] + extra], axis=1)
+    dy = np.empty((n_steps, n_paths))
+    starts = range(0, n_steps, STEP_BLOCK)
+    drawn = [pool.submit(rng.standard_normal, out=dy[k:k + STEP_BLOCK])
+             for k in starts]
+
     valid = flips < horizon
     rows, cols = np.nonzero(valid)
     ft = flips[rows, cols]
     step_idx = np.minimum((ft / dt).astype(np.int64), n_steps - 1)
-
-    # state at each edge: x0 * (-1)^(flips before the edge), the parity an
-    # XOR-accumulate over steps of each step's flips
+    # state at each edge: x0 * (-1)^(flips before the edge), the parity of
+    # each step's flips XOR-ed in row by row
     x_edges = np.zeros((n_steps + 1, n_paths), dtype=np.int8)
     np.bitwise_xor.at(x_edges, (step_idx + 1, rows), 1)
-    np.bitwise_xor.accumulate(x_edges, axis=0, out=x_edges)
+    for k in range(1, n_steps + 1):
+        np.bitwise_xor(x_edges[k], x_edges[k - 1], out=x_edges[k])
     x_edges *= -2
     x_edges += 1
     x_edges *= x0.astype(np.int8)
 
     # dy = sqrt(snr) * occupation + sqrt(dt) * normal.  The occupation is
-    # left-state * dt on a step without a flip; a step with flips adds
-    # 2 * (state before the flip) * (flip time - step end) per flip, in
+    # left-state * dt on a step without a flip; a step with flips (a cell)
+    # adds 2 * (state before the flip) * (flip time - step end) per flip, in
     # flip order
-    dy = rng.standard_normal((n_steps, n_paths))
-    dy *= np.sqrt(dt)
     cells, which = np.unique(step_idx * n_paths + rows, return_inverse=True)
     occ = x_edges.ravel()[cells] * dt
     state_before = x0[rows] * np.where(cols % 2 == 0, 1.0, -1.0)
     np.add.at(occ, which, 2.0 * state_before * (ft - (step_idx + 1) * dt))
-    flipped = dy.ravel()[cells] + np.sqrt(snr) * occ
-    held, left = np.sqrt(snr) * dt, x_edges[:-1]
-    for k in range(0, n_steps, 256):    # in blocks: no full-size temporary
-        dy[k:k + 256] += held * left[k:k + 256]
-    dy.ravel()[cells] = flipped
+    occ *= np.sqrt(snr)
+    bounds = np.searchsorted(cells, np.array([*starts, n_steps]) * n_paths)
+    held = np.sqrt(snr) * dt
+
+    def blocks():
+        for k, d, lo, hi in zip(starts, drawn, bounds[:-1], bounds[1:]):
+            d.result()
+            blk = dy[k:k + STEP_BLOCK]
+            blk *= np.sqrt(dt)
+            local = cells[lo:hi] - k * n_paths
+            flipped = blk.ravel()[local] + occ[lo:hi]
+            blk += held * x_edges[k:k + len(blk)]
+            blk.ravel()[local] = flipped
+            yield k, blk
+
+    return x_edges, dy, blocks()
+
+
+def _telegraph_paths(nu: float, snr: float, n_steps: int, dt: float,
+                     n_paths: int, rng: np.random.Generator):
+    """The paths of ``_telegraph_blocks``, all blocks made: (x_edges, dy) as
+    (n_paths, n_steps+1) and (n_paths, n_steps) views of the time-major
+    arrays, so step k of every path is one contiguous row (``x_edges[:, k]``,
+    ``dy[:, k]``)."""
+    with _normals_thread() as pool:
+        x_edges, dy, blocks = _telegraph_blocks(nu, snr, n_steps, dt, n_paths,
+                                                rng, pool)
+        for _ in blocks:
+            pass
     return x_edges.T, dy.T
 
 
@@ -307,28 +357,41 @@ def _tanh_add(a, b):
     return (a + b) / (1.0 + a * b)
 
 
-def _wonham_step(xh: np.ndarray, tau: np.ndarray, decay: float) -> np.ndarray:
+def _wonham_step(xh: np.ndarray, tau: np.ndarray, decay: float,
+                 out: np.ndarray, tmp: np.ndarray) -> None:
     """Exact step on the dt grid: the mean decays by ``decay`` = e^{-2 nu dt}
-    (flip probability (1 - decay)/2), then atanh X̂ gains sqrt(snr) dy."""
-    return _tanh_add(xh * decay, tau)
+    (flip probability (1 - decay)/2), then atanh X̂ gains sqrt(snr) dy, added
+    as ``_tanh_add(xh * decay, tau)`` with tau = tanh(sqrt(snr) dy).  Writes
+    the new mean into ``out``, which may be ``xh``; ``tmp`` is scratch."""
+    a = np.multiply(xh, decay, out=out)
+    np.multiply(a, tau, out=tmp)
+    tmp += 1.0
+    a += tau
+    a /= tmp
 
 
-def _wonham_pass(tau: np.ndarray, nu: float, dt: float, backward: bool = False):
-    """Run the Wonham filter over the steps of ``tau`` (paths x steps).
+def _row_blocks(a: np.ndarray):
+    """(k, a[k:k + STEP_BLOCK]) over the rows of ``a``, in order."""
+    return ((k, a[k:k + STEP_BLOCK]) for k in range(0, len(a), STEP_BLOCK))
 
-    Step k reads the column ``tau[:, k]``; for the time-major views of
-    ``_telegraph_paths`` that column is one contiguous row.  Yields (k, xh)
-    after each step, xh holding every path's filter mean of X at t_k.
-    Forward passes start at t_0 and read the increments in order; backward
-    (anticausal) passes start at t_n and read them reversed.  Both start
-    from the stationary prior mean 0.
+
+def _filter_blocks(blocks, decay: float, n_paths: int):
+    """Run the Wonham filter over row blocks (k, tau[k:k+m]) of tau.
+
+    Row k of tau is step k for every path; the filter starts from the
+    stationary prior mean 0 and reads the rows in order.  Yields (k + 1, est)
+    per block, est[j] holding every path's filter mean after step k + j, in
+    a buffer that the next block overwrites.
     """
-    n = tau.shape[1]
-    decay = np.exp(-2.0 * nu * dt)
-    xh = np.zeros(tau.shape[0])
-    for k in (range(n - 1, -1, -1) if backward else range(n)):
-        xh = _wonham_step(xh, tau[:, k], decay)
-        yield (k if backward else k + 1), xh
+    est = np.empty((STEP_BLOCK, n_paths))
+    tmp = np.empty(n_paths)
+    xh = np.zeros(n_paths)
+    for k, tau in blocks:
+        out = est[:len(tau)]
+        for j in range(len(tau)):
+            _wonham_step(xh, tau[j], decay, out[j], tmp)
+            xh = out[j]
+        yield k + 1, out
 
 
 def wonham_filter(path: SamplePath, snr: float, nu: float,
@@ -341,10 +404,13 @@ def wonham_filter(path: SamplePath, snr: float, nu: float,
     t_k from the observations after t_k (the anticausal filter).
     """
     _check_step(nu, snr, path.dt)
-    tau = np.tanh(np.sqrt(snr) * path.dy)[None, :]
+    tau = np.tanh(np.sqrt(snr) * path.dy)[:, None]
     out = np.zeros(path.dy.size + 1)
-    for k, xh in _wonham_pass(tau, nu, path.dt, backward):
-        out[k] = xh[0]
+    # backward: entry J of the mirrored rows is t_{n-J}
+    rows, tau = (out[::-1], tau[::-1]) if backward else (out, tau)
+    decay = np.exp(-2.0 * nu * path.dt)
+    for first, est in _filter_blocks(_row_blocks(tau), decay, 1):
+        rows[first:first + len(est)] = est[:, 0]
     return out
 
 
@@ -369,6 +435,64 @@ class EnsembleResult:
     burn_in: float
 
 
+def _window(lo: int, hi: int, first: int, n: int):
+    """(a, b), a <= b: the indices first, ..., first + n - 1 in [lo, hi] are
+    a, ..., b - 1."""
+    a = max(lo, first)
+    return a, max(a, min(hi + 1, first + n))
+
+
+def _fold(acc: np.ndarray, x: np.ndarray, est: np.ndarray, buf: np.ndarray):
+    """acc += sum over j of (x[j] - est[j])^2, added row by row in order: bit
+    for bit the sum taken one step at a time.  ``acc`` and ``buf`` carry one
+    zero column past the paths, because numpy sums a lone column pairwise,
+    not in order."""
+    n = len(est)
+    if n:
+        d = buf[:n, :-1]
+        np.square(np.subtract(x, est, out=d), out=d)
+        buf[0] += acc
+        np.sum(buf[:n], axis=0, out=acc)
+
+
+def _ensemble_chunk(m: TelegraphModel, dt: float, n_steps: int, k0: int,
+                    sm_lo: int, sm_hi: int, n_paths: int,
+                    rng: np.random.Generator, pool):
+    """Per-path time-averaged squared errors of the causal filter, the
+    anticausal filter and the smoother on ``n_paths`` new paths (see
+    ``wonham_ensemble``)."""
+    x_edges, tau, blocks = _telegraph_blocks(m.nu, m.snr, n_steps, dt,
+                                             n_paths, rng, pool)
+    decay = np.exp(-2.0 * m.nu * dt)
+    buf = np.zeros((STEP_BLOCK, n_paths + 1))
+    causal, anti, smooth = np.zeros((3, n_paths + 1))
+    # the filter yields from t_1 on; at t_0 the error is (X_0 - 0)^2 = 1
+    causal[:-1] = float(k0 == 0)
+    fwd = np.empty((sm_hi - sm_lo + 1, n_paths), dtype=np.float32)
+    # tau = tanh(sqrt(snr) dy), made in place over each block as it is made
+    tanh_blocks = ((k, np.tanh(np.multiply(b, np.sqrt(m.snr), out=b), out=b))
+                   for k, b in blocks)
+    for first, est in _filter_blocks(tanh_blocks, decay, n_paths):
+        a, b = _window(k0, n_steps, first, len(est))
+        _fold(causal, x_edges[a:b], est[a - first:b - first], buf)
+        a, b = _window(sm_lo, sm_hi, first, len(est))
+        fwd[a - sm_lo:b - sm_lo] = est[a - first:b - first]
+    # the backward filter is the forward filter on the mirrored rows: row J
+    # of x_rev is t_{n_steps - J}, and the three windows are their own mirror
+    # images
+    x_rev, fwd_rev = x_edges[::-1], fwd[::-1]
+    for first, est in _filter_blocks(_row_blocks(tau[::-1]), decay, n_paths):
+        a, b = _window(k0, n_steps, first, len(est))
+        _fold(anti, x_rev[a:b], est[a - first:b - first], buf)
+        a, b = _window(sm_lo, sm_hi, first, len(est))
+        sm = yao_smoother(fwd_rev[a - sm_lo:b - sm_lo], est[a - first:b - first])
+        _fold(smooth, x_rev[a:b], sm, buf)
+    # the anticausal window leaves out t_{n_steps}, where the error is 1
+    return (causal[:-1] / (n_steps - k0 + 1),
+            anti[:-1] / (n_steps - max(k0, 1) + 1),
+            smooth[:-1] / (sm_hi - sm_lo + 1))
+
+
 def wonham_ensemble(m: TelegraphModel, mc: McConfig) -> EnsembleResult:
     """Monte Carlo MSEs of filter, anticausal filter and smoother.
 
@@ -377,11 +501,18 @@ def wonham_ensemble(m: TelegraphModel, mc: McConfig) -> EnsembleResult:
     averages are i.i.d. across paths, so the reported SE is the ensemble
     standard error of those averages.
 
-    Paths are made ``ENSEMBLE_CHUNK`` at a time, time-major (see
-    ``_telegraph_paths``); tau = tanh(sqrt(snr) dy), made in place over dy,
-    serves both passes.  Each pass sums its squared errors as it steps:
-    the causal error on the float64 forward mean, kept (as float32) only
-    on the smoother window; the anticausal and smoother errors backward.
+    Paths are made ``ENSEMBLE_CHUNK`` at a time, time-major, by
+    ``_telegraph_blocks``: its helper thread draws the step normals
+    STEP_BLOCK steps at a time, ahead of this thread, which makes tau =
+    tanh(sqrt(snr) dy) in place over each block as it is drawn and runs the
+    forward filter on it.  The generator is read in one order, x0, flip
+    times, then the chunk's normals, chunk after chunk, so the results depend
+    neither on the block size nor on the thread timing.  tau serves both
+    passes.  The causal error is summed on the float64 forward means, which
+    are kept (as float32) only on the smoother window; the anticausal and
+    smoother errors are summed on the backward pass.  Each error is summed a
+    block of steps at a time, adding the steps in the order they were
+    filtered, so every sum equals the step-by-step sum bit for bit.
     """
     nu, snr, dt, horizon = m.nu, m.snr, mc.dt, mc.horizon
     _check_step(nu, snr, dt)
@@ -394,38 +525,14 @@ def wonham_ensemble(m: TelegraphModel, mc: McConfig) -> EnsembleResult:
     if sm_hi <= sm_lo:
         raise ValueError("horizon too short for the smoother window")
     rng = np.random.default_rng(mc.seed)
-    cms, ams, sms = [], [], []
-    remaining = mc.n_paths
-    while remaining > 0:
-        p = min(ENSEMBLE_CHUNK, remaining)
-        remaining -= p
-        x_edges, tau = _telegraph_paths(nu, snr, n_steps, dt, p, rng)
-        np.tanh(np.multiply(tau, np.sqrt(snr), out=tau), out=tau)
-        # the pass yields from t_1 on; at t_0 the error is (X_0 - 0)^2 = 1
-        fwd_err_acc = np.full(p, float(k0 == 0))
-        fwd = np.zeros((sm_hi - sm_lo + 1, p), dtype=np.float32)
-        for k, xh in _wonham_pass(tau, nu, dt):
-            if k >= k0:
-                fwd_err_acc += (x_edges[:, k] - xh) ** 2
-            if sm_lo <= k <= sm_hi:
-                fwd[k - sm_lo] = xh
-        cms.append(fwd_err_acc / (n_steps - k0 + 1))
-        # backward filter on reversed increments; bh estimates X at t_idx
-        # from the future
-        bwd_err_acc = np.zeros(p)
-        sm_err_acc = np.zeros(p)
-        n_anti = 0
-        for idx, bh in _wonham_pass(tau, nu, dt, backward=True):
-            if idx <= n_steps - k0:
-                bwd_err_acc += (x_edges[:, idx] - bh) ** 2
-                n_anti += 1
-            if sm_lo <= idx <= sm_hi:
-                sm = yao_smoother(fwd[idx - sm_lo], bh)
-                sm_err_acc += (x_edges[:, idx] - sm) ** 2
-        ams.append(bwd_err_acc / n_anti)
-        sms.append(sm_err_acc / (sm_hi - sm_lo + 1))
-        del x_edges, tau, fwd   # free this chunk before the next is drawn
-    c, a, s = (McEstimate.of(np.concatenate(v)) for v in (cms, ams, sms))
+    # one chunk's arrays are freed when its call returns, before the next
+    # chunk is drawn
+    with _normals_thread() as pool:
+        chunks = [_ensemble_chunk(m, dt, n_steps, k0, sm_lo, sm_hi,
+                                  min(ENSEMBLE_CHUNK, mc.n_paths - start),
+                                  rng, pool)
+                  for start in range(0, mc.n_paths, ENSEMBLE_CHUNK)]
+    c, a, s = (McEstimate.of(np.concatenate(v)) for v in zip(*chunks))
     return EnsembleResult(c.value, c.se, s.value, s.se, a.value, a.se, c.n,
                           dt, horizon, burn)
 

@@ -1,4 +1,8 @@
 """Continuous time: telegraph filtering/smoothing and OU spectra."""
+import hashlib
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -241,6 +245,112 @@ def test_wonham_ensemble_matches_single_path_filters():
     assert res.cmmse == pytest.approx(np.mean(causal), rel=1e-6)
     assert res.anticausal == pytest.approx(np.mean(anti), rel=1e-6)
     assert res.smmse == pytest.approx(np.mean(smooth), rel=1e-6)
+
+
+def _step_by_step_errors(m, dt, n, k0, sm_lo, sm_hi, x_edges, dy):
+    """Per-path time-averaged squared errors of the causal filter, the
+    anticausal filter and the smoother, summed one step at a time: the
+    reference that the ensemble's block sums must equal bit for bit."""
+    x, tau = x_edges.T, np.tanh(dy.T * np.sqrt(m.snr))
+    decay = np.exp(-2.0 * m.nu * dt)
+    add = lambda a, b: (a + b) / (1.0 + a * b)
+    p = tau.shape[1]
+    xh, fwd = np.zeros(p), {}
+    causal = np.full(p, float(k0 == 0))
+    for k in range(n):
+        xh = add(xh * decay, tau[k])
+        if k + 1 >= k0:
+            causal += (x[k + 1] - xh) ** 2
+        if sm_lo <= k + 1 <= sm_hi:
+            fwd[k + 1] = xh.astype(np.float32)
+    bh, anti, smooth, n_anti = np.zeros(p), np.zeros(p), np.zeros(p), 0
+    for k in range(n - 1, -1, -1):
+        bh = add(bh * decay, tau[k])
+        if k <= n - k0:
+            anti += (x[k] - bh) ** 2
+            n_anti += 1
+        if sm_lo <= k <= sm_hi:
+            smooth += (x[k] - add(fwd[k].astype(float), bh)) ** 2
+    return causal / (n - k0 + 1), anti / n_anti, smooth / (sm_hi - sm_lo + 1)
+
+
+@pytest.mark.parametrize("n_paths", [1, 3])
+def test_ensemble_block_sums_equal_step_by_step_sums(n_paths):
+    # 1,370 steps are not whole blocks, and no window edge falls on a block
+    # edge; a single path is the case numpy would sum pairwise
+    m, dt, n, k0, sm_lo, sm_hi = TelegraphModel(1.0, 2.0), 1e-3, 1370, 685, 457, 913
+    with ct._normals_thread() as pool:
+        got = ct._ensemble_chunk(m, dt, n, k0, sm_lo, sm_hi, n_paths,
+                                 np.random.default_rng(5), pool)
+    x_edges, dy = ct._telegraph_paths(m.nu, m.snr, n, dt, n_paths,
+                                      np.random.default_rng(5))
+    want = _step_by_step_errors(m, dt, n, k0, sm_lo, sm_hi, x_edges, dy)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+# float.hex of (cmmse, cmmse_se, smmse, smmse_se, anticausal, anticausal_se),
+# recorded from the implementation that summed each error step by step and
+# drew a chunk's normals in one call.  The runs end on partial chunks of 3
+# and 1 paths, and 1,370 and 1,100 steps are not whole blocks of STEP_BLOCK.
+ENSEMBLE_PINS = [
+    ((1.0, 2.0), dict(seed=19, n_paths=2003, horizon=1.37),
+     ["0x1.729d88173db18p-1", "0x1.5d523b8f3d799p-7", "0x1.244be5a9e5cc1p-1",
+      "0x1.dae4577ca0d25p-7", "0x1.753f93728f25fp-1", "0x1.59c9be7492bb4p-7"]),
+    ((2.5, 6.0), dict(seed=23, n_paths=2001, horizon=1.1),
+     ["0x1.5ef2890862011p-1", "0x1.08eece66a6d7ap-7", "0x1.fdf5e3d2e5436p-2",
+      "0x1.6d48486d42d3fp-7", "0x1.5ef4e2d7a9dd3p-1", "0x1.0b2fc2908e33bp-7"]),
+]
+
+
+@pytest.mark.parametrize("model, cfg, pins", ENSEMBLE_PINS)
+def test_wonham_ensemble_pinned_bits(model, cfg, pins):
+    res = wonham_ensemble(TelegraphModel(*model), McConfig(dt=1e-3, **cfg))
+    got = [res.cmmse, res.cmmse_se, res.smmse, res.smmse_se, res.anticausal,
+           res.anticausal_se]
+    assert [float(v).hex() for v in got] == pins
+
+
+def test_simulate_telegraph_pinned_digest():
+    # SHA-256 of x then dy, recorded as for ENSEMBLE_PINS
+    path = simulate_telegraph(TelegraphModel(1.0, 2.0), T=2.5, dt=1e-3, seed=31)
+    digest = hashlib.sha256(path.x.tobytes() + path.dy.tobytes()).hexdigest()
+    assert digest == ("cdebf0d9720a605feef7530192468366"
+                      "cdab7d48623e958d324841ac1dfb82a1")
+
+
+def test_ensemble_failure_cancels_draws_and_joins_helper(monkeypatch):
+    submitted = []
+
+    class Recorder(ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            submitted.append((fn, super().submit(fn, *args, **kwargs)))
+            return submitted[-1][1]
+
+    real_step, calls = ct._wonham_step, []
+
+    def failing_step(*args):
+        calls.append(args)
+        if len(calls) == 5:
+            raise RuntimeError("step 5 fails")
+        real_step(*args)
+
+    monkeypatch.setattr(ct, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(ct, "_wonham_step", failing_step)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="step 5 fails"):
+        wonham_ensemble(TelegraphModel(1.0, 2.0),
+                        McConfig(seed=3, n_paths=2000, dt=1e-3, horizon=4.0))
+    assert len(calls) == 5
+    assert threading.active_count() == before
+    # the helper thread draws normals only, and the 63 draws of the chunk
+    # that were still queued when the step failed are dropped
+    assert len(submitted) == 63
+    for fn, _ in submitted:
+        assert fn.__name__ == "standard_normal"
+        assert isinstance(fn.__self__, np.random.Generator)
+    assert all(fut.done() for _, fut in submitted)
+    assert any(fut.cancelled() for _, fut in submitted)
 
 
 def test_ou_spectral_closed_forms():

@@ -9,11 +9,12 @@ seed ``--seed`` + i on both sides, and the side that runs first alternates.
 Then one ``--trace 1`` run per side gives the per-layer numbers.  Last,
 each tree runs acceptance criterion 10 (the 1e5-path Wonham/Yao ensemble)
 once under pytest, then the whole tier-1 suite once, parent first each
-time, for their wall times.  The record goes to BENCH_<pr>.json at the root
-of this checkout: each tree's src/ line count, in total and per file, every
-run's end-to-end metrics, each side's median and
-quartiles, the pairs the change won (ties count for neither side), the
-traced layers, and the criterion-10 and tier-1 runs.  Each tree also
+time, for their wall times and the peak resident memory of the pytest
+process, which that process reads from its own resource usage.  The record
+goes to BENCH_<pr>.json at the root of this checkout: each tree's src/ line
+count, in total and per file, every run's end-to-end metrics, each side's
+median and quartiles, the pairs the change won (ties count for neither
+side), the traced layers, and the criterion-10 and tier-1 runs.  Each tree also
 records, under ``represent``, the check, the relative error against
 perfbench/refs.json and the wall time of each of the benchmark's five MMSE
 integrals, and under ``curve`` the wall time of one ``immse curve mmse``
@@ -39,6 +40,14 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import inputs  # noqa: E402  (the benchmark's input definitions, plain values)
 PAIRS = 10
 CRITERION_10 = "tests/test_acceptance.py::test_criterion_10_wonham_yao_monte_carlo"
+# runs pytest on its command-line arguments, then prints this process's
+# peak resident memory as the last line of standard output
+PYTEST_PROBE = """
+import resource, sys, pytest
+code = pytest.main(sys.argv[1:])
+print("[peak_rss_mb]", resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+sys.exit(code)
+"""
 # times each of the five MMSE integrals of perfbench's represent part, built
 # by the tree's own perfbench/workloads.py (its gamma_epi gates are left
 # out); prints one JSON object
@@ -106,32 +115,40 @@ def run(tree: str, workload: str, seed: int, seconds: float, trace: int) -> dict
 
 
 def run_pytest(tree: str, args: list):
-    """One pytest run in ``tree`` on its own sources: (wall time, process)."""
+    """One pytest run in ``tree`` on its own sources: its wall time, exit
+    code, peak resident memory in MB (None if not printed) and the lines of
+    pytest's standard output."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
-    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *args]
+    cmd = [sys.executable, "-c", PYTEST_PROBE, "-q", "-p", "no:cacheprovider",
+           *args]
     t0 = time.perf_counter()
     proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True,
                           text=True, timeout=1800)
-    return time.perf_counter() - t0, proc
+    wall = time.perf_counter() - t0
+    lines = proc.stdout.strip().splitlines()
+    rss = None
+    if lines and lines[-1].startswith("[peak_rss_mb]"):
+        rss = float(lines.pop().split()[1])
+    out = {"wall_s": wall, "peak_rss_mb": rss, "returncode": proc.returncode}
+    return out, lines or proc.stderr[-2000:].splitlines()
 
 
 def run_criterion_10(tree: str) -> dict:
-    """Wall time of one pytest run of criterion 10 in ``tree``, its exit
-    code and its ``[criterion 10]`` line."""
-    wall, proc = run_pytest(tree, ["-s", CRITERION_10])
-    lines = (ln.lstrip(".") for ln in proc.stdout.splitlines())
-    line = next((ln for ln in lines if ln.startswith("[criterion 10]")),
-                proc.stdout[-2000:])
-    return {"wall_s": wall, "returncode": proc.returncode, "line": line}
+    """Wall time and peak resident memory of one pytest run of criterion 10
+    in ``tree``, its exit code and its ``[criterion 10]`` line."""
+    out, lines = run_pytest(tree, ["-s", CRITERION_10])
+    stripped = [ln.lstrip(".") for ln in lines]
+    out["line"] = next((ln for ln in stripped if ln.startswith("[criterion 10]")),
+                       "\n".join(lines)[-2000:])
+    return out
 
 
 def run_tier1(tree: str) -> dict:
-    """Wall time of one tier-1 pytest run in ``tree`` (ROADMAP.md), its exit
-    code and pytest's closing summary line."""
-    wall, proc = run_pytest(tree, ["--continue-on-collection-errors"])
-    lines = proc.stdout.strip().splitlines()
-    return {"wall_s": wall, "returncode": proc.returncode,
-            "line": lines[-1] if lines else proc.stderr[-2000:]}
+    """Wall time and peak resident memory of one tier-1 pytest run in
+    ``tree`` (ROADMAP.md), its exit code and pytest's closing summary line."""
+    out, lines = run_pytest(tree, ["--continue-on-collection-errors"])
+    out["line"] = lines[-1] if lines else ""
+    return out
 
 
 def run_represent(tree: str) -> dict:
