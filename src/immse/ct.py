@@ -516,6 +516,8 @@ def wonham_ensemble(m: TelegraphModel, mc: McConfig) -> EnsembleResult:
     """
     nu, snr, dt, horizon = m.nu, m.snr, mc.dt, mc.horizon
     _check_step(nu, snr, dt)
+    if mc.n_paths < 2:
+        raise ValueError("a Monte Carlo standard error needs >= 2 draws")
     n_steps = int(round(horizon / dt))
     burn = min(10.0 / nu, horizon / 2.0)
     k0 = int(round(burn / dt))  # causal window [k0, n_steps]

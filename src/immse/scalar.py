@@ -73,22 +73,22 @@ class McEstimate:
 # Posterior statistics
 # ---------------------------------------------------------------------------
 
-def _posterior(ch: ScalarChannel, y: np.ndarray):
+def _posterior(comps, snr: float, y: np.ndarray):
     """The posterior at outputs y: (wgt, total, p, q, pv, log p_Y).
 
-    Component j of the law (``laws.components``: weight w, mean m, variance
-    v) is seen at the output as N(b, o), b = sqrt(snr)*m, o = 1 + snr*v.
-    Its log weight at y, less ln(2 pi)/2, is ln w - ln(o)/2 - (y - b)**2/(2o),
-    and given y and j, X is N(p + q*y, pv): p = m/o, q = sqrt(snr)*v/o,
-    pv = v/o.  ``wgt`` is e^{logw - top} for the row maximum top, one row per
-    y, ``total`` its row sums, and log p_Y = top + ln(total) - ln(2 pi)/2.
-    Each log weight is taken about its own centre, so no term of size snr is
-    added and taken away again: every log weight is at most ln w, and log p_Y
-    at most -ln(2 pi)/2, so exp(log p_Y) cannot overflow.
+    Component j of the law's view ``comps`` (``laws.components``: weight w,
+    mean m, variance v) is seen at the output as N(b, o), b = sqrt(snr)*m,
+    o = 1 + snr*v.  Its log weight at y, less ln(2 pi)/2, is ln w - ln(o)/2 -
+    (y - b)**2/(2o), and given y and j, X is N(p + q*y, pv): p = m/o, q =
+    sqrt(snr)*v/o, pv = v/o.  ``wgt`` is e^{logw - top} for the row maximum
+    top, one row per y, ``total`` its row sums, and log p_Y = top + ln(total)
+    - ln(2 pi)/2.  Each log weight is taken about its own centre, so no term
+    of size snr is added and taken away again: every log weight is at most
+    ln w, and log p_Y at most -ln(2 pi)/2, so exp(log p_Y) cannot overflow.
     """
-    w, m, v = components(ch.law)
-    rs = np.sqrt(ch.snr)
-    o = 1.0 + ch.snr * v
+    w, m, v = comps
+    rs = np.sqrt(snr)
+    o = 1.0 + snr * v
     with np.errstate(divide="ignore"):
         a = np.log(w) - 0.5 * np.log(o)
     wgt = np.subtract.outer(y, rs * m)
@@ -102,20 +102,34 @@ def _posterior(ch: ScalarChannel, y: np.ndarray):
     return wgt, total, m / o, rs * v / o, v / o, top + np.log(total) - 0.5 * LOG_2PI
 
 
+def _mean(post, y):
+    """E[X | Y=y] from a ``_posterior`` block: the weights' mat-vecs with p
+    and q over their sum."""
+    wgt, total, p, q, _, _ = post
+    return (wgt @ p + y * (wgt @ q)) / total
+
+
+def _variance(post, y, xhat):
+    """Var(X | Y=y) from a ``_posterior`` block and its ``_mean``: the
+    centred sum of w_j (pv_j + (p_j + q_j y - E[X|y])**2), in which nothing
+    cancels where the MMSE is tiny."""
+    wgt, total, p, q, pv, _ = post
+    dev = np.multiply.outer(y, q)
+    dev += p
+    dev -= xhat[:, None]
+    dev *= dev
+    return (wgt @ pv + np.einsum("ij,ij->i", wgt, dev)) / total
+
+
 def _posterior_stats(ch: ScalarChannel, y: np.ndarray):
     """E[X | Y=y], Var(X | Y=y) and log p_Y(y), one ``_posterior`` call per
-    block of outputs: E[X|y] is the weights' mat-vecs with p and q over their
-    sum, and Var(X|y) the centred sum of w_j (pv_j + (p_j + q_j y -
-    E[X|y])**2), in which nothing cancels where the MMSE is tiny."""
+    block of outputs."""
+    comps = components(ch.law)
+
     def block(ys):
-        wgt, total, p, q, pv, logp = _posterior(ch, ys)
-        xhat = (wgt @ p + ys * (wgt @ q)) / total
-        dev = np.multiply.outer(ys, q)
-        dev += p
-        dev -= xhat[:, None]
-        dev *= dev
-        var = (wgt @ pv + np.einsum("ij,ij->i", wgt, dev)) / total
-        return xhat, var, logp
+        post = _posterior(comps, ch.snr, ys)
+        xhat = _mean(post, ys)
+        return xhat, _variance(post, ys, xhat), post[-1]
 
     return by_rows(block, np.atleast_1d(np.asarray(y, dtype=float)))
 
@@ -137,7 +151,8 @@ def q_moment(ch: ScalarChannel, y: float, i: int) -> float:
     if i < 0:
         raise ValueError("i must be >= 0")
     y = float(y)
-    wgt, total, p, q, pv, logp = _posterior(ch, np.array([y]))
+    wgt, total, p, q, pv, logp = _posterior(components(ch.law), ch.snr,
+                                            np.array([y]))
     mom = gaussian_raw_moments(p + q * y, pv, i)[i]
     return float(np.exp(logp[0]) * (wgt[0] @ mom) / total[0])
 
@@ -152,19 +167,22 @@ def log_output_density(ch: ScalarChannel, y) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _expect(ch: ScalarChannel, stat) -> float:
-    """E_Y[stat(y, E[X|y], Var(X|y), log p_Y(y))]: the integrand p_Y * stat
-    is built from one ``_posterior_stats`` call per node block.  Each stat is
-    invariant under a shift of X, so the law is centred at its mean first: far
-    from 0 the output nodes would carry the rounding of their centre,
-    ulp(sqrt(snr) * mean), which no relative stop meets."""
+    """E_Y[stat(post, y)], ``post`` a ``_posterior`` block at outputs y: the
+    integrand p_Y * stat is built from one block per Y_CHUNK nodes, all on
+    one ``components`` view of the law, and each stat computes only the
+    posterior statistic it reads.  Each stat is invariant under a shift of X,
+    so the law is centred at its mean first: far from 0 the output nodes
+    would carry the rounding of their centre, ulp(sqrt(snr) * mean), which no
+    relative stop meets."""
     w, m, _ = components(ch.law)
-    ch = ScalarChannel(shift(ch.law, -float(w @ m)), ch.snr)
+    law = shift(ch.law, -float(w @ m))
+    comps = components(law)
 
-    def g(y):
-        xhat, var, logp = _posterior_stats(ch, y)
-        return np.exp(logp) * stat(y, xhat, var, logp)
+    def block(y):
+        post = _posterior(comps, ch.snr, y)
+        return (np.exp(post[-1]) * stat(post, y),)
 
-    return integrate_output(g, ch.law, ch.snr)
+    return integrate_output(lambda y: by_rows(block, y)[0], law, ch.snr)
 
 
 def mmse(ch: ScalarChannel) -> float:
@@ -173,7 +191,7 @@ def mmse(ch: ScalarChannel) -> float:
         return moments(ch.law).variance
     if isinstance(ch.law, Gaussian):
         return ch.law.variance / (1.0 + ch.snr * ch.law.variance)
-    val = _expect(ch, lambda y, xhat, var, logp: var)
+    val = _expect(ch, lambda post, y: _variance(post, y, _mean(post, y)))
     return _nonnegative(val, "mmse", ch.snr)
 
 
@@ -183,7 +201,7 @@ def mutual_information(ch: ScalarChannel) -> float:
         return 0.0
     if isinstance(ch.law, Gaussian):
         return 0.5 * np.log1p(ch.snr * ch.law.variance)
-    ent = -_expect(ch, lambda y, xhat, var, logp: logp)
+    ent = -_expect(ch, lambda post, y: post[-1])
     return _nonnegative(ent - HALF_LOG_2PIE, "mutual information", ch.snr)
 
 
@@ -207,7 +225,7 @@ def fisher_information(ch: ScalarChannel) -> float:
     if isinstance(ch.law, Gaussian):
         return 1.0 / (1.0 + ch.snr * ch.law.variance)
     rs = np.sqrt(ch.snr)
-    return _expect(ch, lambda y, xhat, var, logp: (rs * xhat - y) ** 2)
+    return _expect(ch, lambda post, y: (rs * _mean(post, y) - y) ** 2)
 
 
 def fisher_from_mmse(ch: ScalarChannel) -> float:
@@ -332,11 +350,12 @@ def lemma1_low_snr(law: InputLaw, deltas) -> Report:
 def posterior_sample(ch: ScalarChannel, y, rng: np.random.Generator):
     """One exact draw from P(X | Y=y_i) for each y_i (mixture laws only).
     Accepts a scalar or array y."""
-    if gaussian_components(ch.law) is None:
+    comps = gaussian_components(ch.law)
+    if comps is None:
         raise TypeError("gridded laws have no exact posterior draws; their "
                         "atom view is a discretisation")
     ys = np.atleast_1d(np.asarray(y, dtype=float))
-    wgt, total, p, q, pv, _ = _posterior(ch, ys)
+    wgt, total, p, q, pv, _ = _posterior(comps, ch.snr, ys)
     cum = np.cumsum(wgt, axis=1)
     u = rng.random(ys.size) * total
     idx = np.minimum((u[:, None] > cum).sum(axis=1), wgt.shape[1] - 1)

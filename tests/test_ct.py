@@ -353,6 +353,18 @@ def test_ensemble_failure_cancels_draws_and_joins_helper(monkeypatch):
     assert any(fut.cancelled() for _, fut in submitted)
 
 
+def test_ensemble_rejects_one_path_before_drawing(monkeypatch):
+    chunks = []
+    monkeypatch.setattr(ct, "_ensemble_chunk",
+                        lambda *args: chunks.append(args))
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="needs >= 2 draws"):
+        wonham_ensemble(TelegraphModel(1.0, 2.0),
+                        McConfig(seed=3, n_paths=1, dt=1e-3, horizon=4.0))
+    assert chunks == []
+    assert threading.active_count() == before
+
+
 def test_ou_spectral_closed_forms():
     sp = OUSpectrum(variance=1.0, beta=1.0)
     mi, mm, cm = ou_closed_forms(sp, 1.0)

@@ -8,7 +8,8 @@ from immse.errors import NonConvergence
 from immse.laws import (DiscreteAtoms, Gaussian, GaussianMixture,
                         GriddedDensity, binary_law, moments)
 from immse.ct import OUSpectrum, ou_closed_forms
-from immse import quadrature
+from immse import quadrature, scalar
+from immse.cli import parse_snr_grid
 from immse.quadrature import (McConfig, fd_derivative, fd_difference,
                               integrate_output, snr_integral)
 from immse.scalar import (ScalarChannel, fisher_information,
@@ -62,6 +63,77 @@ def test_refinement_resolves_a_narrow_bump():
               for c in (2.0, -2.0))
     assert len(levels) >= 2
     assert val == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def _unit_gaussian_estimates(step):
+    """Summed |K21 - G10| on phi, y**2 phi and phi ln phi (phi the unit
+    Gaussian) over panels of ``step`` sds across +-REACH sds."""
+    edges = np.arange(-quadrature.REACH, quadrature.REACH + 0.5 * step, step)
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+    y = mid[:, None] + half[:, None] * quadrature._K21_NODES
+    log_phi = -0.5 * y * y - 0.5 * np.log(2.0 * np.pi)
+    phi = np.exp(log_phi)
+    diff = quadrature._K21_WEIGHTS - quadrature._G10_WEIGHTS
+    return [float(np.sum(np.abs((f * half[:, None]) @ diff)))
+            for f in (phi, y * y * phi, phi * log_phi)]
+
+
+def test_step_is_the_widest_the_error_estimate_allows():
+    assert max(_unit_gaussian_estimates(quadrature.STEP)) \
+        <= quadrature.REL_TOL / 5
+    assert min(_unit_gaussian_estimates(quadrature.STEP + 1.0)) \
+        > quadrature.REL_TOL
+
+
+def _split_in_three(edges):
+    third = np.diff(edges) / 3.0
+    return np.sort(np.concatenate(
+        (edges, edges[:-1] + third, edges[:-1] + 2.0 * third)))
+
+
+UNIFORM201 = GriddedDensity(grid=np.linspace(-np.sqrt(3), np.sqrt(3), 201),
+                            pdf=np.full(201, 1 / (2 * np.sqrt(3))))
+CURVE_SNRS = parse_snr_grid("-10:30:0.2", db=True)     # the benchmark's grid
+
+
+@pytest.mark.parametrize("quantity", [mmse, mutual_information,
+                                      fisher_information],
+                         ids=["mmse", "mi", "fisher"])
+@pytest.mark.parametrize("law", [
+    binary_law(),
+    DiscreteAtoms(values=(2.0 * np.arange(1, 17) - 17.0) / np.sqrt(85.0),
+                  probs=np.full(16, 1 / 16)),
+    MIX3,
+    pytest.param(UNIFORM201, marks=pytest.mark.slow),
+], ids=["binary", "pam16", "mix3", "gridded201"])
+def test_wide_panels_match_panels_split_in_three(law, quantity, monkeypatch):
+    levels = []
+
+    def wide(g, law, snr):
+        def counted(y):
+            levels[-1] += 1
+            return g(y)
+        levels.append(0)
+        return integrate_output(counted, law, snr)
+
+    def split(g, law, snr):
+        return quadrature._gauss_kronrod(
+            g, _split_in_three(quadrature._panel_edges(law, snr)), "split")
+
+    def both(snr):
+        out = []
+        for rule in (wide, split):
+            monkeypatch.setattr(scalar, "integrate_output", rule)
+            out.append(quantity(ScalarChannel(law, float(snr))))
+        return out
+
+    for snr in CURVE_SNRS:
+        got, ref = both(snr)
+        assert abs(got - ref) <= 1e-12 * abs(ref), snr
+    assert levels == [1] * CURVE_SNRS.size      # no call refined
+    for snr in (1e4, 1e5, 1e6):
+        got, ref = both(snr)
+        assert abs(got - ref) <= quadrature.REL_TOL * abs(ref), snr
 
 
 @pytest.mark.parametrize("law", [

@@ -8,7 +8,7 @@ from immse import quadrature, scalar
 from immse.errors import NonConvergence
 from immse.laws import (DiscreteAtoms, Gaussian, GaussianMixture,
                         GriddedDensity, binary_law, components, moments,
-                        sample, standard_gaussian_law)
+                        sample, shift, standard_gaussian_law)
 from immse.quadrature import McConfig, integrate_output
 from immse.scalar import (McEstimate, ScalarChannel, conditional_mean,
                           divergence_derivative, fisher_from_mmse,
@@ -180,6 +180,65 @@ def test_posterior_stats_match_difference_form(law):
 
 
 UNEQUAL3 = DiscreteAtoms(values=(-1.0, 0.0, 2.0), probs=(0.2, 0.5, 0.3))
+
+
+# off centre, so that the centring in ``_expect`` shows; from snr 1e3 on its
+# calls have more than Y_CHUNK nodes
+GRIDDED401 = GriddedDensity(grid=np.linspace(0.0, 2.0, 401),
+                            pdf=np.full(401, 0.5))
+
+
+def test_one_law_view_per_call_whatever_its_node_blocks(monkeypatch):
+    views, blocks = [], []
+    for mod in (scalar, quadrature):
+        def counted(law, real=mod.components):
+            views.append(law)
+            return real(law)
+        monkeypatch.setattr(mod, "components", counted)
+    real_posterior = scalar._posterior
+
+    def posterior(comps, snr, y):
+        blocks.append(y.size)
+        return real_posterior(comps, snr, y)
+
+    monkeypatch.setattr(scalar, "_posterior", posterior)
+    per_call = []
+    for snr in (1e3, 1e5):
+        views.clear()
+        blocks.clear()
+        mmse(ScalarChannel(GRIDDED401, snr))
+        per_call.append((len(views), len(blocks)))
+    (views_lo, blocks_lo), (views_hi, blocks_hi) = per_call
+    assert 1 < blocks_lo < blocks_hi
+    assert views_lo == views_hi == 3     # the mean, _expect, the panel edges
+
+
+def _expect_all_stats(ch, stat):
+    """E_Y[stat(y, E[X|y], Var(X|y), log p_Y(y))], every statistic built by
+    ``_posterior_stats`` at every node, on the law centred as ``_expect``
+    centres it."""
+    w, m, _ = components(ch.law)
+    centred = ScalarChannel(shift(ch.law, -float(w @ m)), ch.snr)
+
+    def g(y):
+        xhat, var, logp = scalar._posterior_stats(centred, y)
+        return np.exp(logp) * stat(y, xhat, var, logp)
+
+    return integrate_output(g, centred.law, ch.snr)
+
+
+@pytest.mark.parametrize("law", [binary_law(), UNEQUAL3, MIX3, GRIDDED401],
+                         ids=["binary", "unequal3", "mix3", "gridded401"])
+@pytest.mark.parametrize("snr", [0.5, 30.0, 1e4])
+def test_each_statistic_alone_equals_the_all_statistics_path(law, snr):
+    ch = ScalarChannel(law, snr)
+    rs = np.sqrt(snr)
+    ent = -_expect_all_stats(ch, lambda y, xhat, var, logp: logp)
+    assert mutual_information(ch) == max(ent - scalar.HALF_LOG_2PIE, 0.0)
+    assert fisher_information(ch) == _expect_all_stats(
+        ch, lambda y, xhat, var, logp: (rs * xhat - y) ** 2)
+    assert mmse(ch) == max(_expect_all_stats(
+        ch, lambda y, xhat, var, logp: var), 0.0)
 
 
 @pytest.mark.parametrize("law, snr", [
