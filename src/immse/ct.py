@@ -9,8 +9,6 @@ Ornstein-Uhlenbeck family, and the constant-input time-snr transform.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +17,7 @@ from scipy.special import kve
 
 from .errors import NonConvergence, StepTooLarge
 from .laws import InputLaw, moments, require_finite, sample_with_rng
-from .quadrature import McConfig, fd_derivative, snr_integral
+from .quadrature import McConfig, draw_thread, fd_derivative, snr_integral
 from .report import Report
 from .scalar import (McEstimate, ScalarChannel, conditional_mean,
                      mmse as scalar_mmse, mutual_information)
@@ -242,39 +240,10 @@ def _check_step(nu: float, snr: float, dt: float) -> None:
             f"dt={dt:g} exceeds 0.01/max(nu, snr)={0.01 / max(nu, snr):g}")
 
 
-@contextmanager
-def _normals_thread():
-    """One helper thread for the step normals.  On exit the draws not yet
-    started are cancelled and the thread is joined, so a failure stops the
-    draws and leaves no thread behind."""
-    pool = ThreadPoolExecutor(1)
-    try:
-        yield pool
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
-def _telegraph_blocks(nu: float, snr: float, n_steps: int, dt: float,
-                      n_paths: int, rng: np.random.Generator, pool):
-    """Exact-holding-time telegraph paths on a dt grid, made STEP_BLOCK steps
-    at a time.
-
-    Returns (x_edges, dy, blocks).  x_edges (n_steps+1, paths) and dy
-    (n_steps, paths) are C-order, so step k of every path is one contiguous
-    row.  x_edges[k, p] is the int8 state +/-1 at t_k, complete on return.
-    dy[k, p] is sqrt(snr) * ∫ X dt + dW over step k, with the occupation
-    integral computed exactly from the flip times; ``blocks`` yields
-    (k, dy[k:k + STEP_BLOCK]) as each block of rows is made final, in order.
-
-    x0 and the flip times are drawn here.  The step normals are drawn on
-    ``pool``'s one thread (``_normals_thread``), one row block per task, all
-    submitted here in row order, while this thread finishes x_edges and then
-    each block in turn.  Nothing else may draw from ``rng`` until ``blocks``
-    is used up.  So the stream is read as x0, flip times, then the normals in
-    (steps, paths) order: row blocks draw what one whole-array draw would,
-    and a single path draws the same numbers at any layout.
-    """
-    horizon = n_steps * dt
+def _flip_times(nu: float, horizon: float, n_paths: int,
+                rng: np.random.Generator):
+    """x0 and the flip times (n_paths, m) of ``n_paths`` telegraph paths,
+    drawn on the calling thread."""
     x0 = rng.choice(np.array([-1.0, 1.0]), size=n_paths)
     # flip times: cumulative exponential holding times, enough columns that
     # running past the horizon is (astronomically) unlikely
@@ -284,18 +253,61 @@ def _telegraph_blocks(nu: float, snr: float, n_steps: int, dt: float,
     while np.any(flips[:, -1] < horizon):
         extra = np.cumsum(rng.exponential(1.0 / nu, size=(n_paths, m_cols)), axis=1)
         flips = np.concatenate([flips, flips[:, -1:] + extra], axis=1)
-    dy = np.empty((n_steps, n_paths))
-    starts = range(0, n_steps, STEP_BLOCK)
-    drawn = [pool.submit(rng.standard_normal, out=dy[k:k + STEP_BLOCK])
-             for k in starts]
+    return x0, flips
 
+
+def _block_layout(n_steps: int) -> list:
+    """(k, rows) per block of STEP_BLOCK steps, in step order: steps k, k + 1,
+    ... of every path are the rows ``rows`` of a chunk's buffer, in order."""
+    return [(k, slice(k, min(k + STEP_BLOCK, n_steps)))
+            for k in range(0, n_steps, STEP_BLOCK)]
+
+
+def _reversed_layout(layout: list) -> list:
+    """The layout whose i-th block of steps takes the rows of ``layout``'s
+    i-th block from the end, the rows that a backward pass over ``layout``
+    frees i-th: the blocks in reverse row order, rows within a block in step
+    order.  Reversed twice, a layout is itself."""
+    out, k = [], 0
+    for _, rows in reversed(layout):
+        out.append((k, rows))
+        k += rows.stop - rows.start
+    return out
+
+
+def _draw_normals(helper, rng: np.random.Generator, dy: np.ndarray,
+                  layout: list) -> list:
+    """Submit one ``standard_normal`` draw into ``dy[rows]`` per block of
+    ``layout``, in step order, to the helper thread; the futures."""
+    return [helper.submit(rng.standard_normal, out=dy[rows]) for _, rows in layout]
+
+
+def _telegraph_blocks(nu: float, snr: float, n_steps: int, dt: float,
+                      x0: np.ndarray, flips: np.ndarray, x_edges: np.ndarray,
+                      dy: np.ndarray, layout: list, drawn: list):
+    """Exact-holding-time telegraph paths on a dt grid from x0 and the flip
+    times (``_flip_times``), made a block of steps at a time.
+
+    Fills x_edges and returns ``blocks``.  x_edges (n_steps+1, paths) is
+    C-order, so step k of every path is one contiguous row; x_edges[k, p] is
+    the int8 state +/-1 at t_k, complete on return.  The (n_steps, paths) buffer
+    ``dy`` holds each block of steps of ``layout`` in its rows, into which
+    the helper thread draws the step normals, one future of ``drawn`` per
+    block.  ``blocks`` waits for each block's draw in step order, makes it
+    final and yields (k, block): row j of the block is dy at step k + j,
+    sqrt(snr) * ∫ X dt + dW over the step, with the occupation integral
+    computed exactly from the flip times.  This thread builds x_edges and
+    the flip cells while the helper draws.
+    """
+    n_paths = x0.size
+    horizon = n_steps * dt
     valid = flips < horizon
     rows, cols = np.nonzero(valid)
     ft = flips[rows, cols]
     step_idx = np.minimum((ft / dt).astype(np.int64), n_steps - 1)
     # state at each edge: x0 * (-1)^(flips before the edge), the parity of
     # each step's flips XOR-ed in row by row
-    x_edges = np.zeros((n_steps + 1, n_paths), dtype=np.int8)
+    x_edges.fill(0)
     np.bitwise_xor.at(x_edges, (step_idx + 1, rows), 1)
     for k in range(1, n_steps + 1):
         np.bitwise_xor(x_edges[k], x_edges[k - 1], out=x_edges[k])
@@ -312,13 +324,14 @@ def _telegraph_blocks(nu: float, snr: float, n_steps: int, dt: float,
     state_before = x0[rows] * np.where(cols % 2 == 0, 1.0, -1.0)
     np.add.at(occ, which, 2.0 * state_before * (ft - (step_idx + 1) * dt))
     occ *= np.sqrt(snr)
+    starts = [k for k, _ in layout]
     bounds = np.searchsorted(cells, np.array([*starts, n_steps]) * n_paths)
     held = np.sqrt(snr) * dt
 
     def blocks():
-        for k, d, lo, hi in zip(starts, drawn, bounds[:-1], bounds[1:]):
+        for (k, at), d, lo, hi in zip(layout, drawn, bounds[:-1], bounds[1:]):
             d.result()
-            blk = dy[k:k + STEP_BLOCK]
+            blk = dy[at]
             blk *= np.sqrt(dt)
             local = cells[lo:hi] - k * n_paths
             flipped = blk.ravel()[local] + occ[lo:hi]
@@ -326,19 +339,24 @@ def _telegraph_blocks(nu: float, snr: float, n_steps: int, dt: float,
             blk.ravel()[local] = flipped
             yield k, blk
 
-    return x_edges, dy, blocks()
+    return blocks()
 
 
 def _telegraph_paths(nu: float, snr: float, n_steps: int, dt: float,
                      n_paths: int, rng: np.random.Generator):
-    """The paths of ``_telegraph_blocks``, all blocks made: (x_edges, dy) as
+    """Telegraph paths made by ``_telegraph_blocks``: (x_edges, dy) as
     (n_paths, n_steps+1) and (n_paths, n_steps) views of the time-major
     arrays, so step k of every path is one contiguous row (``x_edges[:, k]``,
-    ``dy[:, k]``)."""
-    with _normals_thread() as pool:
-        x_edges, dy, blocks = _telegraph_blocks(nu, snr, n_steps, dt, n_paths,
-                                                rng, pool)
-        for _ in blocks:
+    ``dy[:, k]``).  The generator is read as x0, flip times, then the
+    normals in (steps, paths) order, as one whole-array draw would read it,
+    so a single path draws the same numbers at any layout."""
+    x_edges = np.empty((n_steps + 1, n_paths), dtype=np.int8)
+    dy, layout = np.empty((n_steps, n_paths)), _block_layout(n_steps)
+    with draw_thread() as helper:
+        x0, flips = _flip_times(nu, n_steps * dt, n_paths, rng)
+        drawn = _draw_normals(helper, rng, dy, layout)
+        for _ in _telegraph_blocks(nu, snr, n_steps, dt, x0, flips, x_edges,
+                                   dy, layout, drawn):
             pass
     return x_edges.T, dy.T
 
@@ -368,11 +386,6 @@ def _wonham_step(xh: np.ndarray, tau: np.ndarray, decay: float,
     tmp += 1.0
     a += tau
     a /= tmp
-
-
-def _row_blocks(a: np.ndarray):
-    """(k, a[k:k + STEP_BLOCK]) over the rows of ``a``, in order."""
-    return ((k, a[k:k + STEP_BLOCK]) for k in range(0, len(a), STEP_BLOCK))
 
 
 def _filter_blocks(blocks, decay: float, n_paths: int):
@@ -409,7 +422,8 @@ def wonham_filter(path: SamplePath, snr: float, nu: float,
     # backward: entry J of the mirrored rows is t_{n-J}
     rows, tau = (out[::-1], tau[::-1]) if backward else (out, tau)
     decay = np.exp(-2.0 * nu * path.dt)
-    for first, est in _filter_blocks(_row_blocks(tau), decay, 1):
+    blocks = ((k, tau[at]) for k, at in _block_layout(len(tau)))
+    for first, est in _filter_blocks(blocks, decay, 1):
         rows[first:first + len(est)] = est[:, 0]
     return out
 
@@ -455,42 +469,77 @@ def _fold(acc: np.ndarray, x: np.ndarray, est: np.ndarray, buf: np.ndarray):
         np.sum(buf[:n], axis=0, out=acc)
 
 
-def _ensemble_chunk(m: TelegraphModel, dt: float, n_steps: int, k0: int,
-                    sm_lo: int, sm_hi: int, n_paths: int,
-                    rng: np.random.Generator, pool):
+def _prefix(a: np.ndarray, n_paths: int) -> np.ndarray:
+    """The C-order (len(a), n_paths) array on the flat prefix of ``a``."""
+    return a.ravel()[:len(a) * n_paths].reshape(len(a), n_paths)
+
+
+def _ensemble_chunks(m: TelegraphModel, dt: float, n_steps: int, k0: int,
+                     sm_lo: int, sm_hi: int, sizes: list,
+                     rng: np.random.Generator, helper):
     """Per-path time-averaged squared errors of the causal filter, the
-    anticausal filter and the smoother on ``n_paths`` new paths (see
-    ``wonham_ensemble``)."""
-    x_edges, tau, blocks = _telegraph_blocks(m.nu, m.snr, n_steps, dt,
-                                             n_paths, rng, pool)
+    anticausal filter and the smoother, yielded per chunk of ``sizes[c]`` new
+    paths, the first chunk the widest (see ``wonham_ensemble``)."""
     decay = np.exp(-2.0 * m.nu * dt)
-    buf = np.zeros((STEP_BLOCK, n_paths + 1))
-    causal, anti, smooth = np.zeros((3, n_paths + 1))
-    # the filter yields from t_1 on; at t_0 the error is (X_0 - 0)^2 = 1
-    causal[:-1] = float(k0 == 0)
-    fwd = np.empty((sm_hi - sm_lo + 1, n_paths), dtype=np.float32)
-    # tau = tanh(sqrt(snr) dy), made in place over each block as it is made
-    tanh_blocks = ((k, np.tanh(np.multiply(b, np.sqrt(m.snr), out=b), out=b))
-                   for k, b in blocks)
-    for first, est in _filter_blocks(tanh_blocks, decay, n_paths):
-        a, b = _window(k0, n_steps, first, len(est))
-        _fold(causal, x_edges[a:b], est[a - first:b - first], buf)
-        a, b = _window(sm_lo, sm_hi, first, len(est))
-        fwd[a - sm_lo:b - sm_lo] = est[a - first:b - first]
-    # the backward filter is the forward filter on the mirrored rows: row J
-    # of x_rev is t_{n_steps - J}, and the three windows are their own mirror
-    # images
-    x_rev, fwd_rev = x_edges[::-1], fwd[::-1]
-    for first, est in _filter_blocks(_row_blocks(tau[::-1]), decay, n_paths):
-        a, b = _window(k0, n_steps, first, len(est))
-        _fold(anti, x_rev[a:b], est[a - first:b - first], buf)
-        a, b = _window(sm_lo, sm_hi, first, len(est))
-        sm = yao_smoother(fwd_rev[a - sm_lo:b - sm_lo], est[a - first:b - first])
-        _fold(smooth, x_rev[a:b], sm, buf)
-    # the anticausal window leaves out t_{n_steps}, where the error is 1
-    return (causal[:-1] / (n_steps - k0 + 1),
-            anti[:-1] / (n_steps - max(k0, 1) + 1),
-            smooth[:-1] / (sm_hi - sm_lo + 1))
+    # one buffer each for the normals, the states and the kept forward
+    # means, a narrower chunk taking the flat prefix of each
+    wide, edges, kept = (np.empty((rows, sizes[0]), dtype) for rows, dtype in
+                         ((n_steps, float), (n_steps + 1, np.int8),
+                          (sm_hi - sm_lo + 1, np.float32)))
+    dy, layout = wide, _block_layout(n_steps)
+    x0, flips = _flip_times(m.nu, n_steps * dt, sizes[0], rng)
+    drawn = _draw_normals(helper, rng, dy, layout)
+    for c, n_paths in enumerate(sizes):
+        x_edges, fwd = _prefix(edges, n_paths), _prefix(kept, n_paths)
+        blocks = _telegraph_blocks(m.nu, m.snr, n_steps, dt, x0, flips, x_edges,
+                                   dy, layout, drawn)
+        buf = np.zeros((STEP_BLOCK, n_paths + 1))
+        causal, anti, smooth = np.zeros((3, n_paths + 1))
+        # the filter yields from t_1 on; at t_0 the error is (X_0 - 0)^2 = 1
+        causal[:-1] = float(k0 == 0)
+        # tau = tanh(sqrt(snr) dy), made in place over each block as it is made
+        tanh_blocks = ((k, np.tanh(np.multiply(b, np.sqrt(m.snr), out=b), out=b))
+                       for k, b in blocks)
+        for first, est in _filter_blocks(tanh_blocks, decay, n_paths):
+            a, b = _window(k0, n_steps, first, len(est))
+            _fold(causal, x_edges[a:b], est[a - first:b - first], buf)
+            a, b = _window(sm_lo, sm_hi, first, len(est))
+            fwd[a - sm_lo:b - sm_lo] = est[a - first:b - first]
+        # every normal of this chunk is drawn, so the next chunk's x0 and
+        # flip times come next in the stream.  A chunk as wide as the buffer
+        # draws its blocks into the rows the backward pass frees, as it frees
+        # them
+        following = sizes[c + 1] if c + 1 < len(sizes) else 0
+        if following:
+            x0, flips = _flip_times(m.nu, n_steps * dt, following, rng)
+        refill = following == wide.shape[1]
+        drawn = []
+        # the backward filter is the forward filter on the mirrored steps,
+        # the chunk's blocks walked in reverse: row J of x_rev is
+        # t_{n_steps - J}, and the three windows are their own mirror images
+        x_rev, fwd_rev = x_edges[::-1], fwd[::-1]
+        backward = ((n_steps - k - len(dy[at]), dy[at][::-1])
+                    for k, at in reversed(layout))
+        for (first, est), (_, at) in zip(_filter_blocks(backward, decay, n_paths),
+                                         reversed(layout)):
+            if refill:      # the filter is done with the rows ``at``
+                drawn.append(helper.submit(rng.standard_normal, out=wide[at]))
+            a, b = _window(k0, n_steps, first, len(est))
+            _fold(anti, x_rev[a:b], est[a - first:b - first], buf)
+            a, b = _window(sm_lo, sm_hi, first, len(est))
+            sm = yao_smoother(fwd_rev[a - sm_lo:b - sm_lo], est[a - first:b - first])
+            _fold(smooth, x_rev[a:b], sm, buf)
+        if refill:
+            layout = _reversed_layout(layout)
+        elif following:
+            # a narrower last chunk is drawn, now that the buffer is free
+            dy = _prefix(wide, following)
+            layout = _block_layout(n_steps)
+            drawn = _draw_normals(helper, rng, dy, layout)
+        # the anticausal window leaves out t_{n_steps}, where the error is 1
+        yield (causal[:-1] / (n_steps - k0 + 1),
+               anti[:-1] / (n_steps - max(k0, 1) + 1),
+               smooth[:-1] / (sm_hi - sm_lo + 1))
 
 
 def wonham_ensemble(m: TelegraphModel, mc: McConfig) -> EnsembleResult:
@@ -502,17 +551,29 @@ def wonham_ensemble(m: TelegraphModel, mc: McConfig) -> EnsembleResult:
     standard error of those averages.
 
     Paths are made ``ENSEMBLE_CHUNK`` at a time, time-major, by
-    ``_telegraph_blocks``: its helper thread draws the step normals
-    STEP_BLOCK steps at a time, ahead of this thread, which makes tau =
+    ``_telegraph_blocks``, in one (steps, paths) buffer of step normals,
+    STEP_BLOCK steps to a block.  The helper thread (``draw_thread``) draws
+    the normals a block at a time, ahead of this thread, which makes tau =
     tanh(sqrt(snr) dy) in place over each block as it is drawn and runs the
-    forward filter on it.  The generator is read in one order, x0, flip
-    times, then the chunk's normals, chunk after chunk, so the results depend
-    neither on the block size nor on the thread timing.  tau serves both
-    passes.  The causal error is summed on the float64 forward means, which
-    are kept (as float32) only on the smoother window; the anticausal and
-    smoother errors are summed on the backward pass.  Each error is summed a
-    block of steps at a time, adding the steps in the order they were
-    filtered, so every sum equals the step-by-step sum bit for bit.
+    forward filter on it.  The backward filter walks the same blocks in
+    reverse, and the helper draws the next chunk's first block of steps into
+    the rows of the block it frees first, and so on: the chunks alternate
+    between the block layout in step order and its block-mirrored twin (the
+    blocks in reverse row order, the rows within a block in step order), so
+    every draw is one contiguous ``standard_normal(out=...)``.  The
+    generator is still read in one order, x0, flip times, then the chunk's
+    normals in (steps, paths) order, chunk after chunk: this thread draws a
+    chunk's x0 and flip times once the previous chunk's forward pass has
+    read all its normals.  A narrower last chunk is drawn, in step order,
+    into the flat prefix of the buffer once the backward pass before it has
+    ended.  So the results depend neither on the block size nor on the
+    layout nor on the thread timing.  The states and the kept forward means
+    reuse one buffer each as well.  The causal error is summed
+    on the float64 forward means, which are kept (as float32) only on the
+    smoother window; the anticausal and smoother errors are summed on the
+    backward pass.  Each error is summed a block of steps at a time, adding
+    the steps in the order they were filtered, so every sum equals the
+    step-by-step sum bit for bit.
     """
     nu, snr, dt, horizon = m.nu, m.snr, mc.dt, mc.horizon
     _check_step(nu, snr, dt)
@@ -526,14 +587,11 @@ def wonham_ensemble(m: TelegraphModel, mc: McConfig) -> EnsembleResult:
     sm_hi = n_steps - sm_lo
     if sm_hi <= sm_lo:
         raise ValueError("horizon too short for the smoother window")
-    rng = np.random.default_rng(mc.seed)
-    # one chunk's arrays are freed when its call returns, before the next
-    # chunk is drawn
-    with _normals_thread() as pool:
-        chunks = [_ensemble_chunk(m, dt, n_steps, k0, sm_lo, sm_hi,
-                                  min(ENSEMBLE_CHUNK, mc.n_paths - start),
-                                  rng, pool)
-                  for start in range(0, mc.n_paths, ENSEMBLE_CHUNK)]
+    sizes = [min(ENSEMBLE_CHUNK, mc.n_paths - start)
+             for start in range(0, mc.n_paths, ENSEMBLE_CHUNK)]
+    with draw_thread() as helper:
+        chunks = list(_ensemble_chunks(m, dt, n_steps, k0, sm_lo, sm_hi, sizes,
+                                       np.random.default_rng(mc.seed), helper))
     c, a, s = (McEstimate.of(np.concatenate(v)) for v in zip(*chunks))
     return EnsembleResult(c.value, c.se, s.value, s.se, a.value, a.se, c.n,
                           dt, horizon, burn)

@@ -16,9 +16,12 @@ output centres c_j and output standard deviations s_j:
   of it, out to the two centres.  At high snr that is where the posterior
   variance, and so the MMSE, lives.
 
-The edges are then thinned to the first one in each cell of the finest of
-those scales, and the last edge, so a law with hundreds of atoms gets
-hundreds of panels, not thousands.
+The edges are then thinned to the first one in each cell, and the last
+edge, so a law with hundreds of atoms gets hundreds of panels, not
+thousands.  A cell is ``STEP``/2 of the smallest s_j wide, the widest that
+never holds two of one centre's own edges, which are at least ``STEP`` of
+the smallest s_j apart; where a switch width w is narrower, the cells are w
+wide.
 
 ``snr_integral(f, snr)`` evaluates ∫_0^snr f(g) dg in t = ln(1+g), on the
 unit panels [0, 1], [1, 2], ... up to ln(1+snr), the last one cut short: an
@@ -58,9 +61,14 @@ first level.  ``REACH`` is a whole number of steps.
 
 ``fd_derivative`` is d/dsnr by one Richardson step on ``fd_difference``,
 both with the one step ``FD_STEP * max(1, snr)``.
+
+``draw_thread`` gives the Monte Carlo sweeps of ``ct`` and ``vector`` their
+one helper thread, which draws ahead of the arithmetic.
 """
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,6 +124,21 @@ class McConfig:
             raise ValueError("McConfig needs n_paths >= 1, dt > 0 and horizon > 0")
 
 
+@contextmanager
+def draw_thread():
+    """One helper thread that draws a sweep's random numbers ahead of the
+    arithmetic.  A sweep submits every draw to it in stream order, and no
+    other thread reads the generator while a draw is pending, so the
+    numbers do not depend on the thread timing.  On exit the draws not yet
+    started are cancelled and the thread is joined, so a failure stops the
+    draws and leaves no thread behind."""
+    pool = ThreadPoolExecutor(1)
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def by_rows(fn, y: np.ndarray):
     """``fn(y)`` evaluated on blocks of at most Y_CHUNK outputs and joined.
 
@@ -142,7 +165,7 @@ def _panel_edges(law: InputLaw, snr: float) -> np.ndarray:
     gap = np.diff(c)
     s_pair = np.minimum(s[:-1], s[1:])
     sharp = gap > s_pair                # switch width s**2 / gap below s
-    finest = s.min()
+    finest = 0.5 * STEP * s.min()
     if np.any(sharp):
         width, half_gap = s_pair[sharp] ** 2 / gap[sharp], 0.5 * gap[sharp]
         mid = 0.5 * (c[:-1] + c[1:])[sharp]

@@ -21,7 +21,7 @@ from scipy.spatial.distance import cdist
 
 from .errors import DegenerateCovariance
 from .laws import require_finite
-from .quadrature import McConfig, fd_derivative, fd_difference
+from .quadrature import McConfig, draw_thread, fd_derivative, fd_difference
 from .report import Report
 from .scalar import McEstimate
 
@@ -176,20 +176,34 @@ def _atom_posterior(y: np.ndarray, centers: np.ndarray, const: np.ndarray):
 
 def _atom_mc_sweep(model: VectorChannelModel, mc: McConfig, stats_fn) -> list:
     """Stream MC draws of (X, N); return stats_fn(noise, y, w, log p_Y) for
-    each block.  A block holds at most 2^20 posterior weights."""
+    each block.  A block holds at most 2^20 posterior weights.
+
+    One block is in flight: the helper thread (``draw_thread``) draws block
+    b + 1, its atoms, its normals and y, while this thread runs the kernel
+    and ``stats_fn`` on block b.  The draws are submitted in block order and
+    only the helper reads the generator, so the results equal a one-thread
+    sweep's bit for bit, and they are returned in block order."""
     atoms = model.input
     if not isinstance(atoms, AtomSet):
         raise TypeError("atom engines require an AtomSet input")
     rng = np.random.default_rng(mc.seed)
     centers, const = _atom_centers(model)
     rows = min(MC_CHUNK, 2 ** 20 // atoms.probs.size)
-    out = []
-    for start in range(0, mc.n_paths, rows):
-        n = min(rows, mc.n_paths - start)
+    sizes = [min(rows, mc.n_paths - start) for start in range(0, mc.n_paths, rows)]
+
+    def draw(n):
         idx = rng.choice(atoms.probs.size, size=n, p=atoms.probs)
         noise = rng.standard_normal((n, centers.shape[1]))
-        y = centers[idx] + noise
-        out.append(stats_fn(noise, y, *_atom_posterior(y, centers, const)))
+        return noise, centers[idx] + noise
+
+    out = []
+    with draw_thread() as helper:
+        pending = helper.submit(draw, sizes[0])
+        for b in range(len(sizes)):
+            noise, y = pending.result()
+            if b + 1 < len(sizes):
+                pending = helper.submit(draw, sizes[b + 1])
+            out.append(stats_fn(noise, y, *_atom_posterior(y, centers, const)))
     return out
 
 

@@ -15,10 +15,10 @@ from immse.ct import (OUSpectrum, SamplePath, TelegraphModel, duncan_check,
                       time_snr_average_check, time_snr_transform_check,
                       verify_f_recurrences, verify_thm7, wonham_ensemble,
                       wonham_filter, yao_smoother)
-from immse import ct
+from immse import ct, quadrature
 from immse.errors import StepTooLarge
 from immse.laws import binary_law
-from immse.quadrature import McConfig
+from immse.quadrature import McConfig, draw_thread
 
 SNR_ACCEPT = 10.0 ** 0.5
 
@@ -279,14 +279,32 @@ def test_ensemble_block_sums_equal_step_by_step_sums(n_paths):
     # 1,370 steps are not whole blocks, and no window edge falls on a block
     # edge; a single path is the case numpy would sum pairwise
     m, dt, n, k0, sm_lo, sm_hi = TelegraphModel(1.0, 2.0), 1e-3, 1370, 685, 457, 913
-    with ct._normals_thread() as pool:
-        got = ct._ensemble_chunk(m, dt, n, k0, sm_lo, sm_hi, n_paths,
-                                 np.random.default_rng(5), pool)
+    with draw_thread() as pool:
+        [got] = ct._ensemble_chunks(m, dt, n, k0, sm_lo, sm_hi, [n_paths],
+                                    np.random.default_rng(5), pool)
     x_edges, dy = ct._telegraph_paths(m.nu, m.snr, n, dt, n_paths,
                                       np.random.default_rng(5))
     want = _step_by_step_errors(m, dt, n, k0, sm_lo, sm_hi, x_edges, dy)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
+
+
+def test_mirrored_and_narrow_chunks_equal_step_by_step_sums():
+    # chunks 2 and 4 of the buffer's width are drawn block-mirrored into the
+    # rows the backward pass frees, and the narrower last chunk into the
+    # buffer's flat prefix; each must equal the step-by-step sums on the
+    # paths that one-chunk draws read from the same stream
+    m, dt, n, k0, sm_lo, sm_hi = TelegraphModel(1.0, 2.0), 1e-3, 1370, 685, 457, 913
+    sizes = [3, 3, 3, 3, 2]
+    with draw_thread() as pool:
+        got = list(ct._ensemble_chunks(m, dt, n, k0, sm_lo, sm_hi, sizes,
+                                       np.random.default_rng(5), pool))
+    rng = np.random.default_rng(5)
+    for chunk, n_paths in zip(got, sizes, strict=True):
+        x_edges, dy = ct._telegraph_paths(m.nu, m.snr, n, dt, n_paths, rng)
+        want = _step_by_step_errors(m, dt, n, k0, sm_lo, sm_hi, x_edges, dy)
+        for g, w in zip(chunk, want):
+            assert np.array_equal(g, w)
 
 
 # float.hex of (cmmse, cmmse_se, smmse, smmse_se, anticausal, anticausal_se),
@@ -309,6 +327,20 @@ def test_wonham_ensemble_pinned_bits(model, cfg, pins):
     got = [res.cmmse, res.cmmse_se, res.smmse, res.smmse_se, res.anticausal,
            res.anticausal_se]
     assert [float(v).hex() for v in got] == pins
+
+
+def test_wonham_ensemble_pinned_bits_across_chunk_layouts():
+    # three full chunks (block layouts in step order, mirrored, in step
+    # order) and a narrower fourth; 670 steps end on a 30-step block.
+    # float.hex recorded from the implementation that drew every chunk into
+    # its own buffer in step order
+    res = wonham_ensemble(TelegraphModel(1.5, 4.0),
+                          McConfig(seed=29, n_paths=6005, dt=1e-3, horizon=0.67))
+    got = [res.cmmse, res.cmmse_se, res.smmse, res.smmse_se, res.anticausal,
+           res.anticausal_se]
+    assert [float(v).hex() for v in got] == [
+        "0x1.57aed62615423p-1", "0x1.bf707c10e006dp-8", "0x1.edf378d8136bap-2",
+        "0x1.0d35a28393090p-7", "0x1.568225c6fbc01p-1", "0x1.bfae279b0454bp-8"]
 
 
 def test_simulate_telegraph_pinned_digest():
@@ -335,7 +367,7 @@ def test_ensemble_failure_cancels_draws_and_joins_helper(monkeypatch):
             raise RuntimeError("step 5 fails")
         real_step(*args)
 
-    monkeypatch.setattr(ct, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(quadrature, "ThreadPoolExecutor", Recorder)
     monkeypatch.setattr(ct, "_wonham_step", failing_step)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="step 5 fails"):
@@ -353,9 +385,55 @@ def test_ensemble_failure_cancels_draws_and_joins_helper(monkeypatch):
     assert any(fut.cancelled() for _, fut in submitted)
 
 
+def test_backward_failure_cancels_next_chunk_draws_and_joins_helper(monkeypatch):
+    # 4,000 steps are 63 blocks, the last one 32 steps: the step fails in
+    # chunk 0's sixth backward block, after five of chunk 1's blocks were
+    # queued into the rows that chunk 0 freed.  The helper holds chunk 1's
+    # first draw until the failure, so the other four are still queued
+    n_steps, fail_at = 4000, 4000 + 32 + 4 * 64 + 1
+    gate, submitted = threading.Event(), []
+
+    class Recorder(ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            task = fn
+            if len(submitted) == 63:
+                def task(*a, **k):
+                    gate.wait(10.0)
+                    return fn(*a, **k)
+            submitted.append((fn, super().submit(task, *args, **kwargs)))
+            return submitted[-1][1]
+
+    real_step, calls = ct._wonham_step, []
+
+    def failing_step(*args):
+        calls.append(None)
+        if len(calls) == fail_at:
+            gate.set()
+            raise RuntimeError("backward step fails")
+        real_step(*args)
+
+    monkeypatch.setattr(quadrature, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(ct, "_wonham_step", failing_step)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="backward step fails"):
+        wonham_ensemble(TelegraphModel(1.0, 2.0),
+                        McConfig(seed=3, n_paths=4000, dt=1e-3,
+                                 horizon=n_steps * 1e-3))
+    assert len(calls) == fail_at
+    assert threading.active_count() == before
+    assert len(submitted) == 63 + 5
+    for fn, fut in submitted:
+        assert fn.__name__ == "standard_normal"
+        assert isinstance(fn.__self__, np.random.Generator)
+        assert fut.done()
+    # chunk 0's draws all ran; chunk 1's queued ones were dropped
+    assert not any(fut.cancelled() for _, fut in submitted[:64])
+    assert all(fut.cancelled() for _, fut in submitted[64:])
+
+
 def test_ensemble_rejects_one_path_before_drawing(monkeypatch):
     chunks = []
-    monkeypatch.setattr(ct, "_ensemble_chunk",
+    monkeypatch.setattr(ct, "_ensemble_chunks",
                         lambda *args: chunks.append(args))
     before = threading.active_count()
     with pytest.raises(ValueError, match="needs >= 2 draws"):

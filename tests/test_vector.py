@@ -1,10 +1,12 @@
 """Vector channel: closed forms, atom Monte Carlo, and identity checks."""
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from immse import vector
 from immse.errors import DegenerateCovariance
 from immse.quadrature import McConfig
 from immse.scalar import McEstimate, mi_binary_closed, mmse_binary_closed
@@ -170,6 +172,57 @@ def test_atom_sweep_memory_bounded_by_elements():
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20, (engine.__name__, peak)
+
+
+def _serial_sweep(model, mc, stats_fn):
+    """The atom sweep on one thread: draw a block, then evaluate it."""
+    rng = np.random.default_rng(mc.seed)
+    centers, const = vector._atom_centers(model)
+    rows = min(vector.MC_CHUNK, 2 ** 20 // model.input.probs.size)
+    out = []
+    for start in range(0, mc.n_paths, rows):
+        n = min(rows, mc.n_paths - start)
+        idx = rng.choice(model.input.probs.size, size=n, p=model.input.probs)
+        noise = rng.standard_normal((n, centers.shape[1]))
+        y = centers[idx] + noise
+        out.append(stats_fn(noise, y, *vector._atom_posterior(y, centers, const)))
+    return out
+
+
+def test_atom_sweep_equals_serial_sweep():
+    # 2.5 blocks: the helper draws each next block while this one is
+    # evaluated, and the results come back in block order
+    model = VectorChannelModel(H=np.diag([1.0, 1.5]), input=_binary_product_atoms(),
+                               snr_diag=np.full(2, 1.2))
+    mc = McConfig(seed=8, n_paths=5 * vector.MC_CHUNK // 2)
+
+    def stats(*arrays):
+        return [a.copy() for a in arrays]
+
+    got = vector._atom_mc_sweep(model, mc, stats)
+    want = _serial_sweep(model, mc, stats)
+    assert [len(b[0]) for b in got] == [vector.MC_CHUNK] * 2 + [vector.MC_CHUNK // 2]
+    for g, w in zip(got, want, strict=True):
+        for a, b in zip(g, w, strict=True):
+            assert np.array_equal(a, b)
+
+
+def test_atom_sweep_failure_leaves_no_thread():
+    model = VectorChannelModel(H=np.diag([1.0, 1.5]), input=_binary_product_atoms(),
+                               snr_diag=np.full(2, 1.2))
+    before, seen = threading.active_count(), []
+
+    def stats(noise, y, w, logp):
+        seen.append(threading.active_count())
+        if len(seen) == 3:
+            raise RuntimeError("block 2 fails")
+        return 0.0
+
+    with pytest.raises(RuntimeError, match="block 2 fails"):
+        vector._atom_mc_sweep(model, McConfig(seed=8, n_paths=4 * vector.MC_CHUNK),
+                              stats)
+    assert seen == [before + 1] * 3     # the helper ran beside every block
+    assert threading.active_count() == before
 
 
 def test_fisher_matrix_gaussian_routes_and_bounds():

@@ -17,8 +17,12 @@ median and quartiles, the pairs the change won (ties count for neither
 side), the traced layers, and the criterion-10 and tier-1 runs.  Each tree also
 records, under ``represent``, the check, the relative error against
 perfbench/refs.json and the wall time of each of the benchmark's five MMSE
-integrals, and under ``curve`` the wall time of one ``immse curve mmse``
-process on the benchmark's 16-PAM input.  Run it from a checkout whose working tree holds
+integrals, under ``montecarlo`` the outcome and the wall times of each
+operation of the benchmark's montecarlo workload (the Wonham/Yao ensemble,
+the CLI path dump and the six atom Monte Carlo operations) over
+``MC_PASSES`` passes at seed ``--seed`` in one process, and under ``curve``
+the wall time of one ``immse curve mmse`` process on the benchmark's 16-PAM
+input.  Run it from a checkout whose working tree holds
 the change; after committing the change, pass ``--parent HEAD~1``.
 """
 from __future__ import annotations
@@ -69,6 +73,30 @@ with tempfile.TemporaryDirectory() as tmp:
                         "wall_s": time.perf_counter() - t0}
 print(json.dumps(out))
 """
+
+MC_PASSES = 3
+# times each operation of perfbench's montecarlo workload, built by the
+# tree's own perfbench/workloads.py, over MC_PASSES passes after its warmup;
+# argv: seed.  Prints one JSON object
+MONTECARLO_PROBE = r"""
+import json, statistics, sys, tempfile, time
+sys.path.insert(0, "perfbench")
+import workloads
+
+with tempfile.TemporaryDirectory() as tmp:
+    work = workloads.build("montecarlo", int(sys.argv[1]), "full", tmp)
+    work.warmup()
+    out = {op.name: {"ok": True, "wall_s": []} for op in work.ops}
+    for _ in range(%d):
+        for op in work.ops:
+            t0 = time.perf_counter()
+            outcomes, _, _ = op.run()
+            out[op.name]["wall_s"].append(time.perf_counter() - t0)
+            out[op.name]["ok"] &= all(o.ok for o in outcomes)
+    for rec in out.values():
+        rec["median_s"] = statistics.median(rec["wall_s"])
+print(json.dumps(out))
+""" % MC_PASSES
 
 
 def unpack(rev: str, dest: str) -> str:
@@ -151,16 +179,25 @@ def run_tier1(tree: str) -> dict:
     return out
 
 
-def run_represent(tree: str) -> dict:
-    """Check, relative error and wall time of each of the benchmark's five
-    MMSE integrals, computed by ``tree``'s sources in one process."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
-    proc = subprocess.run([sys.executable, "-c", REPRESENT_PROBE], cwd=tree,
+def run_probe(tree: str, probe: str, *args: str) -> dict:
+    """The JSON object that ``probe`` prints, run on ``tree``'s sources in
+    one process with one BLAS thread, as perfbench runs them, or its
+    failure."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", probe, *args], cwd=tree,
                           env=env, capture_output=True, text=True, timeout=600)
     if proc.returncode != 0:
         return {"error": f"exited {proc.returncode}",
                 "stderr": proc.stderr[-2000:]}
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def run_represent(tree: str) -> dict:
+    """Check, relative error and wall time of each of the benchmark's five
+    MMSE integrals, computed by ``tree``'s sources in one process."""
+    return run_probe(tree, REPRESENT_PROBE)
 
 
 def run_curve(tree: str) -> dict:
@@ -258,7 +295,10 @@ def main(argv=None) -> int:
             record["workloads"][workload] = {
                 "pairs": pairs, "summary": summarize(pairs, better),
                 "traced": traced}
-        for key, fn in (("represent", run_represent), ("curve", run_curve),
+        run_montecarlo = lambda tree: run_probe(tree, MONTECARLO_PROBE,
+                                                str(args.seed))
+        for key, fn in (("represent", run_represent),
+                        ("montecarlo", run_montecarlo), ("curve", run_curve),
                         ("criterion_10", run_criterion_10), ("tier1", run_tier1)):
             record[key] = {}
             for side in ("parent", "change"):
