@@ -256,45 +256,31 @@ def _flip_times(nu: float, horizon: float, n_paths: int,
     return x0, flips
 
 
-def _block_layout(n_steps: int) -> list:
-    """(k, rows) per block of STEP_BLOCK steps, in step order: steps k, k + 1,
-    ... of every path are the rows ``rows`` of a chunk's buffer, in order."""
-    return [(k, slice(k, min(k + STEP_BLOCK, n_steps)))
-            for k in range(0, n_steps, STEP_BLOCK)]
+def _row_blocks(a: np.ndarray) -> list:
+    """(k, a[k:k + STEP_BLOCK]) per block of STEP_BLOCK rows of ``a``, in row
+    order: a time-major array's blocks of steps, as views."""
+    return [(k, a[k:k + STEP_BLOCK]) for k in range(0, len(a), STEP_BLOCK)]
 
 
-def _reversed_layout(layout: list) -> list:
-    """The layout whose i-th block of steps takes the rows of ``layout``'s
-    i-th block from the end, the rows that a backward pass over ``layout``
-    frees i-th: the blocks in reverse row order, rows within a block in step
-    order.  Reversed twice, a layout is itself."""
-    out, k = [], 0
-    for _, rows in reversed(layout):
-        out.append((k, rows))
-        k += rows.stop - rows.start
-    return out
-
-
-def _draw_normals(helper, rng: np.random.Generator, dy: np.ndarray,
-                  layout: list) -> list:
-    """Submit one ``standard_normal`` draw into ``dy[rows]`` per block of
-    ``layout``, in step order, to the helper thread; the futures."""
-    return [helper.submit(rng.standard_normal, out=dy[rows]) for _, rows in layout]
+def _draw_normals(helper, rng: np.random.Generator, blocks: list) -> list:
+    """Submit one ``standard_normal`` draw into each block's rows, in order,
+    to the helper thread; the futures."""
+    return [helper.submit(rng.standard_normal, out=blk) for _, blk in blocks]
 
 
 def _telegraph_blocks(nu: float, snr: float, n_steps: int, dt: float,
                       x0: np.ndarray, flips: np.ndarray, x_edges: np.ndarray,
-                      dy: np.ndarray, layout: list, drawn: list):
+                      blocks: list, drawn: list):
     """Exact-holding-time telegraph paths on a dt grid from x0 and the flip
     times (``_flip_times``), made a block of steps at a time.
 
-    Fills x_edges and returns ``blocks``.  x_edges (n_steps+1, paths) is
-    C-order, so step k of every path is one contiguous row; x_edges[k, p] is
-    the int8 state +/-1 at t_k, complete on return.  The (n_steps, paths) buffer
-    ``dy`` holds each block of steps of ``layout`` in its rows, into which
-    the helper thread draws the step normals, one future of ``drawn`` per
-    block.  ``blocks`` waits for each block's draw in step order, makes it
-    final and yields (k, block): row j of the block is dy at step k + j,
+    Fills x_edges and returns a generator over the blocks.  x_edges
+    (n_steps+1, paths) is C-order, so step k of every path is one contiguous
+    row; x_edges[k, p] is the int8 state +/-1 at t_k, complete on return.
+    ``blocks`` are (k, rows) in step order, rows a C-order (m, paths) view
+    into which the helper thread draws the normals of steps k, ..., k + m - 1,
+    one future of ``drawn`` per block.  The generator waits for each draw,
+    makes it final and yields (k, rows): row j is dy at step k + j,
     sqrt(snr) * ∫ X dt + dW over the step, with the occupation integral
     computed exactly from the flip times.  This thread builds x_edges and
     the flip cells while the helper draws.
@@ -324,14 +310,13 @@ def _telegraph_blocks(nu: float, snr: float, n_steps: int, dt: float,
     state_before = x0[rows] * np.where(cols % 2 == 0, 1.0, -1.0)
     np.add.at(occ, which, 2.0 * state_before * (ft - (step_idx + 1) * dt))
     occ *= np.sqrt(snr)
-    starts = [k for k, _ in layout]
+    starts = [k for k, _ in blocks]
     bounds = np.searchsorted(cells, np.array([*starts, n_steps]) * n_paths)
     held = np.sqrt(snr) * dt
 
-    def blocks():
-        for (k, at), d, lo, hi in zip(layout, drawn, bounds[:-1], bounds[1:]):
+    def made():
+        for (k, blk), d, lo, hi in zip(blocks, drawn, bounds[:-1], bounds[1:]):
             d.result()
-            blk = dy[at]
             blk *= np.sqrt(dt)
             local = cells[lo:hi] - k * n_paths
             flipped = blk.ravel()[local] + occ[lo:hi]
@@ -339,7 +324,7 @@ def _telegraph_blocks(nu: float, snr: float, n_steps: int, dt: float,
             blk.ravel()[local] = flipped
             yield k, blk
 
-    return blocks()
+    return made()
 
 
 def _telegraph_paths(nu: float, snr: float, n_steps: int, dt: float,
@@ -351,12 +336,13 @@ def _telegraph_paths(nu: float, snr: float, n_steps: int, dt: float,
     normals in (steps, paths) order, as one whole-array draw would read it,
     so a single path draws the same numbers at any layout."""
     x_edges = np.empty((n_steps + 1, n_paths), dtype=np.int8)
-    dy, layout = np.empty((n_steps, n_paths)), _block_layout(n_steps)
+    dy = np.empty((n_steps, n_paths))
+    blocks = _row_blocks(dy)
     with draw_thread() as helper:
         x0, flips = _flip_times(nu, n_steps * dt, n_paths, rng)
-        drawn = _draw_normals(helper, rng, dy, layout)
+        drawn = _draw_normals(helper, rng, blocks)
         for _ in _telegraph_blocks(nu, snr, n_steps, dt, x0, flips, x_edges,
-                                   dy, layout, drawn):
+                                   blocks, drawn):
             pass
     return x_edges.T, dy.T
 
@@ -365,6 +351,8 @@ def simulate_telegraph(m: TelegraphModel, T: float, dt: float, seed: int) -> Sam
     """One telegraph sample path with exact exponential holding times."""
     _check_step(m.nu, m.snr, dt)
     n_steps = int(round(T / dt))
+    if n_steps < 1:
+        raise ValueError(f"T={T:g} holds no step of dt={dt:g}")
     rng = np.random.default_rng(seed)
     x_edges, dy = _telegraph_paths(m.nu, m.snr, n_steps, dt, 1, rng)
     return SamplePath(dt, x_edges[0, :-1].astype(float), dy[0].copy())
@@ -422,8 +410,7 @@ def wonham_filter(path: SamplePath, snr: float, nu: float,
     # backward: entry J of the mirrored rows is t_{n-J}
     rows, tau = (out[::-1], tau[::-1]) if backward else (out, tau)
     decay = np.exp(-2.0 * nu * path.dt)
-    blocks = ((k, tau[at]) for k, at in _block_layout(len(tau)))
-    for first, est in _filter_blocks(blocks, decay, 1):
+    for first, est in _filter_blocks(_row_blocks(tau), decay, 1):
         rows[first:first + len(est)] = est[:, 0]
     return out
 
@@ -486,56 +473,47 @@ def _ensemble_chunks(m: TelegraphModel, dt: float, n_steps: int, k0: int,
     wide, edges, kept = (np.empty((rows, sizes[0]), dtype) for rows, dtype in
                          ((n_steps, float), (n_steps + 1, np.int8),
                           (sm_hi - sm_lo + 1, np.float32)))
-    dy, layout = wide, _block_layout(n_steps)
+    blocks = _row_blocks(wide)
     x0, flips = _flip_times(m.nu, n_steps * dt, sizes[0], rng)
-    drawn = _draw_normals(helper, rng, dy, layout)
+    drawn = _draw_normals(helper, rng, blocks)
     for c, n_paths in enumerate(sizes):
         x_edges, fwd = _prefix(edges, n_paths), _prefix(kept, n_paths)
-        blocks = _telegraph_blocks(m.nu, m.snr, n_steps, dt, x0, flips, x_edges,
-                                   dy, layout, drawn)
+        made = _telegraph_blocks(m.nu, m.snr, n_steps, dt, x0, flips, x_edges,
+                                 blocks, drawn)
         buf = np.zeros((STEP_BLOCK, n_paths + 1))
         causal, anti, smooth = np.zeros((3, n_paths + 1))
         # the filter yields from t_1 on; at t_0 the error is (X_0 - 0)^2 = 1
         causal[:-1] = float(k0 == 0)
         # tau = tanh(sqrt(snr) dy), made in place over each block as it is made
         tanh_blocks = ((k, np.tanh(np.multiply(b, np.sqrt(m.snr), out=b), out=b))
-                       for k, b in blocks)
+                       for k, b in made)
         for first, est in _filter_blocks(tanh_blocks, decay, n_paths):
             a, b = _window(k0, n_steps, first, len(est))
             _fold(causal, x_edges[a:b], est[a - first:b - first], buf)
             a, b = _window(sm_lo, sm_hi, first, len(est))
             fwd[a - sm_lo:b - sm_lo] = est[a - first:b - first]
         # every normal of this chunk is drawn, so the next chunk's x0 and
-        # flip times come next in the stream.  A chunk as wide as the buffer
-        # draws its blocks into the rows the backward pass frees, as it frees
-        # them
+        # flip times come next in the stream
         following = sizes[c + 1] if c + 1 < len(sizes) else 0
         if following:
             x0, flips = _flip_times(m.nu, n_steps * dt, following, rng)
-        refill = following == wide.shape[1]
-        drawn = []
         # the backward filter is the forward filter on the mirrored steps,
         # the chunk's blocks walked in reverse: row J of x_rev is
         # t_{n_steps - J}, and the three windows are their own mirror images
         x_rev, fwd_rev = x_edges[::-1], fwd[::-1]
-        backward = ((n_steps - k - len(dy[at]), dy[at][::-1])
-                    for k, at in reversed(layout))
-        for (first, est), (_, at) in zip(_filter_blocks(backward, decay, n_paths),
-                                         reversed(layout)):
-            if refill:      # the filter is done with the rows ``at``
-                drawn.append(helper.submit(rng.standard_normal, out=wide[at]))
+        freed = blocks[::-1]
+        backward = ((n_steps - k - len(blk), blk[::-1]) for k, blk in freed)
+        blocks, drawn = [], []
+        for (first, est), (_, blk) in zip(_filter_blocks(backward, decay, n_paths),
+                                          freed):
+            if following:   # the next chunk's steps first - 1, ... take blk's rows
+                blocks.append((first - 1, _prefix(blk, following)))
+                drawn.append(helper.submit(rng.standard_normal, out=blocks[-1][1]))
             a, b = _window(k0, n_steps, first, len(est))
             _fold(anti, x_rev[a:b], est[a - first:b - first], buf)
             a, b = _window(sm_lo, sm_hi, first, len(est))
             sm = yao_smoother(fwd_rev[a - sm_lo:b - sm_lo], est[a - first:b - first])
             _fold(smooth, x_rev[a:b], sm, buf)
-        if refill:
-            layout = _reversed_layout(layout)
-        elif following:
-            # a narrower last chunk is drawn, now that the buffer is free
-            dy = _prefix(wide, following)
-            layout = _block_layout(n_steps)
-            drawn = _draw_normals(helper, rng, dy, layout)
         # the anticausal window leaves out t_{n_steps}, where the error is 1
         yield (causal[:-1] / (n_steps - k0 + 1),
                anti[:-1] / (n_steps - max(k0, 1) + 1),
@@ -556,24 +534,19 @@ def wonham_ensemble(m: TelegraphModel, mc: McConfig) -> EnsembleResult:
     the normals a block at a time, ahead of this thread, which makes tau =
     tanh(sqrt(snr) dy) in place over each block as it is drawn and runs the
     forward filter on it.  The backward filter walks the same blocks in
-    reverse, and the helper draws the next chunk's first block of steps into
-    the rows of the block it frees first, and so on: the chunks alternate
-    between the block layout in step order and its block-mirrored twin (the
-    blocks in reverse row order, the rows within a block in step order), so
-    every draw is one contiguous ``standard_normal(out=...)``.  The
-    generator is still read in one order, x0, flip times, then the chunk's
-    normals in (steps, paths) order, chunk after chunk: this thread draws a
-    chunk's x0 and flip times once the previous chunk's forward pass has
-    read all its normals.  A narrower last chunk is drawn, in step order,
-    into the flat prefix of the buffer once the backward pass before it has
-    ended.  So the results depend neither on the block size nor on the
-    layout nor on the thread timing.  The states and the kept forward means
-    reuse one buffer each as well.  The causal error is summed
-    on the float64 forward means, which are kept (as float32) only on the
-    smoother window; the anticausal and smoother errors are summed on the
-    backward pass.  Each error is summed a block of steps at a time, adding
-    the steps in the order they were filtered, so every sum equals the
-    step-by-step sum bit for bit.
+    reverse, and as it frees the i-th of them the helper draws the next
+    chunk's i-th block of steps into the flat prefix of its rows, whatever
+    that chunk's width.  The generator is read in one order, x0, flip
+    times, then the chunk's normals in (steps, paths) order, chunk after
+    chunk: this thread draws a chunk's x0 and flip times once the previous
+    chunk's forward pass has read all its normals.  So the results depend
+    neither on the blocks nor on the thread timing.  The states and the
+    kept forward means reuse one buffer each as well.  The causal error is
+    summed on the float64 forward means, which are kept (as float32) only
+    on the smoother window; the anticausal and smoother errors are summed on
+    the backward pass.  Each error is summed a block of steps at a time,
+    adding the steps in the order they were filtered, so every sum equals
+    the step-by-step sum bit for bit.
     """
     nu, snr, dt, horizon = m.nu, m.snr, mc.dt, mc.horizon
     _check_step(nu, snr, dt)

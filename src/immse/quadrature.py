@@ -18,10 +18,12 @@ output centres c_j and output standard deviations s_j:
 
 The edges are then thinned to the first one in each cell, and the last
 edge, so a law with hundreds of atoms gets hundreds of panels, not
-thousands.  A cell is ``STEP``/2 of the smallest s_j wide, the widest that
-never holds two of one centre's own edges, which are at least ``STEP`` of
-the smallest s_j apart; where a switch width w is narrower, the cells are w
-wide.
+thousands.  When every s_j is the same s (atoms, gridded laws), a cell is
+``STEP``/2 of s wide, the widest that never holds two of one centre's own
+edges, which are ``STEP`` s apart.  Otherwise a cell is the smallest s_j
+wide, so thinning moves an edge by less than the narrowest component's sd
+and leaves none of its panels more than ``STEP`` + 1 of those sds wide.
+Where a switch width w is narrower, the cells are w wide.
 
 ``snr_integral(f, snr)`` evaluates ∫_0^snr f(g) dg in t = ln(1+g), on the
 unit panels [0, 1], [1, 2], ... up to ln(1+snr), the last one cut short: an
@@ -165,7 +167,7 @@ def _panel_edges(law: InputLaw, snr: float) -> np.ndarray:
     gap = np.diff(c)
     s_pair = np.minimum(s[:-1], s[1:])
     sharp = gap > s_pair                # switch width s**2 / gap below s
-    finest = 0.5 * STEP * s.min()
+    finest = (0.5 * STEP if s.max() == s.min() else 1.0) * s.min()
     if np.any(sharp):
         width, half_gap = s_pair[sharp] ** 2 / gap[sharp], 0.5 * gap[sharp]
         mid = 0.5 * (c[:-1] + c[1:])[sharp]

@@ -312,6 +312,15 @@ def test_simulate_dump_columns(tmp_path):
         assert manifest["command"] == "simulate" and manifest["seeds"] == [0]
 
 
+def test_simulate_dump_of_no_steps_is_usage_error(tmp_path, capsys, monkeypatch):
+    # --horizon 1e-4 rounds to 0 steps of the default dt 1e-3
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "telegraph", "--horizon", "1e-4",
+                 "--dump", "d.csv"]) == 2
+    assert "holds no step" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_simulate_ensemble_within_mc_error(tmp_path):
     out = tmp_path / "ens.json"
     assert main(["simulate", "telegraph", "--paths", "1500", "--snr", "2.0",

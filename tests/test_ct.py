@@ -137,6 +137,14 @@ def test_step_too_large_guard():
         simulate_telegraph(TelegraphModel(1.0, 100.0), T=1.0, dt=1e-2, seed=0)
 
 
+def test_simulate_telegraph_rejects_a_horizon_of_no_steps(monkeypatch):
+    draws = []
+    monkeypatch.setattr(ct, "_telegraph_paths", lambda *a: draws.append(a))
+    with pytest.raises(ValueError, match="holds no step"):
+        simulate_telegraph(TelegraphModel(1.0, 2.0), T=1e-4, dt=1e-3, seed=0)
+    assert draws == []
+
+
 def test_sample_path_rejects_nan_dt():
     with pytest.raises(ValueError, match="dt must be finite"):
         SamplePath(np.nan, np.ones(5), np.full(5, 0.01))
@@ -290,10 +298,10 @@ def test_ensemble_block_sums_equal_step_by_step_sums(n_paths):
 
 
 def test_mirrored_and_narrow_chunks_equal_step_by_step_sums():
-    # chunks 2 and 4 of the buffer's width are drawn block-mirrored into the
-    # rows the backward pass frees, and the narrower last chunk into the
-    # buffer's flat prefix; each must equal the step-by-step sums on the
-    # paths that one-chunk draws read from the same stream
+    # chunks 2 to 5 are drawn into the rows the backward pass frees, the
+    # narrower last chunk into the flat prefix of each block's rows; each
+    # must equal the step-by-step sums on the paths that one-chunk draws
+    # read from the same stream
     m, dt, n, k0, sm_lo, sm_hi = TelegraphModel(1.0, 2.0), 1e-3, 1370, 685, 457, 913
     sizes = [3, 3, 3, 3, 2]
     with draw_thread() as pool:
@@ -385,11 +393,14 @@ def test_ensemble_failure_cancels_draws_and_joins_helper(monkeypatch):
     assert any(fut.cancelled() for _, fut in submitted)
 
 
-def test_backward_failure_cancels_next_chunk_draws_and_joins_helper(monkeypatch):
+@pytest.mark.parametrize("n_paths", [4000, 2500])
+def test_backward_failure_cancels_next_chunk_draws_and_joins_helper(monkeypatch,
+                                                                    n_paths):
     # 4,000 steps are 63 blocks, the last one 32 steps: the step fails in
     # chunk 0's sixth backward block, after five of chunk 1's blocks were
-    # queued into the rows that chunk 0 freed.  The helper holds chunk 1's
-    # first draw until the failure, so the other four are still queued
+    # queued into the rows that chunk 0 freed, whether chunk 1 is as wide
+    # as chunk 0 or narrower.  The helper holds chunk 1's first draw until
+    # the failure, so the other four are still queued
     n_steps, fail_at = 4000, 4000 + 32 + 4 * 64 + 1
     gate, submitted = threading.Event(), []
 
@@ -417,7 +428,7 @@ def test_backward_failure_cancels_next_chunk_draws_and_joins_helper(monkeypatch)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="backward step fails"):
         wonham_ensemble(TelegraphModel(1.0, 2.0),
-                        McConfig(seed=3, n_paths=4000, dt=1e-3,
+                        McConfig(seed=3, n_paths=n_paths, dt=1e-3,
                                  horizon=n_steps * 1e-3))
     assert len(calls) == fail_at
     assert threading.active_count() == before

@@ -12,6 +12,7 @@ from immse import quadrature, scalar
 from immse.cli import parse_snr_grid
 from immse.quadrature import (McConfig, fd_derivative, fd_difference,
                               integrate_output, snr_integral)
+from immse.represent import gamma_epi_check
 from immse.scalar import (ScalarChannel, fisher_information,
                           log_output_density, mi_binary_closed, mmse,
                           mmse_binary_closed, mutual_information)
@@ -134,6 +135,33 @@ def test_wide_panels_match_panels_split_in_three(law, quantity, monkeypatch):
     for snr in (1e4, 1e5, 1e6):
         got, ref = both(snr)
         assert abs(got - ref) <= quadrature.REL_TOL * abs(ref), snr
+
+
+def test_unequal_sd_mixtures_do_not_refine_on_the_epi_pairs(monkeypatch):
+    # criterion 13's five random pairs of two-component mixtures, whose
+    # components have unequal output sds: thinned to cells of the smallest
+    # sd, their panels stay narrow enough that no output call refines
+    levels, real = [], quadrature._gauss_kronrod
+
+    def counting(g, edges, what):
+        calls = []
+        value = real(lambda x: calls.append(None) or g(x), edges, what)
+        if what == "output quadrature":
+            levels.append(len(calls))
+        return value
+
+    monkeypatch.setattr(quadrature, "_gauss_kronrod", counting)
+    rng = np.random.default_rng(13)
+
+    def rand_mix():
+        w = rng.uniform(0.2, 1.0, 2)
+        return GaussianMixture(weights=w / w.sum(),
+                               means=rng.uniform(-1.5, 1.5, 2),
+                               variances=rng.uniform(0.2, 1.5, 2))
+
+    for _ in range(5):
+        assert gamma_epi_check(rand_mix(), rand_mix()).passed
+    assert len(levels) > 3000 and set(levels) == {1}
 
 
 @pytest.mark.parametrize("law", [
