@@ -126,6 +126,8 @@ def _curve_model(args):
 
 
 def cmd_curve(args):
+    if args.bits and args.quantity != "mi":
+        raise ValueError(f"--bits applies to mi only, not {args.quantity}")
     grid = parse_snr_grid(args.snr_db, db=True) if args.snr_db \
         else parse_snr_grid(args.snr)
     quantities, method, tol = _curve_model(args)
@@ -133,9 +135,8 @@ def cmd_curve(args):
         flag = "--telegraph" if args.telegraph else "--ar" if args.ar else None
         raise ValueError(f"quantity {args.quantity!r} " + (
             f"undefined for {flag}" if flag else "needs --telegraph or --ar"))
-    values = [quantities[args.quantity](s) for s in grid]
-    if args.bits and args.quantity == "mi":
-        values = [v / LN2 for v in values]
+    scale = LN2 if args.bits else 1.0
+    values = [quantities[args.quantity](s) / scale for s in grid]
     rows = [(_fmt(s), _fmt(v), method, _fmt(tol))
             for s, v in zip(grid, values)]
     _write_csv(args.out, ["snr", "value", "method", "tol"], rows)
@@ -303,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.add_argument("--snr-db", dest="snr_db",
                          help="snr grid in dB, converted as 10^(dB/10)")
     p_curve.add_argument("--bits", action="store_true",
-                         help="report information in bits instead of nats")
+                         help="report mi in bits instead of nats")
     p_curve.add_argument("--out", default="curve.csv")
     p_curve.set_defaults(fn=cmd_curve)
 

@@ -268,9 +268,9 @@ def _draw_normals(helper, rng: np.random.Generator, blocks: list) -> list:
     return [helper.submit(rng.standard_normal, out=blk) for _, blk in blocks]
 
 
-def _telegraph_blocks(nu: float, snr: float, n_steps: int, dt: float,
-                      x0: np.ndarray, flips: np.ndarray, x_edges: np.ndarray,
-                      blocks: list, drawn: list):
+def _telegraph_blocks(snr: float, n_steps: int, dt: float, x0: np.ndarray,
+                      flips: np.ndarray, x_edges: np.ndarray, blocks: list,
+                      drawn: list):
     """Exact-holding-time telegraph paths on a dt grid from x0 and the flip
     times (``_flip_times``), made a block of steps at a time.
 
@@ -341,7 +341,7 @@ def _telegraph_paths(nu: float, snr: float, n_steps: int, dt: float,
     with draw_thread() as helper:
         x0, flips = _flip_times(nu, n_steps * dt, n_paths, rng)
         drawn = _draw_normals(helper, rng, blocks)
-        for _ in _telegraph_blocks(nu, snr, n_steps, dt, x0, flips, x_edges,
+        for _ in _telegraph_blocks(snr, n_steps, dt, x0, flips, x_edges,
                                    blocks, drawn):
             pass
     return x_edges.T, dy.T
@@ -478,7 +478,7 @@ def _ensemble_chunks(m: TelegraphModel, dt: float, n_steps: int, k0: int,
     drawn = _draw_normals(helper, rng, blocks)
     for c, n_paths in enumerate(sizes):
         x_edges, fwd = _prefix(edges, n_paths), _prefix(kept, n_paths)
-        made = _telegraph_blocks(m.nu, m.snr, n_steps, dt, x0, flips, x_edges,
+        made = _telegraph_blocks(m.snr, n_steps, dt, x0, flips, x_edges,
                                  blocks, drawn)
         buf = np.zeros((STEP_BLOCK, n_paths + 1))
         causal, anti, smooth = np.zeros((3, n_paths + 1))

@@ -78,7 +78,6 @@ import numpy as np
 from .errors import NonConvergence
 from .laws import InputLaw, components, require_finite
 
-Y_CHUNK = 1024
 REACH = 12.0           # output standard deviations covered around each centre
 STEP = 3.0             # output standard deviations per panel (module docstring)
 REL_TOL = 1e-10
@@ -139,19 +138,6 @@ def draw_thread():
         yield pool
     finally:
         pool.shutdown(cancel_futures=True)
-
-
-def by_rows(fn, y: np.ndarray):
-    """``fn(y)`` evaluated on blocks of at most Y_CHUNK outputs and joined.
-
-    Per-component kernels build (y.size, n_components) arrays; blocking keeps
-    them bounded for gridded laws, which have one component per grid point.
-    ``fn`` returns a tuple of arrays, each with one entry per y.
-    """
-    if y.size <= Y_CHUNK:
-        return fn(y)
-    parts = [fn(y[lo:lo + Y_CHUNK]) for lo in range(0, y.size, Y_CHUNK)]
-    return tuple(np.concatenate(col) for col in zip(*parts))
 
 
 def _panel_edges(law: InputLaw, snr: float) -> np.ndarray:

@@ -22,12 +22,13 @@ from .laws import (Gaussian, GaussianMixture, InputLaw, Moments, binary_law,
                    components, gaussian_components, gaussian_raw_moments,
                    moments, require_finite, shift)
 from .errors import NonConvergence
-from .quadrature import (REL_TOL, McConfig, by_rows, fd_derivative,
-                         integrate_output, snr_integral)
+from .quadrature import (REL_TOL, McConfig, fd_derivative, integrate_output,
+                         snr_integral)
 from .report import Report
 
 LOG_2PI = np.log(2.0 * np.pi)
 HALF_LOG_2PIE = 0.5 * (LOG_2PI + 1.0)
+Y_CHUNK = 1024         # outputs per ``_posterior`` block (``_at``)
 
 
 @dataclass(frozen=True)
@@ -109,57 +110,56 @@ def _mean(post, y):
     return (wgt @ p + y * (wgt @ q)) / total
 
 
-def _variance(post, y, xhat):
-    """Var(X | Y=y) from a ``_posterior`` block and its ``_mean``: the
-    centred sum of w_j (pv_j + (p_j + q_j y - E[X|y])**2), in which nothing
-    cancels where the MMSE is tiny."""
+def _variance(post, y):
+    """Var(X | Y=y) from a ``_posterior`` block: the centred sum of
+    w_j (pv_j + (p_j + q_j y - E[X|y])**2), in which nothing cancels where
+    the MMSE is tiny."""
     wgt, total, p, q, pv, _ = post
     dev = np.multiply.outer(y, q)
     dev += p
-    dev -= xhat[:, None]
+    dev -= _mean(post, y)[:, None]
     dev *= dev
     return (wgt @ pv + np.einsum("ij,ij->i", wgt, dev)) / total
 
 
-def _posterior_stats(ch: ScalarChannel, y: np.ndarray):
-    """E[X | Y=y], Var(X | Y=y) and log p_Y(y), one ``_posterior`` call per
-    block of outputs."""
-    comps = components(ch.law)
-
-    def block(ys):
-        post = _posterior(comps, ch.snr, ys)
-        xhat = _mean(post, ys)
-        return xhat, _variance(post, ys, xhat), post[-1]
-
-    return by_rows(block, np.atleast_1d(np.asarray(y, dtype=float)))
+def _at(comps, snr: float, stat, y):
+    """``stat(post, block)`` on blocks of at most Y_CHUNK outputs of y, each
+    with its own ``_posterior``, joined; a scalar y gives a float.  The blocks
+    bound the kernel's (outputs, components) arrays for gridded laws."""
+    ys = np.atleast_1d(np.asarray(y, dtype=float))
+    blocks = [ys[lo:lo + Y_CHUNK] for lo in range(0, ys.size or 1, Y_CHUNK)]
+    out = np.concatenate([stat(_posterior(comps, snr, b), b) for b in blocks])
+    return float(out[0]) if np.ndim(y) == 0 else out
 
 
 def conditional_mean(ch: ScalarChannel, y):
     """E[X | Y=y].  Accepts a scalar or array y."""
-    xhat = _posterior_stats(ch, y)[0]
-    return float(xhat[0]) if np.isscalar(y) or np.ndim(y) == 0 else xhat
+    return _at(components(ch.law), ch.snr, _mean, y)
 
 
 def posterior_variance(ch: ScalarChannel, y):
-    """Var(X | Y=y)."""
-    var = _posterior_stats(ch, y)[1]
-    return float(var[0]) if np.isscalar(y) or np.ndim(y) == 0 else var
+    """Var(X | Y=y).  Accepts a scalar or array y."""
+    return _at(components(ch.law), ch.snr, _variance, y)
 
 
-def q_moment(ch: ScalarChannel, y: float, i: int) -> float:
-    """E[X^i * p_{Y|X}(y | X)] = p_Y(y) E[X^i | Y=y]; i = 0 gives p_Y(y)."""
+def q_moment(ch: ScalarChannel, y, i: int):
+    """E[X^i * p_{Y|X}(y | X)] = p_Y(y) E[X^i | Y=y]; i = 0 gives p_Y(y).
+    Accepts a scalar or array y."""
     if i < 0:
         raise ValueError("i must be >= 0")
-    y = float(y)
-    wgt, total, p, q, pv, logp = _posterior(components(ch.law), ch.snr,
-                                            np.array([y]))
-    mom = gaussian_raw_moments(p + q * y, pv, i)[i]
-    return float(np.exp(logp[0]) * (wgt[0] @ mom) / total[0])
+
+    def moment(post, y):
+        wgt, total, p, q, pv, logp = post
+        mom = gaussian_raw_moments(np.multiply.outer(y, q) + p, pv, i)[i]
+        return np.exp(logp) * np.einsum("ij,ij->i", wgt, mom) / total
+
+    return _at(components(ch.law), ch.snr, moment, y)
 
 
 def log_output_density(ch: ScalarChannel, y) -> np.ndarray:
-    """log p_Y(y), stable in the tails."""
-    return _posterior_stats(ch, y)[2]
+    """log p_Y(y), stable in the tails; an array also for a scalar y."""
+    return _at(components(ch.law), ch.snr, lambda post, y: post[-1],
+               np.atleast_1d(y))
 
 
 # ---------------------------------------------------------------------------
@@ -168,21 +168,18 @@ def log_output_density(ch: ScalarChannel, y) -> np.ndarray:
 
 def _expect(ch: ScalarChannel, stat) -> float:
     """E_Y[stat(post, y)], ``post`` a ``_posterior`` block at outputs y: the
-    integrand p_Y * stat is built from one block per Y_CHUNK nodes, all on
-    one ``components`` view of the law, and each stat computes only the
-    posterior statistic it reads.  Each stat is invariant under a shift of X,
-    so the law is centred at its mean first: far from 0 the output nodes
-    would carry the rounding of their centre, ulp(sqrt(snr) * mean), which no
-    relative stop meets."""
+    integrand p_Y * stat is built by ``_at``, all on one ``components`` view
+    of the law, and each stat computes only the posterior statistic it
+    reads.  Each stat is invariant under a shift of X, so the law is centred
+    at its mean first: far from 0 the output nodes would carry the rounding
+    of their centre, ulp(sqrt(snr) * mean), which no relative stop meets."""
     w, m, _ = components(ch.law)
     law = shift(ch.law, -float(w @ m))
     comps = components(law)
 
-    def block(y):
-        post = _posterior(comps, ch.snr, y)
-        return (np.exp(post[-1]) * stat(post, y),)
-
-    return integrate_output(lambda y: by_rows(block, y)[0], law, ch.snr)
+    weighted = lambda post, y: np.exp(post[-1]) * stat(post, y)
+    return integrate_output(lambda y: _at(comps, ch.snr, weighted, y), law,
+                            ch.snr)
 
 
 def mmse(ch: ScalarChannel) -> float:
@@ -191,7 +188,7 @@ def mmse(ch: ScalarChannel) -> float:
         return moments(ch.law).variance
     if isinstance(ch.law, Gaussian):
         return ch.law.variance / (1.0 + ch.snr * ch.law.variance)
-    val = _expect(ch, lambda post, y: _variance(post, y, _mean(post, y)))
+    val = _expect(ch, _variance)
     return _nonnegative(val, "mmse", ch.snr)
 
 

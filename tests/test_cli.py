@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from immse import ct, dt, scalar
 from immse.cli import main, parse_input_spec, parse_snr_grid
 from immse.laws import DiscreteAtoms, Gaussian, GaussianMixture
 from immse.report import Report
@@ -83,6 +84,25 @@ def test_curve_bits_conversion(tmp_path):
     assert main(["curve", "mi", "--input", "gaussian", "--snr", "1",
                  "--bits", "--out", str(out)]) == 0
     assert float(_read_csv(out)[0]["value"]) == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("quantity, source", [
+    ("mmse", ["--input", "binary"]), ("fisher", ["--input", "binary"]),
+    ("cmmse", ["--telegraph", "nu=1"]), ("pmmse", ["--ar", "a=0.9,n=50"]),
+])
+def test_curve_bits_without_mi_is_usage_error(tmp_path, capsys, monkeypatch,
+                                              quantity, source):
+    # --bits converts information only; refused before any value is computed
+    def boom(*args):
+        raise AssertionError("a value was computed")
+    for mod, name in [(scalar, "mmse"), (scalar, "fisher_information"),
+                      (ct, "telegraph_cmmse"), (dt, "kalman_triple")]:
+        monkeypatch.setattr(mod, name, boom)
+    out = tmp_path / "b.csv"
+    assert main(["curve", quantity, *source, "--snr", "1", "--bits",
+                 "--out", str(out)]) == 2
+    assert "--bits" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_curve_telegraph_monotone(tmp_path):

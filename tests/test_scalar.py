@@ -163,7 +163,9 @@ def test_posterior_stats_match_difference_form(law):
         edges = quadrature._panel_edges(law, snr)
         mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
         y = (mid[:, None] + half[:, None] * quadrature._K21_NODES).ravel()
-        xhat, var, logp = scalar._posterior_stats(ScalarChannel(law, snr), y)
+        ch = ScalarChannel(law, snr)
+        xhat, var, logp = (conditional_mean(ch, y), posterior_variance(ch, y),
+                           log_output_density(ch, y))
         ref_xhat, ref_var, ref_logp = _difference_form(law, snr, y)
         # relative, but not below the input's unit scale where E[X|y]
         # crosses 0
@@ -213,15 +215,27 @@ def test_one_law_view_per_call_whatever_its_node_blocks(monkeypatch):
     assert views_lo == views_hi == 3     # the mean, _expect, the panel edges
 
 
+@pytest.mark.parametrize("query", [conditional_mean, log_output_density])
+def test_mean_and_density_queries_never_build_the_variance(monkeypatch, query):
+    def boom(*args):
+        raise AssertionError("Var(X|y) was computed")
+    monkeypatch.setattr(scalar, "_variance", boom)
+    y = np.linspace(-4.0, 4.0, 3000)     # more than one block of outputs
+    for law in (binary_law(), MIX3, GRIDDED401):
+        assert query(ScalarChannel(law, 2.0), y).shape == y.shape
+
+
 def _expect_all_stats(ch, stat):
     """E_Y[stat(y, E[X|y], Var(X|y), log p_Y(y))], every statistic built by
-    ``_posterior_stats`` at every node, on the law centred as ``_expect``
+    the public queries at every node, on the law centred as ``_expect``
     centres it."""
     w, m, _ = components(ch.law)
     centred = ScalarChannel(shift(ch.law, -float(w @ m)), ch.snr)
 
     def g(y):
-        xhat, var, logp = scalar._posterior_stats(centred, y)
+        xhat, var, logp = (conditional_mean(centred, y),
+                           posterior_variance(centred, y),
+                           log_output_density(centred, y))
         return np.exp(logp) * stat(y, xhat, var, logp)
 
     return integrate_output(g, centred.law, ch.snr)
@@ -294,6 +308,8 @@ def test_gridded_law_is_trapezoid_weighted_atoms():
     for i in range(3):
         for k in range(y.size):
             assert q_moment(ch, y[k], i) == pytest.approx(q[i][k], rel=1e-12)
+        assert np.array_equal(q_moment(ch, y, i),
+                              [q_moment(ch, yk, i) for yk in y])
 
     raw = [np.trapezoid(x ** k * pdf, x) for k in range(5)]
     m = moments(law)

@@ -6,24 +6,27 @@ The parent revision is unpacked with ``git archive`` into a temporary
 directory.  For each workload of BENCHMARK.json, PAIRS pairs of
 ``perfbench/run.py --trace 0`` runs follow, one on each tree; pair i uses
 seed ``--seed`` + i on both sides, and the side that runs first alternates.
-Then one ``--trace 1`` run per side gives the per-layer numbers.  Last,
-each tree runs acceptance criterion 10 (the 1e5-path Wonham/Yao ensemble)
-once under pytest, then the whole tier-1 suite once, parent first each
-time, for their wall times and the peak resident memory of the pytest
-process, which that process reads from its own resource usage.  The record
-goes to BENCH_<pr>.json at the root of this checkout: each tree's src/ line
-count, in total and per file, every run's end-to-end metrics, each side's
-median and quartiles, the pairs the change won (ties count for neither
-side), the traced layers, and the criterion-10 and tier-1 runs.  Each tree also
-records, under ``represent``, the check, the relative error against
-perfbench/refs.json and the wall time of each of the benchmark's five MMSE
-integrals, under ``montecarlo`` the outcome and the wall times of each
-operation of the benchmark's montecarlo workload (the Wonham/Yao ensemble,
-the CLI path dump and the six atom Monte Carlo operations) over
-``MC_PASSES`` passes at seed ``--seed`` in one process, and under ``curve``
-the wall time of one ``immse curve mmse`` process on the benchmark's 16-PAM
-input.  Run it from a checkout whose working tree holds
-the change; after committing the change, pass ``--parent HEAD~1``.
+Then one ``--trace 1`` run per side gives the per-layer numbers.  Three
+probes follow, each as PROBE_PAIRS pairs of processes whose first side
+alternates in the same way, so that host drift does not read as a gap
+between the trees: under ``represent``, the check, the relative error
+against perfbench/refs.json and the wall time of each of the benchmark's
+five MMSE integrals; under ``montecarlo``, the outcome and the wall time of
+each operation of the benchmark's montecarlo workload (the Wonham/Yao
+ensemble, the CLI path dump and the six atom Monte Carlo operations), one
+pass at seed ``--seed`` per process; and under ``curve``, the wall time of
+one ``immse curve mmse`` process on the benchmark's 16-PAM input.  Each
+probe records every pass and each side's median wall times.  Last, each
+tree runs acceptance criterion 10 (the 1e5-path Wonham/Yao ensemble) once
+under pytest, then the whole tier-1 suite once, parent first each time: these
+two are single runs, for their wall times and the peak resident memory of
+the pytest process, which that process reads from its own resource usage.
+The record goes to BENCH_<pr>.json at the root of this checkout: each tree's
+src/ line count, in total and per file, every run's end-to-end metrics,
+each side's median and quartiles, the pairs the change won (ties count for
+neither side), the traced layers, the probes, and the criterion-10 and
+tier-1 runs.  Run it from a checkout whose working tree holds the change;
+after committing the change, pass ``--parent HEAD~1``.
 """
 from __future__ import annotations
 
@@ -43,6 +46,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import inputs  # noqa: E402  (the benchmark's input definitions, plain values)
 PAIRS = 10
+PROBE_PAIRS = 3
+SIDES = ("parent", "change")
 CRITERION_10 = "tests/test_acceptance.py::test_criterion_10_wonham_yao_monte_carlo"
 # runs pytest on its command-line arguments, then prints this process's
 # peak resident memory as the last line of standard output
@@ -74,29 +79,25 @@ with tempfile.TemporaryDirectory() as tmp:
 print(json.dumps(out))
 """
 
-MC_PASSES = 3
 # times each operation of perfbench's montecarlo workload, built by the
-# tree's own perfbench/workloads.py, over MC_PASSES passes after its warmup;
+# tree's own perfbench/workloads.py, over one pass after its warmup;
 # argv: seed.  Prints one JSON object
 MONTECARLO_PROBE = r"""
-import json, statistics, sys, tempfile, time
+import json, sys, tempfile, time
 sys.path.insert(0, "perfbench")
 import workloads
 
 with tempfile.TemporaryDirectory() as tmp:
     work = workloads.build("montecarlo", int(sys.argv[1]), "full", tmp)
     work.warmup()
-    out = {op.name: {"ok": True, "wall_s": []} for op in work.ops}
-    for _ in range(%d):
-        for op in work.ops:
-            t0 = time.perf_counter()
-            outcomes, _, _ = op.run()
-            out[op.name]["wall_s"].append(time.perf_counter() - t0)
-            out[op.name]["ok"] &= all(o.ok for o in outcomes)
-    for rec in out.values():
-        rec["median_s"] = statistics.median(rec["wall_s"])
+    out = {}
+    for op in work.ops:
+        t0 = time.perf_counter()
+        outcomes, _, _ = op.run()
+        out[op.name] = {"ok": all(o.ok for o in outcomes),
+                        "wall_s": time.perf_counter() - t0}
 print(json.dumps(out))
-""" % MC_PASSES
+"""
 
 
 def unpack(rev: str, dest: str) -> str:
@@ -194,12 +195,6 @@ def run_probe(tree: str, probe: str, *args: str) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def run_represent(tree: str) -> dict:
-    """Check, relative error and wall time of each of the benchmark's five
-    MMSE integrals, computed by ``tree``'s sources in one process."""
-    return run_probe(tree, REPRESENT_PROBE)
-
-
 def run_curve(tree: str) -> dict:
     """Wall time of one ``immse curve mmse`` process on the benchmark's
     16-PAM input and dB grid, interpreter start included, and its exit code."""
@@ -216,6 +211,33 @@ def run_curve(tree: str) -> dict:
     if proc.returncode != 0:
         out["stderr"] = proc.stderr[-2000:]
     return out
+
+
+def alternating(n: int, trees: dict, fn, label: str) -> list:
+    """``n`` pairs of ``fn(tree, i)`` calls, one per side, the side that
+    runs first alternating from pair to pair, parent first in pair 0."""
+    pairs = []
+    for i in range(n):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        pair = {"first": order[0]}
+        for side in order:
+            pair[side] = fn(trees[side], i)
+            print(f"{label} pair {i} {side}: "
+                  f"{pair[side].get('metrics', pair[side])}",
+                  file=sys.stderr, flush=True)
+        pairs.append(pair)
+    return pairs
+
+
+def median_wall(passes: list):
+    """The median of the passes' wall times, per op where a pass times
+    several ops; None if a pass failed."""
+    if any("error" in p for p in passes):
+        return None
+    if "wall_s" in passes[0]:
+        return statistics.median(p["wall_s"] for p in passes)
+    return {op: statistics.median(p[op]["wall_s"] for p in passes)
+            for op in passes[0]}
 
 
 def quartiles(values: list) -> dict:
@@ -279,29 +301,28 @@ def main(argv=None) -> int:
             "workloads": {},
         }
         for workload in (w["name"] for w in bench["workloads"]):
-            pairs = []
-            for i in range(PAIRS):
-                seed = args.seed + i
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                pair = {"seed": seed, "first": order[0]}
-                for side in order:
-                    pair[side] = run(trees[side], workload, seed, seconds, 0)
-                    print(f"{workload} pair {i} {side}: "
-                          f"{pair[side].get('metrics', pair[side].get('error'))}",
-                          file=sys.stderr, flush=True)
-                pairs.append(pair)
+            pairs = alternating(
+                PAIRS, trees, lambda tree, i: run(tree, workload, args.seed + i,
+                                                  seconds, 0), workload)
+            for i, pair in enumerate(pairs):
+                pair["seed"] = args.seed + i
             traced = {side: run(trees[side], workload, args.seed, seconds, 1)
-                      for side in ("parent", "change")}
+                      for side in SIDES}
             record["workloads"][workload] = {
                 "pairs": pairs, "summary": summarize(pairs, better),
                 "traced": traced}
-        run_montecarlo = lambda tree: run_probe(tree, MONTECARLO_PROBE,
-                                                str(args.seed))
-        for key, fn in (("represent", run_represent),
-                        ("montecarlo", run_montecarlo), ("curve", run_curve),
-                        ("criterion_10", run_criterion_10), ("tier1", run_tier1)):
+        probes = {
+            "represent": lambda tree, i: run_probe(tree, REPRESENT_PROBE),
+            "montecarlo": lambda tree, i: run_probe(tree, MONTECARLO_PROBE,
+                                                    str(args.seed)),
+            "curve": lambda tree, i: run_curve(tree)}
+        for key, fn in probes.items():
+            passes = alternating(PROBE_PAIRS, trees, fn, key)
+            record[key] = {"passes": passes, "median_wall_s": {
+                side: median_wall([p[side] for p in passes]) for side in SIDES}}
+        for key, fn in (("criterion_10", run_criterion_10), ("tier1", run_tier1)):
             record[key] = {}
-            for side in ("parent", "change"):
+            for side in SIDES:
                 record[key][side] = fn(trees[side])
                 print(f"{key} {side}: {record[key][side]}", file=sys.stderr,
                       flush=True)
