@@ -113,12 +113,12 @@ def _curve_model(args):
                 }, "closed-form", 1e-9
     if args.ar:
         kv = parse_kv(args.ar)
-        p = dt.ARProcess(kv["a"], int(kv["n"]))
+        p = dt.ARProcess(kv["a"], kv["n"])
         mean = lambda name: lambda s: float(
             getattr(dt.kalman_triple(p, s), name).mean())
         return {"mi": lambda s: dt.block_mi(p, s), "mmse": mean("mmse"),
                 "cmmse": mean("cmmse"), "pmmse": mean("pmmse")}, "kalman", 0.0
-    law = parse_input_spec(args.input)
+    law = parse_input_spec("gaussian" if args.input is None else args.input)
     fns = {"mi": scalar.mutual_information, "mmse": scalar.mmse,
            "fisher": scalar.fisher_information}
     return ({q: (lambda s, f=f: f(ScalarChannel(law, s))) for q, f in fns.items()},
@@ -129,7 +129,7 @@ def cmd_curve(args):
     if args.bits and args.quantity != "mi":
         raise ValueError(f"--bits applies to mi only, not {args.quantity}")
     grid = parse_snr_grid(args.snr_db, db=True) if args.snr_db \
-        else parse_snr_grid(args.snr)
+        else parse_snr_grid("1" if args.snr is None else args.snr)
     quantities, method, tol = _curve_model(args)
     if args.quantity not in quantities:
         flag = "--telegraph" if args.telegraph else "--ar" if args.ar else None
@@ -295,14 +295,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve = sub.add_parser("curve", help="emit a quantity-vs-snr CSV")
     p_curve.add_argument("quantity",
                          choices=["mi", "mmse", "cmmse", "pmmse", "fisher"])
-    p_curve.add_argument("--input", default="gaussian",
-                         help="gaussian[:m,v] | binary | mixture:w,m,v;... "
-                              "| atoms:v,p;...")
-    p_curve.add_argument("--telegraph", help="telegraph model, e.g. nu=1")
-    p_curve.add_argument("--ar", help="AR(1) model, e.g. a=0.9,n=50")
-    p_curve.add_argument("--snr", default="1", help="value or a:b:step")
-    p_curve.add_argument("--snr-db", dest="snr_db",
-                         help="snr grid in dB, converted as 10^(dB/10)")
+    # these flags have no default: argparse lets a conflict through when the
+    # value given is the default object itself, as "1" or "gaussian" can be
+    source = p_curve.add_mutually_exclusive_group()
+    source.add_argument("--input",
+                        help="gaussian[:m,v] | binary | mixture:w,m,v;... "
+                             "| atoms:v,p;... (default gaussian)")
+    source.add_argument("--telegraph", help="telegraph model, e.g. nu=1")
+    source.add_argument("--ar", help="AR(1) model, e.g. a=0.9,n=50")
+    snr = p_curve.add_mutually_exclusive_group()
+    snr.add_argument("--snr", help="value or a:b:step (default 1)")
+    snr.add_argument("--snr-db", dest="snr_db",
+                     help="snr grid in dB, converted as 10^(dB/10)")
     p_curve.add_argument("--bits", action="store_true",
                          help="report mi in bits instead of nats")
     p_curve.add_argument("--out", default="curve.csv")
@@ -327,8 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="Monte Carlo filtering runs")
     p_sim.add_argument("model", choices=["telegraph", "constant-input"])
     p_sim.add_argument("--nu", type=float, default=1.0)
-    p_sim.add_argument("--snr", type=float, default=1.0)
-    p_sim.add_argument("--snr-db", dest="snr_db", type=float)
+    snr = p_sim.add_mutually_exclusive_group()
+    snr.add_argument("--snr", type=float, default=1.0)
+    snr.add_argument("--snr-db", dest="snr_db", type=float)
     p_sim.add_argument("--paths", type=int, default=1)
     p_sim.add_argument("--dt", type=float,
                        help="time step (default respects the discretisation bound)")

@@ -65,6 +65,11 @@ class OUSpectrum:
     variance: float = 1.0
     beta: float = 1.0
 
+    def __post_init__(self):
+        require_finite(variance=self.variance, beta=self.beta)
+        if min(self.variance, self.beta) <= 0:
+            raise ValueError("variance and beta must be positive")
+
     def __call__(self, omega):
         return 2.0 * self.variance * self.beta / (self.beta ** 2 + np.asarray(omega) ** 2)
 
@@ -262,33 +267,21 @@ def _row_blocks(a: np.ndarray) -> list:
     return [(k, a[k:k + STEP_BLOCK]) for k in range(0, len(a), STEP_BLOCK)]
 
 
-def _draw_normals(helper, rng: np.random.Generator, blocks: list) -> list:
-    """Submit one ``standard_normal`` draw into each block's rows, in order,
-    to the helper thread; the futures."""
-    return [helper.submit(rng.standard_normal, out=blk) for _, blk in blocks]
-
-
 def _telegraph_blocks(snr: float, n_steps: int, dt: float, x0: np.ndarray,
-                      flips: np.ndarray, x_edges: np.ndarray, blocks: list,
-                      drawn: list):
+                      flips: np.ndarray, x_edges: np.ndarray, blocks):
     """Exact-holding-time telegraph paths on a dt grid from x0 and the flip
     times (``_flip_times``), made a block of steps at a time.
 
-    Fills x_edges and returns a generator over the blocks.  x_edges
-    (n_steps+1, paths) is C-order, so step k of every path is one contiguous
-    row; x_edges[k, p] is the int8 state +/-1 at t_k, complete on return.
-    ``blocks`` are (k, rows) in step order, rows a C-order (m, paths) view
-    into which the helper thread draws the normals of steps k, ..., k + m - 1,
-    one future of ``drawn`` per block.  The generator waits for each draw,
-    makes it final and yields (k, rows): row j is dy at step k + j,
-    sqrt(snr) * ∫ X dt + dW over the step, with the occupation integral
-    computed exactly from the flip times.  This thread builds x_edges and
-    the flip cells while the helper draws.
+    x_edges (n_steps+1, paths) is C-order, so step k of every path is one
+    contiguous row; x_edges[k, p] is the int8 state +/-1 at t_k, filled
+    before the first block is read.  ``blocks`` is any iterable of (k, rows)
+    in step order, rows a C-order (m, paths) view holding the standard
+    normals of steps k, ..., k + m - 1.  Each block is made final in place
+    and yielded: row j is dy at step k + j, sqrt(snr) * ∫ X dt + dW over the
+    step, with the occupation integral computed exactly from the flip times.
     """
     n_paths = x0.size
-    horizon = n_steps * dt
-    valid = flips < horizon
-    rows, cols = np.nonzero(valid)
+    rows, cols = np.nonzero(flips < n_steps * dt)
     ft = flips[rows, cols]
     step_idx = np.minimum((ft / dt).astype(np.int64), n_steps - 1)
     # state at each edge: x0 * (-1)^(flips before the edge), the parity of
@@ -310,21 +303,15 @@ def _telegraph_blocks(snr: float, n_steps: int, dt: float, x0: np.ndarray,
     state_before = x0[rows] * np.where(cols % 2 == 0, 1.0, -1.0)
     np.add.at(occ, which, 2.0 * state_before * (ft - (step_idx + 1) * dt))
     occ *= np.sqrt(snr)
-    starts = [k for k, _ in blocks]
-    bounds = np.searchsorted(cells, np.array([*starts, n_steps]) * n_paths)
     held = np.sqrt(snr) * dt
-
-    def made():
-        for (k, blk), d, lo, hi in zip(blocks, drawn, bounds[:-1], bounds[1:]):
-            d.result()
-            blk *= np.sqrt(dt)
-            local = cells[lo:hi] - k * n_paths
-            flipped = blk.ravel()[local] + occ[lo:hi]
-            blk += held * x_edges[k:k + len(blk)]
-            blk.ravel()[local] = flipped
-            yield k, blk
-
-    return made()
+    for k, blk in blocks:
+        lo, hi = np.searchsorted(cells, [k * n_paths, (k + len(blk)) * n_paths])
+        blk *= np.sqrt(dt)
+        local = cells[lo:hi] - k * n_paths
+        flipped = blk.ravel()[local] + occ[lo:hi]
+        blk += held * x_edges[k:k + len(blk)]
+        blk.ravel()[local] = flipped
+        yield k, blk
 
 
 def _telegraph_paths(nu: float, snr: float, n_steps: int, dt: float,
@@ -332,18 +319,16 @@ def _telegraph_paths(nu: float, snr: float, n_steps: int, dt: float,
     """Telegraph paths made by ``_telegraph_blocks``: (x_edges, dy) as
     (n_paths, n_steps+1) and (n_paths, n_steps) views of the time-major
     arrays, so step k of every path is one contiguous row (``x_edges[:, k]``,
-    ``dy[:, k]``).  The generator is read as x0, flip times, then the
-    normals in (steps, paths) order, as one whole-array draw would read it,
-    so a single path draws the same numbers at any layout."""
+    ``dy[:, k]``).  The generator is read on the calling thread as x0, flip
+    times, then the normals in one (steps, paths) draw, the order in which
+    ``wonham_ensemble`` reads each chunk's, so a single path draws the same
+    numbers at any layout."""
     x_edges = np.empty((n_steps + 1, n_paths), dtype=np.int8)
-    dy = np.empty((n_steps, n_paths))
-    blocks = _row_blocks(dy)
-    with draw_thread() as helper:
-        x0, flips = _flip_times(nu, n_steps * dt, n_paths, rng)
-        drawn = _draw_normals(helper, rng, blocks)
-        for _ in _telegraph_blocks(snr, n_steps, dt, x0, flips, x_edges,
-                                   blocks, drawn):
-            pass
+    x0, flips = _flip_times(nu, n_steps * dt, n_paths, rng)
+    dy = rng.standard_normal((n_steps, n_paths))
+    for _ in _telegraph_blocks(snr, n_steps, dt, x0, flips, x_edges,
+                               _row_blocks(dy)):
+        pass
     return x_edges.T, dy.T
 
 
@@ -475,11 +460,12 @@ def _ensemble_chunks(m: TelegraphModel, dt: float, n_steps: int, k0: int,
                           (sm_hi - sm_lo + 1, np.float32)))
     blocks = _row_blocks(wide)
     x0, flips = _flip_times(m.nu, n_steps * dt, sizes[0], rng)
-    drawn = _draw_normals(helper, rng, blocks)
+    drawn = [helper.submit(rng.standard_normal, out=blk) for _, blk in blocks]
     for c, n_paths in enumerate(sizes):
         x_edges, fwd = _prefix(edges, n_paths), _prefix(kept, n_paths)
+        # each block once its draw is done: the draw returns the block's rows
         made = _telegraph_blocks(m.snr, n_steps, dt, x0, flips, x_edges,
-                                 blocks, drawn)
+                                 ((k, d.result()) for (k, _), d in zip(blocks, drawn)))
         buf = np.zeros((STEP_BLOCK, n_paths + 1))
         causal, anti, smooth = np.zeros((3, n_paths + 1))
         # the filter yields from t_1 on; at t_0 the error is (X_0 - 0)^2 = 1
@@ -531,18 +517,20 @@ def wonham_ensemble(m: TelegraphModel, mc: McConfig) -> EnsembleResult:
     Paths are made ``ENSEMBLE_CHUNK`` at a time, time-major, by
     ``_telegraph_blocks``, in one (steps, paths) buffer of step normals,
     STEP_BLOCK steps to a block.  The helper thread (``draw_thread``) draws
-    the normals a block at a time, ahead of this thread, which makes tau =
-    tanh(sqrt(snr) dy) in place over each block as it is drawn and runs the
-    forward filter on it.  The backward filter walks the same blocks in
-    reverse, and as it frees the i-th of them the helper draws the next
-    chunk's i-th block of steps into the flat prefix of its rows, whatever
-    that chunk's width.  The generator is read in one order, x0, flip
-    times, then the chunk's normals in (steps, paths) order, chunk after
-    chunk: this thread draws a chunk's x0 and flip times once the previous
-    chunk's forward pass has read all its normals.  So the results depend
-    neither on the blocks nor on the thread timing.  The states and the
-    kept forward means reuse one buffer each as well.  The causal error is
-    summed on the float64 forward means, which are kept (as float32) only
+    the normals a block at a time, ahead of this thread, which builds the
+    chunk's states meanwhile.  ``_ensemble_chunks`` is the one place that
+    waits on the helper: it hands each block to ``_telegraph_blocks`` once
+    its draw is done, then makes tau = tanh(sqrt(snr) dy) in place over the
+    block and runs the forward filter on it.  The backward filter walks the
+    same blocks in reverse, and as it frees the i-th of them the helper
+    draws the next chunk's i-th block of steps into the flat prefix of its
+    rows, whatever that chunk's width.  The generator is read in one order,
+    x0, flip times, then the chunk's normals in (steps, paths) order, chunk
+    after chunk: this thread draws a chunk's x0 and flip times once the
+    previous chunk's forward pass has read all its normals.  So the results
+    depend neither on the blocks nor on the thread timing.  The states and
+    the kept forward means reuse one buffer each as well.  The causal error
+    is summed on the float64 forward means, which are kept (as float32) only
     on the smoother window; the anticausal and smoother errors are summed on
     the backward pass.  Each error is summed a block of steps at a time,
     adding the steps in the order they were filtered, so every sum equals

@@ -27,8 +27,11 @@ class ARProcess:
     def __post_init__(self):
         if not abs(self.a) < 1:
             raise ValueError("AR coefficient must satisfy |a| < 1")
+        if not float(self.n).is_integer():
+            raise ValueError(f"horizon must be a whole number, not {self.n!r}")
         if self.n < 1:
             raise ValueError("horizon must be >= 1")
+        object.__setattr__(self, "n", int(self.n))
 
     def covariance(self) -> np.ndarray:
         """Toeplitz stationary covariance a^|i-j| (unit variance)."""

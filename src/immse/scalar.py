@@ -326,6 +326,9 @@ def lemma1_low_snr(law: InputLaw, deltas) -> Report:
     """
     var = moments(law).variance
     deltas = np.sort(np.atleast_1d(np.asarray(deltas, dtype=float)))
+    require_finite(deltas=deltas)
+    if not np.all(deltas > 0):
+        raise ValueError("deltas must be positive")
     report = Report("lemma1-low-snr")
     deficits = []
     for d in deltas:

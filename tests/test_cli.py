@@ -160,6 +160,45 @@ def test_curve_usage_errors(tmp_path):
                  "--out", str(tmp_path / "y.csv")]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["curve", "mmse", "--telegraph", "nu=1", "--ar", "a=0.9,n=5"],
+    ["curve", "mmse", "--input", "binary", "--telegraph", "nu=1"],
+    ["curve", "mmse", "--input", "gaussian", "--telegraph", "nu=1"],
+    ["curve", "mi", "--input", "gaussian", "--ar", "a=0.9,n=5"],
+    ["curve", "mi", "--snr", "1", "--snr-db", "10"],
+    ["simulate", "telegraph", "--snr", "4", "--snr-db", "0"],
+])
+def test_conflicting_flags_are_usage_errors(tmp_path, argv, capsys,
+                                            monkeypatch):
+    # one flag of the pair would be ignored; argparse refuses both, even
+    # when a value given equals the flag's former default
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "c.out")])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_curve_defaults_to_gaussian_input_at_snr_1(tmp_path):
+    out, ref = tmp_path / "d.csv", tmp_path / "ref.csv"
+    assert main(["curve", "mi", "--out", str(out)]) == 0
+    assert main(["curve", "mi", "--input", "gaussian", "--snr", "1",
+                 "--out", str(ref)]) == 0
+    assert out.read_bytes() == ref.read_bytes()
+
+
+def test_curve_ar_horizon_must_be_whole(tmp_path, capsys):
+    out = tmp_path / "ar.csv"
+    assert main(["curve", "mi", "--ar", "a=0.9,n=2.7", "--out", str(out)]) == 2
+    assert "whole number" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+    ref = tmp_path / "ref.csv"
+    assert main(["curve", "mi", "--ar", "a=0.9,n=5e1", "--out", str(out)]) == 0
+    assert main(["curve", "mi", "--ar", "a=0.9,n=50", "--out", str(ref)]) == 0
+    assert out.read_bytes() == ref.read_bytes()
+
+
 @pytest.mark.parametrize("source", [["--input", "gaussian"],
                                     ["--input", "binary"],
                                     ["--telegraph", "nu=1"],

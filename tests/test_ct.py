@@ -359,6 +359,21 @@ def test_simulate_telegraph_pinned_digest():
                       "cdab7d48623e958d324841ac1dfb82a1")
 
 
+def test_simulate_telegraph_starts_no_thread(monkeypatch):
+    # a single path draws its normals on the calling thread: only the
+    # ensemble waits on the helper
+    def no_pool(*args):
+        raise AssertionError("a helper thread was started")
+
+    monkeypatch.setattr(quadrature, "ThreadPoolExecutor", no_pool)
+    before = threading.active_count()
+    path = simulate_telegraph(TelegraphModel(1.0, 2.0), T=2.5, dt=1e-3, seed=31)
+    digest = hashlib.sha256(path.x.tobytes() + path.dy.tobytes()).hexdigest()
+    assert digest == ("cdebf0d9720a605feef7530192468366"
+                      "cdab7d48623e958d324841ac1dfb82a1")
+    assert threading.active_count() == before
+
+
 def test_ensemble_failure_cancels_draws_and_joins_helper(monkeypatch):
     submitted = []
 
@@ -480,6 +495,14 @@ def test_spectral_report_catches_a_log_integral_error(monkeypatch):
     monkeypatch.setattr(ct, "spectral_quantities", skewed)
     report = spectral_report(OUSpectrum(), 1.0)
     assert [c.passed for c in report.checks] == [True, True, True, False, True]
+
+
+@pytest.mark.parametrize("field", ["variance", "beta"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+def test_ou_spectrum_rejects_bad_parameters(field, bad):
+    # such a spectrum would give NaN or -inf from the spectral formulas
+    with pytest.raises(ValueError, match="must be (finite|positive)"):
+        OUSpectrum(**{field: bad})
 
 
 def test_spectral_zero_snr():

@@ -17,6 +17,19 @@ def test_ar_validation():
         ARProcess(0.5, 0)
 
 
+@pytest.mark.parametrize("n", [2.5, np.nan, np.inf])
+def test_ar_rejects_a_horizon_that_is_not_whole(n):
+    with pytest.raises(ValueError, match="whole number"):
+        ARProcess(0.5, n)
+
+
+def test_ar_whole_float_horizon_is_an_int():
+    p = ARProcess(0.5, 50.0)
+    assert p == ARProcess(0.5, 50) and type(p.n) is int
+    assert np.array_equal(kalman_triple(p, 1.0).mmse,
+                          kalman_triple(ARProcess(0.5, 50), 1.0).mmse)
+
+
 @pytest.mark.parametrize("fn", [kalman_triple, block_mi])
 @pytest.mark.parametrize("snr", [np.nan, np.inf])
 def test_rejects_nonfinite_snr(fn, snr):

@@ -392,6 +392,15 @@ def test_low_snr_lemma_binary():
     assert report.passed, report.to_dict()
 
 
+@pytest.mark.parametrize("deltas, match", [([0.0, 1e-3], "positive"),
+                                           ([-1e-3, 1e-3], "positive"),
+                                           ([np.nan, 1e-3], "finite")])
+def test_low_snr_lemma_rejects_bad_deltas(deltas, match):
+    # I(delta)/delta has no value at delta = 0
+    with pytest.raises(ValueError, match=match):
+        lemma1_low_snr(binary_law(), deltas)
+
+
 # ---------------------------------------------------------------------------
 # Fisher information
 # ---------------------------------------------------------------------------
