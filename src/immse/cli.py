@@ -50,14 +50,22 @@ def parse_input_spec(spec: str) -> InputLaw:
     raise ValueError(f"unknown input spec {spec!r}")
 
 
-def parse_kv(spec: str) -> dict:
-    """'nu=1,snr=2' -> {'nu': 1.0, 'snr': 2.0}; bare 'a=0.9' works too."""
+def parse_kv(spec: str, keys: tuple) -> dict:
+    """'a=0.9,n=50' -> {'a': 0.9, 'n': 50.0}; each of ``keys`` must be given
+    once, and no other key."""
     out = {}
     for part in spec.split(","):
         key, _, val = part.partition("=")
+        key = key.strip()
         if not val:
             raise ValueError(f"expected key=value in {spec!r}")
-        out[key.strip()] = float(val)
+        if key not in keys or key in out:
+            raise ValueError(f"{'repeated' if key in out else 'unknown'} key "
+                             f"{key!r} in {spec!r} (keys: {', '.join(keys)})")
+        out[key] = float(val)
+    for key in keys:
+        if key not in out:
+            raise ValueError(f"missing key {key!r} in {spec!r}")
     return out
 
 
@@ -104,7 +112,7 @@ def _emit_json(payload: dict, out: str | None) -> None:
 def _curve_model(args):
     """Quantity -> value at one snr for the chosen model, its method and tol."""
     if args.telegraph:
-        nu = parse_kv(args.telegraph)["nu"]
+        nu = parse_kv(args.telegraph, ("nu",))["nu"]
         tm = lambda s: ct.TelegraphModel(nu, s)
         return {"cmmse": lambda s: ct.telegraph_cmmse(tm(s)),
                 "mmse": lambda s: ct.telegraph_mmse(tm(s)),
@@ -112,7 +120,7 @@ def _curve_model(args):
                 "mi": lambda s: 0.5 * s * ct.telegraph_cmmse(tm(s)),
                 }, "closed-form", 1e-9
     if args.ar:
-        kv = parse_kv(args.ar)
+        kv = parse_kv(args.ar, ("a", "n"))
         p = dt.ARProcess(kv["a"], kv["n"])
         mean = lambda name: lambda s: float(
             getattr(dt.kalman_triple(p, s), name).mean())

@@ -25,16 +25,22 @@ wide, so thinning moves an edge by less than the narrowest component's sd
 and leaves none of its panels more than ``STEP`` + 1 of those sds wide.
 Where a switch width w is narrower, the cells are w wide.
 
-``snr_integral(f, snr)`` evaluates ∫_0^snr f(g) dg in t = ln(1+g), on the
-unit panels [0, 1], [1, 2], ... up to ln(1+snr), the last one cut short: an
-MMSE-like integrand falls like 1/(1+g), so in t it is flat, and one panel per
-e-fold of 1+g keeps the panels alike out to snr 1e4 and beyond.  Both
-integrals use the embedded 10-point Gauss / 21-point Kronrod pair of
-QUADPACK's ``qk21`` (Piessens et al., 1983): each level evaluates the
-integrand once, on 21 nodes per panel, and takes the Kronrod sum.  The sum
-over panels of |K21 - G10| is the level's error estimate; it stops when that
-is at most ``REL_TOL * min(1, |value|)``: absolute at 1e-10 above |value| = 1,
-relative below, where the MMSE at high snr lives.  Otherwise every panel is
+``snr_integral(f, snr)`` evaluates ∫_0^snr f(g) dg in t = ln(1+g), on
+ceil(ln(1+snr) / ``T_PANEL``) equal panels of [0, ln(1+snr)], one at least:
+an MMSE-like integrand falls like 1/(1+g), so in t it is flat, and panels of
+a few e-folds of 1+g stay alike out to snr 1e4 and beyond.
+
+The output quadrature uses the embedded 10-point Gauss / 21-point Kronrod
+pair of QUADPACK's ``qk21`` (Piessens et al., 1983).  The snr integral, each
+of whose nodes is a whole output quadrature, uses the 43-point rule of
+Patterson's nested extension of K21 (Math. Comp. 22, 1968; the third rule of
+QUADPACK's ``qng``), with K21 as its embedded rule.  ``tools/make_kronrod.py``
+derives both tables in mpmath, K21 from G10 and K43 from K21.  Each level
+evaluates the integrand once, on 21 (43) nodes per panel, and takes the
+higher rule's sum.  The sum over panels of |K21 - G10| (|K43 - K21|) is the
+level's error estimate; it stops when that is at most
+``REL_TOL * min(1, |value|)``: absolute at 1e-10 above |value| = 1, relative
+below, where the MMSE at high snr lives.  Otherwise every panel is
 halved, and NonConvergence is raised after ``MAX_LEVELS`` halvings.  A
 caller must therefore hand over an integral of order one or below: at
 |value| = 1e6 the stop asks for 1e-16 relative, which no double reaches
@@ -61,6 +67,25 @@ accurate than its estimate); at 4 sd it exceeds REL_TOL = 1e-10, so calls
 would refine, and a refined call evaluates three times the nodes of its
 first level.  ``REACH`` is a whole number of steps.
 
+``T_PANEL`` = 4 is chosen in the same way: the widest whole number of
+e-folds at which the first-level |K43 - K21|, relative to min(1, |value|),
+of each MMSE integral of the benchmark's represent workload stays at most
+REL_TOL/2, on panels that wide in t with the last one cut short:
+
+    =====  =======  =======  =======  ============
+    width  4-PAM    16-PAM   MIX2     uniform 201
+    =====  =======  =======  =======  ============
+    3      3.3e-12  4.1e-13  7.3e-13  3.9e-13
+    4      3.6e-12  5.2e-12  8.4e-12  4.6e-12
+    5      1.1e-9   9.7e-12  4.8e-11  2.8e-11
+    =====  =======  =======  =======  ============
+
+At width 5 the 4-PAM estimate exceeds REL_TOL.  The equal panels are at
+most 4 wide; on them no snr integral of the benchmark refines, the largest
+estimate being 2.8e-11 (the binary law's one panel, 3.93 wide).  Equal
+panels rather than 0, 4, 8, ... keep a short last panel's 43 nodes off the
+top of t, where each output quadrature costs most.
+
 ``fd_derivative`` is d/dsnr by one Richardson step on ``fd_difference``,
 both with the one step ``FD_STEP * max(1, snr)``.
 
@@ -80,6 +105,7 @@ from .laws import InputLaw, components, require_finite
 
 REACH = 12.0           # output standard deviations covered around each centre
 STEP = 3.0             # output standard deviations per panel (module docstring)
+T_PANEL = 4.0          # widest snr_integral panel, in ln(1 + snr) (module docstring)
 REL_TOL = 1e-10
 MAX_LEVELS = 6
 FD_STEP = 1e-4         # d/dsnr step, relative above snr 1, absolute below
@@ -106,9 +132,42 @@ _WG[1::2] = [
     0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
     0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
     0.295524224714752870173892994651338]
-_K21_NODES = np.concatenate((-_XK, _XK[-2::-1]))
-_K21_WEIGHTS = np.concatenate((_WK, _WK[-2::-1]))
-_G10_WEIGHTS = np.concatenate((_WG, _WG[-2::-1]))
+# Patterson's 43-point extension of qk21 (tools/make_kronrod.py, which also
+# gives back _XK and _WK from the 10-point Gauss rule): its 11 new nodes from 1
+# down to 0, which interlace with _XK, and the weights of all 22 nodes so merged
+_XP = np.array([
+    0.999333360901932081394099323919911, 0.987433402908088869795961478381209,
+    0.954807934814266299257919200290473, 0.900148695748328293625099494069092,
+    0.825198314983114150847066732588520, 0.732148388989304982612354848755461,
+    0.622847970537725238641159120344323, 0.499479574071056499952214885499755,
+    0.364901661346580768043989548502644, 0.222254919776601296498260928066212,
+    0.074650617461383322043914435796506])
+_W43 = np.array([
+    0.001844477640212414100389106552965, 0.005768556059769796184184327908655,
+    0.010798689585891651740465406741293, 0.016296734289666564924281974617663,
+    0.021895363867795428102523123075149, 0.027371890593248842081276069289151,
+    0.032597463975345689443882222526137, 0.037522876120869501461613795898115,
+    0.042163137935191811847627924327955, 0.046560826910428830743339154433824,
+    0.050741939600184577780189020092084, 0.054694902058255442147212685465005,
+    0.058379395542619248375475369330206, 0.061744995201442564496240336030883,
+    0.064746404951445885544689259517511, 0.067355414609478086075553166302174,
+    0.069566197912356484528633315038405, 0.071387267268693397768559114425516,
+    0.072824441471833208150939535192842, 0.073870199632393953432140695251367,
+    0.074507751014175118273571813842889, 0.074722147517403005594425168280423])
+_X43, _W21_IN_43 = np.zeros(22), np.zeros(22)
+_X43[0::2], _X43[1::2], _W21_IN_43[1::2] = _XP, _XK, _WK
+
+
+def _rule(x, high, low):
+    """(nodes, high weights, embedded low weights) on [-1, 1] from the
+    positive halves, listed from the node nearest 1 down to 0."""
+    def mirror(a):
+        return np.concatenate((a, a[-2::-1]))
+    return np.concatenate((-x, x[-2::-1])), mirror(high), mirror(low)
+
+
+_K21 = _K21_NODES, _K21_WEIGHTS, _G10_WEIGHTS = _rule(_XK, _WK, _WG)
+_K43 = _rule(_X43, _W43, _W21_IN_43)
 
 
 @dataclass(frozen=True)
@@ -170,14 +229,16 @@ def _panel_edges(law: InputLaw, snr: float) -> np.ndarray:
     return e[keep]
 
 
-def _gauss_kronrod(g, edges: np.ndarray, what: str) -> float:
-    """∫ g over the panels by the refinement of the module docstring."""
+def _gauss_kronrod(g, edges: np.ndarray, what: str, rule) -> float:
+    """∫ g over the panels by the refinement of the module docstring, with
+    ``rule`` = (nodes, high weights, embedded low weights) on [-1, 1]."""
+    nodes, high, low = rule
     for _ in range(MAX_LEVELS + 1):
         mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
-        x = (mid[:, None] + half[:, None] * _K21_NODES).ravel()
-        f = g(x).reshape(mid.size, _K21_NODES.size) * half[:, None]
-        value = float(np.sum(f @ _K21_WEIGHTS))
-        err = float(np.sum(np.abs(f @ (_K21_WEIGHTS - _G10_WEIGHTS))))
+        x = (mid[:, None] + half[:, None] * nodes).ravel()
+        f = g(x).reshape(mid.size, nodes.size) * half[:, None]
+        value = float(np.sum(f @ high))
+        err = float(np.sum(np.abs(f @ (high - low))))
         if err <= max(REL_TOL * min(1.0, abs(value)), _TINY):
             return value
         edges = np.sort(np.concatenate((edges, mid)))
@@ -195,7 +256,7 @@ def integrate_output(g, law: InputLaw, snr: float) -> float:
     """
     if snr < 0:
         raise ValueError("snr must be nonnegative")
-    return _gauss_kronrod(g, _panel_edges(law, snr), "output quadrature")
+    return _gauss_kronrod(g, _panel_edges(law, snr), "output quadrature", _K21)
 
 
 def snr_integral(f, snr: float) -> float:
@@ -208,8 +269,8 @@ def snr_integral(f, snr: float) -> float:
         return np.array([f(float(x)) for x in g]) * (1.0 + g)
 
     t_max = np.log1p(snr)
-    edges = np.append(np.arange(max(np.ceil(t_max), 1.0)), t_max)
-    return _gauss_kronrod(in_t, edges, "snr integral")
+    edges = np.linspace(0.0, t_max, max(int(np.ceil(t_max / T_PANEL)), 1) + 1)
+    return _gauss_kronrod(in_t, edges, "snr integral", _K43)
 
 
 def _difference(f, snr: float, d: float, central: bool) -> float:

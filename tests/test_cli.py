@@ -180,6 +180,23 @@ def test_conflicting_flags_are_usage_errors(tmp_path, argv, capsys,
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("flag, spec, message", [
+    ("--telegraph", "nu=1,snr=5", "unknown key 'snr'"),
+    ("--telegraph", "nu=1,nu=3", "repeated key 'nu'"),
+    ("--telegraph", "mu=1", "unknown key 'mu'"),
+    ("--ar", "a=0.9,n=5,b=3", "unknown key 'b'"),
+    ("--ar", "a=0.9", "missing key 'n'"),
+    ("--ar", "n=5,a=0.9,a=0.5", "repeated key 'a'"),
+])
+def test_model_spec_keys_are_checked(tmp_path, capsys, flag, spec, message):
+    # a key the model does not read, a key given twice or a key left out is
+    # a usage error that names it, and nothing is written
+    assert main(["curve", "mi", flag, spec, "--snr", "1",
+                 "--out", str(tmp_path / "k.csv")]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_curve_defaults_to_gaussian_input_at_snr_1(tmp_path):
     out, ref = tmp_path / "d.csv", tmp_path / "ref.csv"
     assert main(["curve", "mi", "--out", str(out)]) == 0

@@ -1,12 +1,15 @@
 """Output-domain quadrature: the panel rule, its refinement driver and
 accuracy against independent oracles."""
+import importlib.util
+import pathlib
+
 import mpmath as mp
 import numpy as np
 import pytest
 
 from immse.errors import NonConvergence
 from immse.laws import (DiscreteAtoms, Gaussian, GaussianMixture,
-                        GriddedDensity, binary_law, moments)
+                        GriddedDensity, binary_law, moments, variance)
 from immse.ct import OUSpectrum, ou_closed_forms
 from immse import quadrature, scalar
 from immse.cli import parse_snr_grid
@@ -43,6 +46,35 @@ def test_kronrod_21_exact_to_degree_31():
         exact = (1.0 - (-1.0) ** (k + 1)) / (k + 1)
         got = quadrature._K21_WEIGHTS @ quadrature._K21_NODES ** k
         assert abs(got - exact) <= 1e-15, k
+
+
+MAKE_KRONROD = pathlib.Path(__file__).resolve().parents[1] / "tools" / "make_kronrod.py"
+
+
+def test_generator_gives_back_the_checked_in_tables():
+    # run on the 10-point Gauss rule, the generator gives QUADPACK's qk21
+    # as doubles, and run on that, the checked-in 43-point table
+    spec = importlib.util.spec_from_file_location("make_kronrod", MAKE_KRONROD)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    for got, table in zip(gen.tables(), (quadrature._XK, quadrature._WK,
+                                         quadrature._XP, quadrature._W43)):
+        assert np.array_equal(np.array([float(v) for v in got]), table)
+
+
+def test_kronrod_43_table():
+    nodes, high, low = quadrature._K43
+    assert nodes.size == high.size == 43
+    assert np.all(high > 0) and np.all(np.abs(nodes) < 1.0)
+    for k in range(66):
+        exact = (1.0 - (-1.0) ** (k + 1)) / (k + 1)
+        assert abs(high @ nodes ** k - exact) <= 1e-15, k
+    # nested: the embedded rule is qk21 on its own nodes
+    old = low > 0
+    assert np.array_equal(nodes[old], quadrature._K21_NODES)
+    assert np.array_equal(low[old], quadrature._K21_WEIGHTS)
+    # the largest node of QUADPACK qng's 43-point rule
+    assert abs(nodes.max() - 0.999333360901932081394099323919911) <= 1e-16
 
 
 def test_refinement_resolves_a_narrow_bump():
@@ -86,6 +118,44 @@ def test_step_is_the_widest_the_error_estimate_allows():
         > quadrature.REL_TOL
 
 
+# the benchmark's four represent integrals of one law each, in u = var * snr
+# as represent._mmse_integral runs them: (law, where the integral ends in snr)
+REPRESENT_INTEGRALS = {
+    "pam4": (DiscreteAtoms(values=np.array([-3.0, -1.0, 1.0, 3.0]),
+                           probs=np.full(4, 0.25)), 50.0),
+    "pam16": (DiscreteAtoms(values=(2.0 * np.arange(1, 17) - 17.0)
+                            / np.sqrt(85.0), probs=np.full(16, 1 / 16)), 4250.0),
+    "mix2": (GaussianMixture(weights=np.array([0.5, 0.5]),
+                             means=np.array([-1.0, 1.0]),
+                             variances=np.array([0.25, 0.25])), 1e4),
+    "uniform201": (GriddedDensity(grid=np.linspace(-np.sqrt(3), np.sqrt(3), 201),
+                                  pdf=np.full(201, 1 / (2 * np.sqrt(3)))), 400.0),
+}
+
+
+def _snr_integral_estimate(law, snr_max, width):
+    """First-level |K43 - K21| of the law's MMSE integral over panels of
+    ``width`` in t = ln(1 + var * snr), the last one cut short, relative to
+    min(1, |value|)."""
+    v = variance(law)
+    t_max = np.log1p(v * snr_max)
+    edges = np.append(np.arange(0.0, t_max, width), t_max)
+    nodes, high, low = quadrature._K43
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+    u = np.expm1(mid[:, None] + half[:, None] * nodes)
+    f = np.vectorize(lambda x: mmse(ScalarChannel(law, x / v)))(u) \
+        * (1.0 + u) * half[:, None]
+    return np.sum(np.abs(f @ (high - low))) / min(1.0, abs(np.sum(f @ high)))
+
+
+def test_snr_panel_is_the_widest_the_error_estimate_allows():
+    def worst(width):
+        return max(_snr_integral_estimate(law, s, width)
+                   for law, s in REPRESENT_INTEGRALS.values())
+    assert worst(quadrature.T_PANEL) <= quadrature.REL_TOL / 2
+    assert worst(quadrature.T_PANEL + 1.0) > quadrature.REL_TOL
+
+
 def _split_in_three(edges):
     third = np.diff(edges) / 3.0
     return np.sort(np.concatenate(
@@ -119,7 +189,8 @@ def test_wide_panels_match_panels_split_in_three(law, quantity, monkeypatch):
 
     def split(g, law, snr):
         return quadrature._gauss_kronrod(
-            g, _split_in_three(quadrature._panel_edges(law, snr)), "split")
+            g, _split_in_three(quadrature._panel_edges(law, snr)), "split",
+            quadrature._K21)
 
     def both(snr):
         out = []
@@ -140,12 +211,14 @@ def test_wide_panels_match_panels_split_in_three(law, quantity, monkeypatch):
 def test_unequal_sd_mixtures_do_not_refine_on_the_epi_pairs(monkeypatch):
     # criterion 13's five random pairs of two-component mixtures, whose
     # components have unequal output sds: thinned to cells of the smallest
-    # sd, their panels stay narrow enough that no output call refines
+    # sd, their panels stay narrow enough that no output call refines; each
+    # of the 15 laws takes 3 * 43 MMSEs in its snr integral and 2 in its
+    # closure, 1965 output calls in all
     levels, real = [], quadrature._gauss_kronrod
 
-    def counting(g, edges, what):
+    def counting(g, edges, what, rule):
         calls = []
-        value = real(lambda x: calls.append(None) or g(x), edges, what)
+        value = real(lambda x: calls.append(None) or g(x), edges, what, rule)
         if what == "output quadrature":
             levels.append(len(calls))
         return value
@@ -161,7 +234,7 @@ def test_unequal_sd_mixtures_do_not_refine_on_the_epi_pairs(monkeypatch):
 
     for _ in range(5):
         assert gamma_epi_check(rand_mix(), rand_mix()).passed
-    assert len(levels) > 3000 and set(levels) == {1}
+    assert len(levels) == 1965 and set(levels) == {1}
 
 
 @pytest.mark.parametrize("law", [
@@ -224,7 +297,8 @@ def test_stop_is_relative_below_one():
 
 @pytest.mark.parametrize("s", [1e-3, 1.0, 20.0, 100.0, 1e4])
 def test_snr_integral_closed_forms(s):
-    # one panel below snr e - 1, then unit panels in ln(1 + snr): ten at 1e4
+    # K43 on ceil(ln(1 + snr) / 4) equal panels in ln(1 + snr): one up to
+    # snr e**4 - 1, three at 1e4
     assert snr_integral(lambda g: 1.0 / (1.0 + g), s) == pytest.approx(
         np.log1p(s), rel=1e-12, abs=0.0)
     assert snr_integral(lambda g: (1.0 + g) ** -2, s) == pytest.approx(
@@ -236,12 +310,12 @@ def test_snr_integral_closed_forms(s):
         pytest.approx(s * ou_closed_forms(ou, s)[2], rel=1e-12, abs=0.0)
 
 
-def test_snr_integral_unit_panels_stop_at_level_0():
-    # ten unit panels in ln(1 + snr) up to snr 1e4, each of 21 nodes, and
+def test_snr_integral_equal_panels_stop_at_level_0():
+    # three equal panels in ln(1 + snr) up to snr 1e4, each of 43 nodes, and
     # the first level already meets the stop
     nodes = []
     snr_integral(lambda g: nodes.append(g) or (1.0 + g) ** -2, 1e4)
-    assert len(nodes) == 10 * 21
+    assert len(nodes) == 3 * 43
 
 
 def test_snr_integral_nonconvergence_on_jump():

@@ -66,13 +66,13 @@ def test_entropy_of_atoms_to_1e9(law):
 
 
 def test_entropy_runs_in_variance_scaled_snr(monkeypatch):
-    # 4-PAM (variance 5) ends at snr 50; in u = 5 snr that is six unit panels
-    # up to ln(1 + 250), each resolved at its first level: 6 * 21 MMSEs
+    # 4-PAM (variance 5) ends at snr 50; in u = 5 snr that is two equal
+    # panels up to ln(1 + 250), each resolved at its first level: 2 * 43 MMSEs
     calls = []
     monkeypatch.setattr(represent, "mmse",
                         lambda ch: calls.append(ch.snr) or mmse(ch))
     entropy_via_mmse(FOUR_ATOMS)
-    assert len(calls) == 6 * 21
+    assert len(calls) == 2 * 43
 
 
 def test_entropy_single_atom_zero():
@@ -93,9 +93,19 @@ def test_entropy_rejects_noninjective_mapping():
 
 def test_entropy_rejects_near_degenerate_probs():
     skew = DiscreteAtoms(values=np.array([-1.0, 1.0]),
-                         probs=np.array([1e-8, 1.0 - 1e-8]))
+                         probs=np.array([1e-11, 1.0 - 1e-11]))
     with pytest.raises(ValueError):
         entropy_via_mmse(skew)
+
+
+@pytest.mark.parametrize("p", [1e-8, 1e-10])
+def test_entropy_of_skewed_binary_to_the_floor(p):
+    # down to the floor of 1e-10, the binary entropy matches its closed form
+    # to 1e-8 relative
+    skew = DiscreteAtoms(values=np.array([-1.0, 1.0]),
+                         probs=np.array([p, 1.0 - p]))
+    exact = -p * np.log(p) - (1.0 - p) * np.log1p(-p)
+    assert entropy_via_mmse(skew) == pytest.approx(exact, rel=1e-8, abs=0.0)
 
 
 def test_entropy_running_integral_nondecreasing():

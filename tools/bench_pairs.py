@@ -10,8 +10,9 @@ Then one ``--trace 1`` run per side gives the per-layer numbers.  Three
 probes follow, each as PROBE_PAIRS pairs of processes whose first side
 alternates in the same way, so that host drift does not read as a gap
 between the trees: under ``represent``, the check, the relative error
-against perfbench/refs.json and the wall time of each of the benchmark's
-five MMSE integrals; under ``montecarlo``, the outcome and the wall time of
+against perfbench/refs.json (None for a gamma-EPI check), the wall time and
+the number of MMSE calls of each of the benchmark's ten represent
+operations; under ``montecarlo``, the outcome and the wall time of
 each operation of the benchmark's montecarlo workload (the Wonham/Yao
 ensemble, the CLI path dump and the six atom Monte Carlo operations), one
 pass at seed ``--seed`` per process; and under ``curve``, the wall time of
@@ -57,25 +58,34 @@ code = pytest.main(sys.argv[1:])
 print("[peak_rss_mb]", resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 sys.exit(code)
 """
-# times each of the five MMSE integrals of perfbench's represent part, built
-# by the tree's own perfbench/workloads.py (its gamma_epi gates are left
-# out); prints one JSON object
+# times each of the ten operations of perfbench's represent part (its five
+# MMSE integrals and five gamma-EPI checks), built by the tree's own
+# perfbench/workloads.py, and counts the MMSE calls each makes through
+# represent; prints one JSON object
 REPRESENT_PROBE = r"""
 import json, sys, tempfile, time
 sys.path.insert(0, "perfbench")
 import workloads
+from immse import represent
 
+calls, mmse = [0], represent.mmse
+
+def counted(ch):
+    calls[0] += 1
+    return mmse(ch)
+
+represent.mmse = counted
 with tempfile.TemporaryDirectory() as tmp:
     work = workloads.build_represent(1, "full", workloads.load_refs(), tmp)
     work.warmup()
     out = {}
     for op in work.ops:
-        if op.name.startswith("gamma_epi"):
-            continue
+        calls[0] = 0
         t0 = time.perf_counter()
         (check,), _, _ = op.run()
         out[op.name] = {"ok": bool(check.ok), "rel_err": check.rel_err,
-                        "wall_s": time.perf_counter() - t0}
+                        "wall_s": time.perf_counter() - t0,
+                        "mmse_calls": calls[0]}
 print(json.dumps(out))
 """
 
