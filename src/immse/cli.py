@@ -3,15 +3,17 @@
 Artifacts are CSV (RFC-4180-style, header row) and JSON (stable key order).
 Each command returns its exit code, the files it wrote, its seeds and its
 tolerances; on exit 0 or 1 ``main`` writes ``<file>.manifest.json`` beside
-each of those files, so a run can be replayed bit-identically.  `simulate
---dump` writes a sample path for the telegraph model only.  Exit codes:
-0 pass, 1 verification failure, 2 usage error (nothing is written),
-3 numerical non-convergence.
+each of those files, so a run can be replayed bit-identically.  Each `verify`
+suite (a row of ``SUITES``) and `simulate` model parses only the flags it
+reads, so any other flag (`--dump` on `constant-input`, say) is a usage
+error.  Exit codes: 0 pass, 1 verification failure, 2 usage error (nothing
+is written), 3 numerical non-convergence.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import sys
 import time
@@ -30,24 +32,27 @@ LN2 = float(np.log(2.0))
 
 
 def parse_input_spec(spec: str) -> InputLaw:
-    """Input laws: gaussian[:mean,var], binary, mixture:w,m,v;..., atoms:v,p;..."""
+    """Input laws: gaussian[:mean,var], binary, mixture:w,m,v;..., atoms:v,p;...
+    Fields that do not match the layout are an error that names it."""
     kind, _, body = spec.partition(":")
+    layout = {"gaussian": "gaussian[:mean,var]", "binary": "binary",
+              "mixture": "mixture:w,m,v;...", "atoms": "atoms:v,p;..."}.get(kind)
+    if layout is None:
+        raise ValueError(f"unknown input spec {spec!r}")
+    if not body and kind in ("gaussian", "binary"):
+        return Gaussian(0.0, 1.0) if kind == "gaussian" else binary_law()
+    parts = [part.split(",") for part in body.split(";")]
+    if (kind == "binary" or any(len(p) != layout.count(",") + 1 for p in parts)
+            or (kind == "gaussian" and len(parts) > 1)):
+        raise ValueError(f"input spec {spec!r} does not match {layout}")
     if kind == "gaussian":
-        if not body:
-            return Gaussian(0.0, 1.0)
-        mean, var = (float(t) for t in body.split(","))
-        return Gaussian(mean, var)
-    if kind == "binary":
-        return binary_law()
-    if kind in ("mixture", "atoms"):
-        cols = [np.array(col) for col in zip(*(
-            [float(t) for t in part.split(",")] for part in body.split(";")))]
-        if kind == "mixture":
-            w, m, v = cols
-            return GaussianMixture(weights=w, means=m, variances=v)
-        vals, probs = cols
-        return DiscreteAtoms(values=vals, probs=probs)
-    raise ValueError(f"unknown input spec {spec!r}")
+        return Gaussian(*(float(t) for t in parts[0]))
+    cols = [np.array([float(t) for t in col]) for col in zip(*parts)]
+    if kind == "mixture":
+        w, m, v = cols
+        return GaussianMixture(weights=w, means=m, variances=v)
+    vals, probs = cols
+    return DiscreteAtoms(values=vals, probs=probs)
 
 
 def parse_kv(spec: str, keys: tuple) -> dict:
@@ -155,7 +160,7 @@ def cmd_curve(args):
 # verify
 # ---------------------------------------------------------------------------
 
-def _suite_representations(args) -> Report:
+def _verify_representations() -> Report:
     report = Report("representations")
     four = DiscreteAtoms(values=np.array([-3.0, -1.0, 1.0, 3.0]),
                          probs=np.full(4, 0.25))
@@ -170,50 +175,49 @@ def _suite_representations(args) -> Report:
     return report
 
 
-def _default_vector_model(args, gaussian: bool = True):
-    rng = np.random.default_rng(args.seed)
-    h = rng.standard_normal((2, 2))
-    if gaussian:
+def _vector_model(input: str, snr: float, seed: int):
+    """2x2 H drawn from ``seed``; standard Gaussian or equiprobable +/-1 input."""
+    h = np.random.default_rng(seed).standard_normal((2, 2))
+    if input == "gaussian":
         inp = vector.GaussianVec(mean=np.zeros(2), cov=np.eye(2))
-    else:
+    elif input == "binary":
         pts = np.array([[a, b] for a in (-1.0, 1.0) for b in (-1.0, 1.0)])
         inp = vector.AtomSet(points=pts, probs=np.full(4, 0.25))
-    return vector.VectorChannelModel(H=h, input=inp,
-                                     snr_diag=np.full(2, args.snr))
+    else:
+        raise ValueError("verify debruijn takes --input gaussian or binary")
+    return vector.VectorChannelModel(H=h, input=inp, snr_diag=np.full(2, snr))
+
+
+# suite -> the function that builds its report.  Its keywords are the suite's
+# flags, `--<keyword>`, typed and defaulted as the keyword is; the lambdas
+# look their module's function up at call time.
+SUITES = {
+    "immse": lambda input="gaussian": scalar.verify_immse(
+        parse_input_spec(input), [0.1, 0.5, 1.0, 2.0, 5.0, 10.0]),
+    "duncan": lambda nu=1.0, snr=1.0: ct.duncan_check(ct.TelegraphModel(nu, snr)),
+    "thm7": lambda nu=1.0, snr=1.0: ct.verify_thm7(nu, [0.5, 1.0, snr]),
+    "debruijn": lambda input="gaussian", snr=1.0, seed=0, paths=200_000:
+        vector.de_bruijn_check(_vector_model(input, snr, seed), snr,
+                               mc=McConfig(seed=seed, n_paths=paths)),
+    "corollary3": lambda a=0.9, n=50, snr=1.0: dt.verify_corollary3(
+        dt.ARProcess(a, n), snr),
+    "thm9": lambda a=0.9, n=50, snr=1.0: dt.verify_thm9(dt.ARProcess(a, n), snr),
+    "lemmas": lambda snr=1.0, seed=0: vector.likelihood_lemmas_check(
+        _vector_model("binary", snr, seed),
+        np.random.default_rng(seed + 1).standard_normal(2), snr),
+    "representations": _verify_representations,
+    "appendixE": lambda xi=-2.0: ct.verify_f_recurrences(xi),
+}
 
 
 def cmd_verify(args):
-    mc = McConfig(seed=args.seed, n_paths=args.paths)
-    if args.suite == "immse":
-        law = parse_input_spec(args.input)
-        report = scalar.verify_immse(law, [0.1, 0.5, 1.0, 2.0, 5.0, 10.0])
-    elif args.suite == "duncan":
-        report = ct.duncan_check(ct.TelegraphModel(args.nu, args.snr))
-    elif args.suite == "thm7":
-        report = ct.verify_thm7(args.nu, [0.5, 1.0, args.snr])
-    elif args.suite == "debruijn":
-        if args.input not in ("gaussian", "binary"):
-            raise ValueError("verify debruijn takes --input gaussian or binary")
-        model = _default_vector_model(args, args.input == "gaussian")
-        report = vector.de_bruijn_check(model, args.snr, mc=mc)
-    elif args.suite == "corollary3":
-        report = dt.verify_corollary3(dt.ARProcess(args.a, args.n), args.snr)
-    elif args.suite == "thm9":
-        report = dt.verify_thm9(dt.ARProcess(args.a, args.n), args.snr)
-    elif args.suite == "lemmas":
-        model = _default_vector_model(args, gaussian=False)
-        rng = np.random.default_rng(args.seed + 1)
-        report = vector.likelihood_lemmas_check(model, rng.standard_normal(2),
-                                                args.snr)
-    elif args.suite == "representations":
-        report = _suite_representations(args)
-    elif args.suite == "appendixE":
-        report = ct.verify_f_recurrences(args.xi)
-    else:  # pragma: no cover - argparse choices guard this
-        raise ValueError(f"unknown suite {args.suite!r}")
+    suite = SUITES[args.suite]
+    flags = {k: getattr(args, k) for k in inspect.signature(suite).parameters}
+    report = suite(**flags)
     _emit_json(report.to_dict(), args.out)
     return (0 if report.passed else 1, [args.out] if args.out else [],
-            [args.seed], {c.name: c.tolerance for c in report.checks})
+            [flags["seed"]] if "seed" in flags else [],
+            {c.name: c.tolerance for c in report.checks})
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +234,14 @@ def _dump_telegraph_path(path, model, dump_file: str) -> None:
     _write_csv(dump_file, ["t", "x", "dy", "xhat_causal", "xhat_smooth"], rows)
 
 
-def _simulate_telegraph(args, mc: McConfig) -> dict:
+def cmd_telegraph(args):
     model = ct.TelegraphModel(args.nu, args.snr)
+    dtstep = args.dt
+    if dtstep is None:
+        # respect the discretisation bound dt <= 0.01 / max(nu, snr)
+        dtstep = min(1e-3, 0.005 / max(args.nu, args.snr))
+    mc = McConfig(seed=args.seed, n_paths=args.paths, dt=dtstep,
+                  horizon=args.horizon)
     summary = {
         "model": "telegraph", "nu": args.nu, "snr": args.snr,
         "n_paths": mc.n_paths, "dt": mc.dt, "horizon": mc.horizon,
@@ -249,47 +259,36 @@ def _simulate_telegraph(args, mc: McConfig) -> dict:
             "cmmse_empirical": res.cmmse, "cmmse_se": res.cmmse_se,
             "mmse_empirical": res.smmse, "mmse_se": res.smmse_se,
         })
-    return summary
+    _emit_json(summary, args.out)
+    return 0, [p for p in (args.out, args.dump) if p], [mc.seed], {}
 
 
-def _simulate_constant(args, mc: McConfig) -> dict:
-    """Constant binary input observed through time: Y_t = sqrt(snr) X t + W_t.
-
-    Observing up to T is equivalent to one scalar look at snr * T, so the
-    ensemble MSE of the conditional mean is checked against that closed form.
-    """
+def cmd_constant_input(args):
+    """Constant binary input, Y_t = sqrt(snr) X t + W_t: observing up to T is
+    one scalar look at snr * T, whose MMSE the ensemble MSE is checked against."""
+    mc = McConfig(seed=args.seed, n_paths=args.paths, horizon=args.horizon)
     mse, se, closed = ct.constant_input_ensemble(binary_law(), args.snr,
                                                  mc.horizon, mc)
-    return {
+    _emit_json({
         "model": "constant-input", "snr": args.snr, "n_paths": mc.n_paths,
         "horizon": mc.horizon, "seed": mc.seed,
         "mse_empirical": mse, "mse_se": se, "mmse_closed": closed,
-        "n_steps": int(round(mc.horizon / mc.dt)),
-    }
-
-
-def cmd_simulate(args):
-    if args.dump and args.model != "telegraph":
-        raise ValueError("--dump writes a telegraph sample path only")
-    if args.snr_db is not None:
-        args.snr = 10.0 ** (args.snr_db / 10.0)
-    dtstep = args.dt
-    if dtstep is None:
-        # respect the discretisation bound dt <= 0.01 / max(nu, snr)
-        dtstep = min(1e-3, 0.005 / max(args.nu, args.snr))
-    mc = McConfig(seed=args.seed, n_paths=args.paths, dt=dtstep,
-                  horizon=args.horizon)
-    if args.model == "telegraph":
-        summary = _simulate_telegraph(args, mc)
-    else:
-        summary = _simulate_constant(args, mc)
-    _emit_json(summary, args.out)
-    return 0, list(filter(None, (args.out, args.dump))), [mc.seed], {}
+    }, args.out)
+    return 0, [args.out] if args.out else [], [mc.seed], {}
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
+
+def snr_db(text: str) -> float:
+    """An snr given in dB, 10^(dB/10): inf past the float range, which the
+    models reject."""
+    try:
+        return 10.0 ** (float(text) / 10.0)
+    except OverflowError:
+        return np.inf
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -320,36 +319,36 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.add_argument("--out", default="curve.csv")
     p_curve.set_defaults(fn=cmd_curve)
 
+    # a suite or model parser takes only its own flags, spelt out in full
     p_verify = sub.add_parser("verify", help="run an identity suite")
-    p_verify.add_argument("suite",
-                          choices=["immse", "duncan", "thm7", "debruijn",
-                                   "corollary3", "thm9", "lemmas",
-                                   "representations", "appendixE"])
-    p_verify.add_argument("--input", default="gaussian")
-    p_verify.add_argument("--snr", type=float, default=1.0)
-    p_verify.add_argument("--nu", type=float, default=1.0)
-    p_verify.add_argument("--xi", type=float, default=-2.0)
-    p_verify.add_argument("--a", type=float, default=0.9)
-    p_verify.add_argument("--n", type=int, default=50)
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--paths", type=int, default=200_000)
-    p_verify.add_argument("--out", help="JSON report path (default stdout)")
-    p_verify.set_defaults(fn=cmd_verify)
+    suites = p_verify.add_subparsers(dest="suite", required=True)
+    for name, suite in SUITES.items():
+        p = suites.add_parser(name, allow_abbrev=False)
+        for flag, param in inspect.signature(suite).parameters.items():
+            p.add_argument(f"--{flag}", type=type(param.default),
+                           default=param.default, help="default %(default)s")
+        p.add_argument("--out", help="JSON report path (default stdout)")
+        p.set_defaults(fn=cmd_verify)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo filtering runs")
-    p_sim.add_argument("model", choices=["telegraph", "constant-input"])
-    p_sim.add_argument("--nu", type=float, default=1.0)
-    snr = p_sim.add_mutually_exclusive_group()
-    snr.add_argument("--snr", type=float, default=1.0)
-    snr.add_argument("--snr-db", dest="snr_db", type=float)
-    p_sim.add_argument("--paths", type=int, default=1)
-    p_sim.add_argument("--dt", type=float,
-                       help="time step (default respects the discretisation bound)")
-    p_sim.add_argument("--horizon", type=float, default=10.0)
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--dump", help="write one sample-path CSV here")
-    p_sim.add_argument("--out", help="summary JSON path (default stdout)")
-    p_sim.set_defaults(fn=cmd_simulate)
+    models = p_sim.add_subparsers(dest="model", required=True)
+    for name, fn in (("telegraph", cmd_telegraph),
+                     ("constant-input", cmd_constant_input)):
+        p = models.add_parser(name, allow_abbrev=False)
+        if fn is cmd_telegraph:     # the one model with a rate, steps and a path
+            p.add_argument("--nu", type=float, default=1.0)
+            p.add_argument("--dt", type=float, help="time step (default "
+                           "respects the discretisation bound)")
+            p.add_argument("--dump", help="write one sample-path CSV here")
+        snr = p.add_mutually_exclusive_group()
+        snr.add_argument("--snr", type=float, default=1.0)
+        snr.add_argument("--snr-db", dest="snr", type=snr_db, metavar="DB",
+                         help="snr in dB, converted as 10^(dB/10)")
+        p.add_argument("--paths", type=int, default=1)
+        p.add_argument("--horizon", type=float, default=10.0)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", help="summary JSON path (default stdout)")
+        p.set_defaults(fn=fn)
     return parser
 
 

@@ -1,12 +1,15 @@
 """CLI surface: CSV/JSON schemas, manifests, exit codes, reproducibility."""
 import csv
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from immse import ct, dt, scalar
-from immse.cli import main, parse_input_spec, parse_snr_grid
+from immse.cli import build_parser, main, parse_input_spec, parse_snr_grid
 from immse.laws import DiscreteAtoms, Gaussian, GaussianMixture
 from immse.report import Report
 
@@ -38,6 +41,23 @@ def test_parse_input_specs():
     assert isinstance(atoms, DiscreteAtoms)
     with pytest.raises(ValueError):
         parse_input_spec("cauchy")
+
+
+@pytest.mark.parametrize("spec, layout", [
+    pytest.param("binary:3", "binary", id="binary-body"),
+    pytest.param("gaussian:0,1,5", "gaussian[:mean,var]", id="gaussian-3"),
+    pytest.param("gaussian:0", "gaussian[:mean,var]", id="gaussian-1"),
+    pytest.param("gaussian:0,1;2,3", "gaussian[:mean,var]", id="gaussian-2x2"),
+    pytest.param("mixture:0.5,-1;0.5,1,0.25", "mixture:w,m,v;...",
+                 id="mixture-short-part"),
+    pytest.param("atoms:-1,0.5,3;1,0.5", "atoms:v,p;...", id="atoms-long-part"),
+])
+def test_input_spec_fields_must_match_the_layout(spec, layout):
+    # no field is dropped: a body on binary, or a part with too few or too
+    # many fields, is an error naming the spec and the layout expected
+    with pytest.raises(ValueError) as exc:
+        parse_input_spec(spec)
+    assert f"input spec {spec!r} does not match {layout}" in str(exc.value)
 
 
 def test_parse_snr_grid():
@@ -156,6 +176,8 @@ def test_curve_golden_bytes(tmp_path):
 def test_curve_usage_errors(tmp_path):
     assert main(["curve", "mi", "--input", "nonsense",
                  "--out", str(tmp_path / "x.csv")]) == 2
+    assert main(["curve", "mi", "--input", "binary:3",
+                 "--out", str(tmp_path / "b.csv")]) == 2
     assert main(["curve", "pmmse", "--input", "gaussian",
                  "--out", str(tmp_path / "y.csv")]) == 2
 
@@ -263,9 +285,16 @@ def test_verify_json_schema(tmp_path, capsys):
                                       "tolerance", "pass"]
     manifest = _manifest(out)
     assert list(manifest) == MANIFEST_KEYS
-    assert manifest["command"] == "verify" and manifest["seeds"] == [0]
+    # a suite that draws nothing has no seed, and params holds its own flags
+    assert manifest["command"] == "verify" and manifest["seeds"] == []
+    assert manifest["params"] == {"command": "verify", "suite": "thm9",
+                                  "a": 0.9, "n": 50, "snr": 1.0,
+                                  "out": str(out)}
     assert manifest["tolerances"] == {c["name"]: c["tolerance"]
                                       for c in payload["checks"]}
+    seeded = tmp_path / "lemmas.json"
+    assert main(["verify", "lemmas", "--seed", "5", "--out", str(seeded)]) == 0
+    assert _manifest(seeded)["seeds"] == [5]
 
 
 def test_verify_stdout_and_exit(capsys):
@@ -296,7 +325,7 @@ def test_verify_debruijn_unknown_input_is_usage_error(tmp_path, spec, capsys):
 
 
 def test_verify_negative_paths_is_usage_error(capsys):
-    assert main(["verify", "immse", "--paths", "-1"]) == 2
+    assert main(["verify", "debruijn", "--paths", "-1"]) == 2
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):
@@ -360,11 +389,69 @@ def test_verify_corollary3_low_snr_passes(capsys):
     assert main(["verify", "corollary3", "--snr", "0.01"]) == 0
 
 
-@pytest.mark.parametrize("flag", ["--dt", "--horizon"])
-def test_verify_has_no_sde_flags(flag, capsys):
+@pytest.mark.parametrize("argv", [
+    pytest.param(["verify", "thm7", "--input", "binary"], id="thm7-input"),
+    pytest.param(["verify", "thm7", "--dt", "1e-3"], id="thm7-dt"),
+    pytest.param(["verify", "thm7", "--horizon", "1e-3"], id="thm7-horizon"),
+    pytest.param(["verify", "thm7", "--n", "50"], id="thm7-n"),
+    pytest.param(["verify", "immse", "--nu", "3"], id="immse-nu"),
+    pytest.param(["verify", "immse", "--paths", "5"], id="immse-paths"),
+    pytest.param(["verify", "representations", "--snr", "3"],
+                 id="representations-snr"),
+    pytest.param(["verify", "corollary3", "--seed", "4"], id="corollary3-seed"),
+    pytest.param(["verify", "appendixE", "--snr", "9"], id="appendixE-snr"),
+    pytest.param(["simulate", "constant-input", "--nu", "50"],
+                 id="constant-input-nu"),
+    pytest.param(["simulate", "constant-input", "--dt", "1e-5"],
+                 id="constant-input-dt"),
+    pytest.param(["simulate", "constant-input", "--paths", "100", "--dump",
+                  "d.csv"], id="constant-input-dump"),
+])
+def test_unread_flag_is_usage_error(tmp_path, argv, capsys, monkeypatch):
+    # each suite and model parses only the flags it reads, spelt out in full
+    # (`thm7 --n` is not taken for `--nu`); any other flag exits 2, names
+    # itself and writes nothing
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "thm7", flag, "1e-3"])
+        main([*argv, "--out", str(tmp_path / "u.out")])
     assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]} " in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+FLAGS = {
+    ("verify", "immse"): {"input"},
+    ("verify", "duncan"): {"nu", "snr"},
+    ("verify", "thm7"): {"nu", "snr"},
+    ("verify", "debruijn"): {"input", "snr", "seed", "paths"},
+    ("verify", "corollary3"): {"a", "n", "snr"},
+    ("verify", "thm9"): {"a", "n", "snr"},
+    ("verify", "lemmas"): {"snr", "seed"},
+    ("verify", "representations"): set(),
+    ("verify", "appendixE"): {"xi"},
+    ("simulate", "telegraph"): {"nu", "snr", "snr-db", "paths", "dt",
+                                "horizon", "seed", "dump"},
+    ("simulate", "constant-input"): {"snr", "snr-db", "paths", "horizon",
+                                     "seed"},
+}
+
+
+@pytest.mark.parametrize("command, name", list(FLAGS))
+def test_help_lists_only_the_flags_read(command, name, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, name, "-h"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--([a-z-]+)", capsys.readouterr().out))
+    assert listed == FLAGS[command, name] | {"help", "out"}
+
+
+def test_verify_flags_follow_the_suite(tmp_path, capsys):
+    # a flag before the suite name belongs to no parser that reads it
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--out", str(out), "thm9"])
+    assert exc.value.code == 2
+    assert not list(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +506,8 @@ def test_simulate_constant_input(tmp_path, capsys):
     assert main(["simulate", "constant-input", "--snr", "2", "--paths",
                  "20000", "--horizon", "2.0"]) == 0
     payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == ["model", "snr", "n_paths", "horizon", "seed",
+                             "mse_empirical", "mse_se", "mmse_closed"]
     dev = abs(payload["mse_empirical"] - payload["mmse_closed"])
     assert dev <= 3.0 * payload["mse_se"]
 
@@ -428,7 +517,13 @@ def test_simulate_constant_input(tmp_path, capsys):
     ["telegraph", "--paths", "-5"],
     ["constant-input", "--horizon", "0"],
     ["constant-input", "--paths", "1"],
-    ["constant-input", "--paths", "100", "--dump", "d.csv"],
+    # the default step divides by max(nu, snr), so the model is checked first
+    pytest.param(["telegraph", "--nu", "0", "--snr", "0"],
+                 id="telegraph-zero-rates"),
+    # 10^400 overflows a float: an infinite snr, which the models reject
+    pytest.param(["telegraph", "--snr-db", "4000"], id="telegraph-snr-db-4000"),
+    pytest.param(["constant-input", "--snr-db", "4000", "--paths", "100"],
+                 id="constant-input-snr-db-4000"),
 ])
 def test_simulate_unrunnable_config_is_usage_error(tmp_path, argv, capsys,
                                                    monkeypatch):
@@ -437,3 +532,21 @@ def test_simulate_unrunnable_config_is_usage_error(tmp_path, argv, capsys,
     assert main(["simulate", *argv, "--out", str(out)]) == 2
     assert not out.exists()
     assert not list(tmp_path.iterdir())
+
+
+# ---------------------------------------------------------------------------
+# documentation
+# ---------------------------------------------------------------------------
+
+def test_readme_cli_examples_parse():
+    # parse only: an example with a flag its suite or model lacks fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1]
+    lines = [line for line in block.split("```", 1)[0].splitlines()
+             if line.startswith("immse ")]
+    assert len(lines) >= 10
+    for line in lines:
+        try:
+            build_parser().parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
