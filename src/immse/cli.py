@@ -85,8 +85,9 @@ def parse_snr_grid(spec: str, db: bool = False) -> np.ndarray:
         grid = a + step * np.arange(n)
     else:
         grid = np.array([float(spec)])
-    if db:
-        grid = 10.0 ** (grid / 10.0)
+    if db:       # as ``snr_db``: inf past the float range, which models reject
+        with np.errstate(over="ignore"):
+            grid = 10.0 ** (grid / 10.0)
     return grid
 
 
@@ -94,7 +95,7 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_csv(path: str, header: list, rows: list) -> None:
+def _write_csv(path: str, header: list, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f, lineterminator="\r\n")
         writer.writerow(header)
@@ -228,9 +229,8 @@ def _dump_telegraph_path(path, model, dump_file: str) -> None:
     fwd = ct.wonham_filter(path, model.snr, model.nu)
     bwd = ct.wonham_filter(path, model.snr, model.nu, backward=True)
     smooth = ct.yao_smoother(fwd, bwd)
-    n = path.dy.size
-    rows = [(_fmt(k * path.dt), _fmt(path.x[k]), _fmt(path.dy[k]),
-             _fmt(fwd[k]), _fmt(smooth[k])) for k in range(n)]
+    rows = ((_fmt(k * path.dt), _fmt(path.x[k]), _fmt(path.dy[k]),
+             _fmt(fwd[k]), _fmt(smooth[k])) for k in range(path.dy.size))
     _write_csv(dump_file, ["t", "x", "dy", "xhat_causal", "xhat_smooth"], rows)
 
 
@@ -344,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
         snr.add_argument("--snr", type=float, default=1.0)
         snr.add_argument("--snr-db", dest="snr", type=snr_db, metavar="DB",
                          help="snr in dB, converted as 10^(dB/10)")
-        p.add_argument("--paths", type=int, default=1)
+        p.add_argument("--paths", type=int,  # telegraph's 1 path: a dump alone
+                       default=1 if fn is cmd_telegraph else McConfig().n_paths)
         p.add_argument("--horizon", type=float, default=10.0)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="summary JSON path (default stdout)")

@@ -134,7 +134,7 @@ def entropy_via_mmse(atoms: DiscreteAtoms, g=None) -> float:
     values = atoms.values if g is None else np.asarray(
         [g(v) for v in atoms.values], dtype=float)
     if np.unique(values).size != values.size:
-        raise ValueError("g must be injective on the atom values")
+        raise ValueError("the atom values, after g, must be distinct")
     _check_degenerate(atoms)
     law = DiscreteAtoms(values=values, probs=atoms.probs)
     return _half_atom_integrals([(1.0, law)], "entropy")

@@ -28,7 +28,9 @@ from .report import Report
 
 LOG_2PI = np.log(2.0 * np.pi)
 HALF_LOG_2PIE = 0.5 * (LOG_2PI + 1.0)
-Y_CHUNK = 1024         # outputs per ``_posterior`` block (``_at``)
+# posterior weights per ``_at`` block: mmse of 16-PAM at snr 1000 took 3.1 ms at
+# 2**14, 3.3 at 2**13 and 2**15, and 3.9-4.2 at 2**16-2**17 (out of cache)
+BLOCK_WEIGHTS = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -122,13 +124,15 @@ def _variance(post, y):
     return (wgt @ pv + np.einsum("ij,ij->i", wgt, dev)) / total
 
 
-def _at(comps, snr: float, stat, y):
-    """``stat(post, block)`` on blocks of at most Y_CHUNK outputs of y, each
-    with its own ``_posterior``, joined; a scalar y gives a float.  The blocks
-    bound the kernel's (outputs, components) arrays for gridded laws."""
+def _at(comps, snr: float, stat, y, *cols):
+    """``stat(post, block, *col_blocks)`` on blocks of y of at most
+    BLOCK_WEIGHTS posterior weights, each with its own ``_posterior``, joined
+    (a scalar y gives a float); ``cols`` are arrays aligned with y."""
     ys = np.atleast_1d(np.asarray(y, dtype=float))
-    blocks = [ys[lo:lo + Y_CHUNK] for lo in range(0, ys.size or 1, Y_CHUNK)]
-    out = np.concatenate([stat(_posterior(comps, snr, b), b) for b in blocks])
+    rows = max(1, BLOCK_WEIGHTS // comps[0].size)
+    blocks = [slice(lo, lo + rows) for lo in range(0, ys.size or 1, rows)]
+    out = np.concatenate([stat(_posterior(comps, snr, ys[b]), ys[b],
+                               *(c[b] for c in cols)) for b in blocks])
     return float(out[0]) if np.ndim(y) == 0 else out
 
 
@@ -348,21 +352,21 @@ def lemma1_low_snr(law: InputLaw, deltas) -> Report:
 # ---------------------------------------------------------------------------
 
 def posterior_sample(ch: ScalarChannel, y, rng: np.random.Generator):
-    """One exact draw from P(X | Y=y_i) for each y_i (mixture laws only).
-    Accepts a scalar or array y."""
+    """One exact draw from P(X | Y=y_i) for each y_i (mixture laws only), for
+    scalar or array y: every uniform, then every normal (none for atoms)."""
     comps = gaussian_components(ch.law)
     if comps is None:
         raise TypeError("gridded laws have no exact posterior draws; their "
                         "atom view is a discretisation")
-    ys = np.atleast_1d(np.asarray(y, dtype=float))
-    wgt, total, p, q, pv, _ = _posterior(comps, ch.snr, ys)
-    cum = np.cumsum(wgt, axis=1)
-    u = rng.random(ys.size) * total
-    idx = np.minimum((u[:, None] > cum).sum(axis=1), wgt.shape[1] - 1)
-    draw = p[idx] + q[idx] * ys
-    if np.any(pv > 0):       # atoms draw no normals
-        draw = draw + np.sqrt(pv[idx]) * rng.standard_normal(ys.size)
-    return float(draw[0]) if np.ndim(y) == 0 else draw
+    u = rng.random(np.size(y))
+    z = rng.standard_normal(u.size) if np.any(comps[2] > 0) else np.zeros(u.size)
+
+    def pick(post, y, u, z):     # the component by inverse CDF, then X given it
+        wgt, total, p, q, pv, _ = post
+        cum = np.cumsum(wgt, axis=1)
+        idx = np.minimum(((u * total)[:, None] > cum).sum(axis=1), wgt.shape[1] - 1)
+        return p[idx] + q[idx] * y + np.sqrt(pv[idx]) * z
+    return _at(comps, ch.snr, pick, y, u, z)
 
 
 def divergence_derivative(law: InputLaw, x: float, snr: float,

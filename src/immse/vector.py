@@ -353,10 +353,10 @@ def multiuser_derivative(model: VectorChannelModel, k: int,
 def likelihood_lemmas_check(model: VectorChannelModel, y, snr: float) -> Report:
     """Score/conditional-mean lemmas for the likelihood ratio l(y) = p_Y/p_N.
 
-    With Z = H S X (S = diag(sqrt(snr))): grad log l(y) = E[Z|Y=y];
-    Laplacian log l = E[||Z||^2|y] - ||E[Z|y]||^2 - ... entrywise via the
-    Hessian; and (Laplacian l)/l = E[...] relations, all checked against
-    central finite differences of exactly computed l.
+    With Z = H S X (S = diag(sqrt(snr))), three identities at y, each against
+    central finite differences of exactly computed l: grad log l = E[Z|Y=y];
+    Laplacian log l = E[||Z||^2|y] - ||E[Z|y]||^2, the trace of Cov(Z|y);
+    and (Laplacian l)/l = E[||Z||^2|y].
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     model = model.with_snr(np.full(model.H.shape[1], snr))

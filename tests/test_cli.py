@@ -3,6 +3,7 @@ import csv
 import json
 import re
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from immse import ct, dt, scalar
 from immse.cli import build_parser, main, parse_input_spec, parse_snr_grid
 from immse.laws import DiscreteAtoms, Gaussian, GaussianMixture
+from immse.quadrature import McConfig
 from immse.report import Report
 
 
@@ -180,6 +182,17 @@ def test_curve_usage_errors(tmp_path):
                  "--out", str(tmp_path / "b.csv")]) == 2
     assert main(["curve", "pmmse", "--input", "gaussian",
                  "--out", str(tmp_path / "y.csv")]) == 2
+
+
+def test_curve_snr_db_past_the_float_range_is_usage_error(tmp_path, capsys,
+                                                         monkeypatch):
+    # 10^(4000/10) overflows to inf with no RuntimeWarning (which the suite
+    # turns into an error), and the model rejects the infinite snr
+    monkeypatch.chdir(tmp_path)
+    assert main(["curve", "mmse", "--input", "binary", "--snr-db=0:4000:2000",
+                 "--out", "c.csv"]) == 2
+    assert "snr must be finite" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv", [
@@ -475,6 +488,22 @@ def test_simulate_dump_columns(tmp_path):
         assert manifest["command"] == "simulate" and manifest["seeds"] == [0]
 
 
+def test_simulate_dump_streams_its_rows(tmp_path):
+    # each row is written as it is formatted: a list of every row's strings
+    # held about 440 bytes per step, the path and its filters about 60
+    tracemalloc.start()
+    try:
+        assert main(["simulate", "telegraph", "--paths", "1", "--horizon", "20",
+                     "--dump", str(tmp_path / "d.csv"),
+                     "--out", str(tmp_path / "s.json")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    steps = len(_read_csv(tmp_path / "d.csv"))
+    assert steps == 20_000
+    assert peak < 150 * steps
+
+
 def test_simulate_dump_of_no_steps_is_usage_error(tmp_path, capsys, monkeypatch):
     # --horizon 1e-4 rounds to 0 steps of the default dt 1e-3
     monkeypatch.chdir(tmp_path)
@@ -510,6 +539,16 @@ def test_simulate_constant_input(tmp_path, capsys):
                              "mse_empirical", "mse_se", "mmse_closed"]
     dev = abs(payload["mse_empirical"] - payload["mmse_closed"])
     assert dev <= 3.0 * payload["mse_se"]
+
+
+def test_simulate_constant_input_runs_at_its_defaults(tmp_path, capsys,
+                                                      monkeypatch):
+    # its ensemble MSE needs at least 2 paths; telegraph's default 1 only dumps
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "constant-input"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["n_paths"] == McConfig().n_paths
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv", [

@@ -87,8 +87,16 @@ def test_entropy_independent_of_mapping():
 
 
 def test_entropy_rejects_noninjective_mapping():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="after g, must be distinct"):
         entropy_via_mmse(FOUR_ATOMS, g=lambda x: x * x)
+
+
+def test_entropy_rejects_repeated_atom_values_without_g():
+    # no g is given, so the message names the repeated values, not g
+    repeated = DiscreteAtoms(values=np.array([0.0, 0.0, 1.0]),
+                             probs=np.array([0.25, 0.25, 0.5]))
+    with pytest.raises(ValueError, match="atom values, after g, must be distinct"):
+        entropy_via_mmse(repeated)
 
 
 def test_entropy_rejects_near_degenerate_probs():

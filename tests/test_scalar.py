@@ -185,7 +185,8 @@ UNEQUAL3 = DiscreteAtoms(values=(-1.0, 0.0, 2.0), probs=(0.2, 0.5, 0.3))
 
 
 # off centre, so that the centring in ``_expect`` shows; from snr 1e3 on its
-# calls have more than Y_CHUNK nodes
+# calls have more nodes than one ``_at`` block holds (40 outputs of 401
+# components, BLOCK_WEIGHTS // 401)
 GRIDDED401 = GriddedDensity(grid=np.linspace(0.0, 2.0, 401),
                             pdf=np.full(401, 0.5))
 
@@ -220,8 +221,10 @@ def test_mean_and_density_queries_never_build_the_variance(monkeypatch, query):
     def boom(*args):
         raise AssertionError("Var(X|y) was computed")
     monkeypatch.setattr(scalar, "_variance", boom)
-    y = np.linspace(-4.0, 4.0, 3000)     # more than one block of outputs
+    y = np.linspace(-4.0, 4.0, 20_000)
     for law in (binary_law(), MIX3, GRIDDED401):
+        # more outputs than one block holds, for each law
+        assert y.size > scalar.BLOCK_WEIGHTS // components(law)[0].size
         assert query(ScalarChannel(law, 2.0), y).shape == y.shape
 
 
@@ -460,6 +463,57 @@ def test_posterior_sample_at_fixed_output(law, snr, y):
     assert abs(mean.value - xhat) <= 3.0 * mean.se
     spread = McEstimate.of((xp - xhat) ** 2)
     assert abs(spread.value - var) <= 3.0 * spread.se
+
+
+def _one_shot_posterior_sample(ch, y, rng):
+    """Reference: every y in one ``_posterior`` call, uniforms drawn first,
+    then normals unless every component is an atom."""
+    ys = np.atleast_1d(np.asarray(y, dtype=float))
+    wgt, total, p, q, pv, _ = scalar._posterior(components(ch.law), ch.snr, ys)
+    cum = np.cumsum(wgt, axis=1)
+    u = rng.random(ys.size) * total
+    idx = np.minimum((u[:, None] > cum).sum(axis=1), wgt.shape[1] - 1)
+    draw = p[idx] + q[idx] * ys
+    if np.any(pv > 0):
+        draw = draw + np.sqrt(pv[idx]) * rng.standard_normal(ys.size)
+    return float(draw[0]) if np.ndim(y) == 0 else draw
+
+
+ATOMS300 = DiscreteAtoms(values=np.linspace(-2.0, 2.0, 300),
+                         probs=np.full(300, 1 / 300))
+
+
+@pytest.mark.parametrize("law, n", [(ATOMS300, 5_000), (MIX3, 40_000),
+                                    (binary_law(), 40_000)],
+                         ids=["atoms300", "mix3", "binary"])
+def test_posterior_sample_in_blocks_equals_one_shot_draws(law, n):
+    # the draws span many ``_at`` blocks and equal the one-call draws bit for bit
+    ch = ScalarChannel(law, 2.5)
+    y = 3.0 * np.random.default_rng(11).standard_normal(n)
+    assert n > 4 * (scalar.BLOCK_WEIGHTS // components(law)[0].size)
+    assert np.array_equal(posterior_sample(ch, y, np.random.default_rng(12)),
+                          _one_shot_posterior_sample(ch, y,
+                                                     np.random.default_rng(12)))
+    assert (posterior_sample(ch, -0.7, np.random.default_rng(13))
+            == _one_shot_posterior_sample(ch, -0.7, np.random.default_rng(13)))
+
+
+def test_posterior_sample_blocks_hold_a_bounded_number_of_weights(monkeypatch):
+    # one call on every y would hold 5,000 x 2,000 = 1e7 weights
+    sizes = []
+    real_posterior = scalar._posterior
+
+    def posterior(comps, snr, y):
+        sizes.append(y.size * comps[0].size)
+        return real_posterior(comps, snr, y)
+
+    monkeypatch.setattr(scalar, "_posterior", posterior)
+    law = DiscreteAtoms(values=np.linspace(-3.0, 3.0, 2000),
+                        probs=np.full(2000, 1 / 2000))
+    y = np.random.default_rng(3).standard_normal(5_000)
+    posterior_sample(ScalarChannel(law, 2.0), y, np.random.default_rng(4))
+    assert len(sizes) > 1
+    assert max(sizes) <= scalar.BLOCK_WEIGHTS
 
 
 def test_divergence_derivative_gaussian_oracle():
