@@ -6,8 +6,9 @@ tolerances; on exit 0 or 1 ``main`` writes ``<file>.manifest.json`` beside
 each of those files, so a run can be replayed bit-identically.  Each `verify`
 suite (a row of ``SUITES``) and `simulate` model parses only the flags it
 reads, so any other flag (`--dump` on `constant-input`, say) is a usage
-error.  Exit codes: 0 pass, 1 verification failure, 2 usage error (nothing
-is written), 3 numerical non-convergence.
+error.  dB converts by ``db_to_snr`` alone, and each snr must meet
+``laws.require_snr``.  Exit codes: 0 pass, 1 verification failure, 2 usage
+error (nothing is written), 3 numerical non-convergence.
 """
 from __future__ import annotations
 
@@ -85,10 +86,15 @@ def parse_snr_grid(spec: str, db: bool = False) -> np.ndarray:
         grid = a + step * np.arange(n)
     else:
         grid = np.array([float(spec)])
-    if db:       # as ``snr_db``: inf past the float range, which models reject
-        with np.errstate(over="ignore"):
-            grid = 10.0 ** (grid / 10.0)
-    return grid
+    return db_to_snr(grid) if db else grid
+
+
+def db_to_snr(db):
+    """10^(dB/10) on a 1-d array, so a value converts as it does in a grid (inf
+    past the float range, which models reject): an array, or a float for text."""
+    with np.errstate(over="ignore"):
+        snr = 10.0 ** (np.atleast_1d(np.asarray(db, dtype=float)) / 10.0)
+    return snr if np.ndim(db) else float(snr[0])
 
 
 def _fmt(x: float) -> str:
@@ -236,12 +242,10 @@ def _dump_telegraph_path(path, model, dump_file: str) -> None:
 
 def cmd_telegraph(args):
     model = ct.TelegraphModel(args.nu, args.snr)
-    dtstep = args.dt
-    if dtstep is None:
-        # respect the discretisation bound dt <= 0.01 / max(nu, snr)
-        dtstep = min(1e-3, 0.005 / max(args.nu, args.snr))
-    mc = McConfig(seed=args.seed, n_paths=args.paths, dt=dtstep,
-                  horizon=args.horizon)
+    # the default step: half the largest that ``ct`` allows, at most 1e-3
+    step = min(1e-3, 0.5 * ct.MAX_STEP / max(args.nu, args.snr))
+    mc = McConfig(seed=args.seed, n_paths=args.paths, horizon=args.horizon,
+                  dt=step if args.dt is None else args.dt)
     summary = {
         "model": "telegraph", "nu": args.nu, "snr": args.snr,
         "n_paths": mc.n_paths, "dt": mc.dt, "horizon": mc.horizon,
@@ -280,15 +284,6 @@ def cmd_constant_input(args):
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
-
-def snr_db(text: str) -> float:
-    """An snr given in dB, 10^(dB/10): inf past the float range, which the
-    models reject."""
-    try:
-        return 10.0 ** (float(text) / 10.0)
-    except OverflowError:
-        return np.inf
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -342,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--dump", help="write one sample-path CSV here")
         snr = p.add_mutually_exclusive_group()
         snr.add_argument("--snr", type=float, default=1.0)
-        snr.add_argument("--snr-db", dest="snr", type=snr_db, metavar="DB",
+        snr.add_argument("--snr-db", dest="snr", type=db_to_snr, metavar="DB",
                          help="snr in dB, converted as 10^(dB/10)")
         p.add_argument("--paths", type=int,  # telegraph's 1 path: a dump alone
                        default=1 if fn is cmd_telegraph else McConfig().n_paths)
@@ -367,8 +362,7 @@ def main(argv=None) -> int:
         return 2
     manifest = {"command": args.command,
                 "params": {k: v for k, v in vars(args).items() if k != "fn"},
-                "seeds": seeds, "version": __version__,
-                "tolerances": tolerances,
+                "seeds": seeds, "version": __version__, "tolerances": tolerances,
                 "wall_clock_s": time.perf_counter() - t0}
     for path in written:
         with open(path + ".manifest.json", "w", encoding="utf-8") as f:

@@ -16,7 +16,7 @@ from scipy import integrate
 from scipy.special import kve
 
 from .errors import NonConvergence, StepTooLarge
-from .laws import InputLaw, moments, require_finite, sample_with_rng
+from .laws import InputLaw, moments, require_finite, require_snr, sample_with_rng
 from .quadrature import McConfig, draw_thread, fd_derivative, snr_integral
 from .report import Report
 from .scalar import (McEstimate, ScalarChannel, conditional_mean,
@@ -24,6 +24,7 @@ from .scalar import (McEstimate, ScalarChannel, conditional_mean,
 
 ENSEMBLE_CHUNK = 2000  # telegraph paths per chunk of ``wonham_ensemble``
 STEP_BLOCK = 64        # time steps per block of normals drawn, filtered and summed
+MAX_STEP = 0.01        # the largest dt * max(nu, snr) a telegraph run may take
 
 
 @dataclass(frozen=True)
@@ -33,11 +34,10 @@ class TelegraphModel:
     snr: float
 
     def __post_init__(self):
-        require_finite(nu=self.nu, snr=self.snr)
+        require_finite(nu=self.nu)
+        require_snr(snr=self.snr)
         if self.nu <= 0:
             raise ValueError("nu must be positive")
-        if self.snr < 0:
-            raise ValueError("snr must be nonnegative")
 
     @property
     def xi(self) -> float:
@@ -240,9 +240,9 @@ def duncan_check(m: TelegraphModel) -> Report:
 
 def _check_step(nu: float, snr: float, dt: float) -> None:
     require_finite(dt=dt)
-    if dt > 0.01 / max(nu, snr):
-        raise StepTooLarge(
-            f"dt={dt:g} exceeds 0.01/max(nu, snr)={0.01 / max(nu, snr):g}")
+    if dt > MAX_STEP / max(nu, snr):
+        raise StepTooLarge(f"dt={dt:g} exceeds {MAX_STEP:g}/max(nu, snr)="
+                           f"{MAX_STEP / max(nu, snr):g}")
 
 
 def _flip_times(nu: float, horizon: float, n_paths: int,
@@ -389,6 +389,7 @@ def wonham_filter(path: SamplePath, snr: float, nu: float,
     same filter runs on the reversed increments, so entry k estimates X at
     t_k from the observations after t_k (the anticausal filter).
     """
+    require_snr(snr=snr)
     _check_step(nu, snr, path.dt)
     tau = np.tanh(np.sqrt(snr) * path.dy)[:, None]
     out = np.zeros(path.dy.size + 1)
@@ -568,6 +569,7 @@ def spectral_quantities(spectrum: OUSpectrum, snr: float):
     mi_rate = (1/4pi) ∫ log(1 + snr S) dw, mmse = (1/2pi) ∫ S/(1+snr S) dw,
     cmmse = 2 * mi_rate / snr.
     """
+    require_snr(snr=snr)
     if snr == 0:
         return 0.0, spectrum.variance, spectrum.variance
 
@@ -581,12 +583,12 @@ def spectral_quantities(spectrum: OUSpectrum, snr: float):
     opts = dict(epsabs=1e-12, epsrel=1e-12, limit=400)
     log_int, _ = integrate.quad(log_term, 0.0, np.inf, **opts)
     mmse_nc, _ = integrate.quad(wiener_term, 0.0, np.inf, **opts)
-    mi_rate = log_int / (2.0 * np.pi)
-    return mi_rate, mmse_nc / np.pi, log_int / (np.pi * snr)
+    return log_int / (2.0 * np.pi), mmse_nc / np.pi, log_int / (np.pi * snr)
 
 
 def ou_closed_forms(spectrum: OUSpectrum, snr: float):
     """Contour-integral closed forms for the OU spectrum."""
+    require_snr(snr=snr)
     beta, var = spectrum.beta, spectrum.variance
     if snr == 0:
         return 0.0, var, var
@@ -626,7 +628,7 @@ def constant_input_ensemble(law: InputLaw, snr: float, t: float,
     conditional mean applied to it is the causal estimate.  Returns
     (ensemble MSE, its standard error, scalar mmse(snr*t)).
     """
-    ch = ScalarChannel(law, t * snr)     # rejects snr < 0 before the draws
+    ch = ScalarChannel(law, t * snr)     # rejects a bad snr before the draws
     rng = np.random.default_rng(mc.seed)
     n = mc.n_paths
     x = sample_with_rng(law, rng, n)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .laws import require_finite
+from .laws import require_snr
 from .quadrature import fd_derivative
 from .report import Report
 
@@ -54,9 +54,7 @@ def kalman_triple(p: ARProcess, snr: float) -> MmseTriple:
     stationary value 1; the smoother runs the standard backward variance
     sweep.
     """
-    require_finite(snr=snr)
-    if snr < 0:
-        raise ValueError("snr must be nonnegative")
+    require_snr(snr=snr)
     a, n = p.a, p.n
     q = 1.0 - a * a
     p_pred = np.empty(n)
@@ -80,24 +78,22 @@ def dense_smoother_mmse(p: ARProcess, snr: float) -> np.ndarray:
     The posterior covariance of X^n given Y^n is (Sigma^{-1} + snr I)^{-1};
     its diagonal is the per-index noncausal MMSE.  O(n^3) oracle route.
     """
+    require_snr(snr=snr)
     sigma = p.covariance()
     post = np.linalg.inv(np.linalg.inv(sigma) + snr * np.eye(p.n))
     return np.diag(post).copy()
 
 
 def block_mi(p: ARProcess, snr: float) -> float:
-    """I(X^n; Y^n) = 0.5 logdet(I + snr * Sigma) nats."""
-    require_finite(snr=snr)
-    if snr < 0:
-        raise ValueError("snr must be nonnegative")
-    sign, logdet = np.linalg.slogdet(np.eye(p.n) + snr * p.covariance())
-    if sign <= 0:
-        raise ValueError("output covariance not positive definite")
-    return 0.5 * logdet
+    """I(X^n; Y^n) = 0.5 logdet(I + snr * Sigma) nats; at snr >= 0 each
+    eigenvalue of I + snr * Sigma is at least 1."""
+    require_snr(snr=snr)
+    return 0.5 * np.linalg.slogdet(np.eye(p.n) + snr * p.covariance())[1]
 
 
 def block_mi_eig(p: ARProcess, snr: float) -> float:
     """Eigenvalue route: 0.5 * sum log(1 + snr * lambda_i(Sigma))."""
+    require_snr(snr=snr)
     lam = np.linalg.eigvalsh(p.covariance())
     return 0.5 * float(np.sum(np.log1p(snr * lam)))
 
@@ -119,8 +115,7 @@ def verify_thm9(p: ARProcess, snr: float) -> Report:
     lower = 0.5 * snr * float(np.sum(triple.cmmse))
     upper = 0.5 * snr * float(np.sum(triple.pmmse))
     report = Report("thm9-sandwich")
-    slack_lo = mi - lower
-    slack_hi = upper - mi
+    slack_lo, slack_hi = mi - lower, upper - mi
     report.add("lower bound slack (I - (snr/2) sum cmmse) >= 0",
                min(slack_lo, 0.0), 0.0, 1e-12)
     report.add("upper bound slack ((snr/2) sum pmmse - I) >= 0",

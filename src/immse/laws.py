@@ -36,6 +36,24 @@ def require_finite(**values) -> None:
             raise ValueError(f"{name} must be finite")
 
 
+def require_snr(**values) -> None:
+    """The package's one snr rule: each value finite and >= 0, elementwise."""
+    for name, value in values.items():
+        # one comparison passes a valid float (NaN fails it); arrays take numpy
+        if not (isinstance(value, float) and 0.0 <= value < np.inf):
+            require_finite(**{name: value})
+            if np.any(np.asarray(value) < 0):
+                raise ValueError(f"{name} must be nonnegative")
+
+
+def require_probs(**values) -> None:
+    """Each vector finite and nonnegative, summing to 1 within PROB_ATOL."""
+    require_finite(**values)
+    for name, p in values.items():
+        if np.any(p < 0) or abs(np.sum(p) - 1.0) > PROB_ATOL:
+            raise ValueError(f"{name} must be nonnegative and sum to 1")
+
+
 @dataclass(frozen=True)
 class Moments:
     """Raw moments of an input law: mean, central variance, E X^3, E X^4."""
@@ -56,11 +74,8 @@ class DiscreteAtoms:
         object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
         if self.values.ndim != 1 or self.probs.shape != self.values.shape:
             raise ValueError("values and probs must be 1D arrays of equal length")
-        require_finite(values=self.values, probs=self.probs)
-        if np.any(self.probs < 0):
-            raise ValueError("probabilities must be nonnegative")
-        if abs(self.probs.sum() - 1.0) > PROB_ATOL:
-            raise ValueError("probabilities must sum to 1 within 1e-12")
+        require_finite(values=self.values)
+        require_probs(probs=self.probs)
 
 
 @dataclass(frozen=True)
@@ -88,12 +103,8 @@ class GaussianMixture:
         object.__setattr__(self, "variances", np.asarray(self.variances, dtype=float))
         if not (self.weights.shape == self.means.shape == self.variances.shape):
             raise ValueError("weights, means, variances must have equal shapes")
-        require_finite(weights=self.weights, means=self.means,
-                       variances=self.variances)
-        if np.any(self.weights < 0):
-            raise ValueError("weights must be nonnegative")
-        if abs(self.weights.sum() - 1.0) > PROB_ATOL:
-            raise ValueError("weights must sum to 1 within 1e-12")
+        require_finite(means=self.means, variances=self.variances)
+        require_probs(weights=self.weights)
         if np.any(self.variances <= 0):
             raise ValueError("component variances must be positive")
 
@@ -114,10 +125,7 @@ class GriddedDensity:
             raise ValueError("grid must be strictly increasing with >= 2 points")
         if np.any(self.pdf < 0):
             raise ValueError("pdf values must be nonnegative")
-        mass = np.trapezoid(self.pdf, self.grid)
-        if mass <= 0:
-            raise ValueError("gridded density has zero total mass")
-        if abs(mass - 1.0) > PDF_ATOL:
+        if abs(np.trapezoid(self.pdf, self.grid) - 1.0) > PDF_ATOL:
             raise ValueError("gridded pdf must integrate to 1 within 1e-8 (trapezoid)")
 
 

@@ -101,7 +101,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergence
-from .laws import InputLaw, components, require_finite
+from .laws import InputLaw, components, require_finite, require_snr
 
 REACH = 12.0           # output standard deviations covered around each centre
 STEP = 3.0             # output standard deviations per panel (module docstring)
@@ -254,15 +254,13 @@ def integrate_output(g, law: InputLaw, snr: float) -> float:
     ``g`` must accept numpy arrays elementwise and carries the output density
     itself: for E[f(Y)] it is f * p_Y.
     """
-    if snr < 0:
-        raise ValueError("snr must be nonnegative")
+    require_snr(snr=snr)
     return _gauss_kronrod(g, _panel_edges(law, snr), "output quadrature", _K21)
 
 
 def snr_integral(f, snr: float) -> float:
     """∫_0^snr f(g) dg, in t = ln(1 + g); ``f`` takes one float snr."""
-    if snr < 0:
-        raise ValueError("snr must be nonnegative")
+    require_snr(snr=snr)
 
     def in_t(t):
         g = np.expm1(t)
@@ -283,6 +281,7 @@ def _difference(f, snr: float, d: float, central: bool) -> float:
 def _step(snr: float):
     """The step d = FD_STEP * max(1, snr), and whether snr - d >= 0 leaves
     room for a central difference."""
+    require_snr(snr=snr)
     d = FD_STEP * max(1.0, snr)
     return d, snr - d >= 0
 

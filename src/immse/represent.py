@@ -74,14 +74,11 @@ class JointAtoms:
     probs: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        z = np.asarray(self.z, dtype=float)
-        p = np.asarray(self.probs, dtype=float)
+        x, z, p = (np.asarray(a, dtype=float) for a in (self.x, self.z, self.probs))
         if not (x.shape == z.shape == p.shape) or x.ndim != 1:
             raise ValueError("x, z, probs must be matching 1-d arrays")
-        require_finite(x=x, z=z, probs=p)
-        if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError("probs must be nonnegative and sum to 1")
+        require_finite(x=x, z=z)
+        laws.require_probs(probs=p)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "probs", p)
@@ -142,8 +139,8 @@ def entropy_via_mmse(atoms: DiscreteAtoms, g=None) -> float:
 
 def nongauss_integrand(law: InputLaw, snr: float) -> float:
     """sigma^2/(1 + snr sigma^2) - mmse(snr): the Gaussian MMSE excess."""
-    v = variance(law)
-    return v / (1.0 + snr * v) - mmse(ScalarChannel(law, snr))
+    m, v = mmse(ScalarChannel(law, snr)), variance(law)   # the channel checks snr
+    return v / (1.0 + snr * v) - m
 
 
 def nongaussianness(law: InputLaw, tail: TailPolicy | None = None) -> float:
@@ -181,9 +178,8 @@ def differential_entropy_via_mmse(law: InputLaw,
     """h(X) = (1/2) log(2 pi e sigma^2) - nongaussianness, nats."""
     if isinstance(law, DiscreteAtoms):
         raise ValueError("differential entropy requires a law with a density")
-    v = variance(law)
-    return 0.5 * np.log(2.0 * np.pi * np.e * v) - nongaussianness(
-        law, tail)
+    return (0.5 * np.log(2.0 * np.pi * np.e * variance(law))
+            - nongaussianness(law, tail))
 
 
 def gamma_index(law: InputLaw) -> float:

@@ -20,7 +20,7 @@ from scipy.special import expit
 
 from .laws import (Gaussian, GaussianMixture, InputLaw, Moments, binary_law,
                    components, gaussian_components, gaussian_raw_moments,
-                   moments, require_finite, shift)
+                   moments, require_finite, require_snr, shift)
 from .errors import NonConvergence
 from .quadrature import (REL_TOL, McConfig, fd_derivative, integrate_output,
                          snr_integral)
@@ -40,10 +40,9 @@ class ScalarChannel:
     snr: float
 
     def __post_init__(self):
-        # NaN fails this too; cheaper than require_finite where snr is valid
+        # NaN fails this too; cheaper than require_snr where snr is valid
         if not 0.0 <= self.snr < np.inf:
-            require_finite(snr=self.snr)
-            raise ValueError("snr must be nonnegative")
+            require_snr(snr=self.snr)
 
 
 @dataclass(frozen=True)
@@ -127,7 +126,9 @@ def _variance(post, y):
 def _at(comps, snr: float, stat, y, *cols):
     """``stat(post, block, *col_blocks)`` on blocks of y of at most
     BLOCK_WEIGHTS posterior weights, each with its own ``_posterior``, joined
-    (a scalar y gives a float); ``cols`` are arrays aligned with y."""
+    (a scalar y gives a float); ``cols`` are arrays aligned with y.  Draws and
+    log p_Y are row by row, but the mat-vecs of E[X|y] and Var(X|y) round by
+    the rows in a block: the same y array gives the same bits, a lone y may not."""
     ys = np.atleast_1d(np.asarray(y, dtype=float))
     rows = max(1, BLOCK_WEIGHTS // comps[0].size)
     blocks = [slice(lo, lo + rows) for lo in range(0, ys.size or 1, rows)]
@@ -249,6 +250,7 @@ def mmse_binary_closed(snr: float) -> float:
     Z ~ N(0,1): the integral is of order 1/sqrt(snr) and only the prefactor
     is small, so the value is right down to the double underflow.
     """
+    require_snr(snr=snr)
     if snr == 0:
         return 1.0
     rs = np.sqrt(snr)
@@ -269,6 +271,7 @@ def mi_binary_closed(snr: float) -> float:
     This is snr - E[log cosh(u)] with log cosh(u) = u + ln(1 + e^{-2u}) - ln 2
     and E[u] = snr taken in closed form, so no two terms near snr cancel.
     """
+    require_snr(snr=snr)
     if snr == 0:
         return 0.0
     rs = np.sqrt(snr)
@@ -316,6 +319,7 @@ def incremental_decompose(snr: float, delta: float) -> IncrementalPair:
     The first stage sees noise variance 1/(snr+delta) and the two stages
     satisfy sigma1^2 + sigma2^2 = 1/snr exactly.
     """
+    require_snr(snr=snr)
     if snr <= 0 or delta <= 0:
         raise ValueError("snr and delta must be positive")
     s1 = 1.0 / (snr + delta)
@@ -378,6 +382,7 @@ def divergence_derivative(law: InputLaw, x: float, snr: float,
     0.5*(x - X')^2 - X'*N/(2*sqrt(snr)).  The two expectations share the same
     draws (common random numbers).
     """
+    require_snr(snr=snr)
     if snr <= 0:
         raise ValueError("divergence_derivative requires snr > 0")
     rng = np.random.default_rng(mc.seed)
@@ -392,7 +397,8 @@ def divergence_derivative(law: InputLaw, x: float, snr: float,
 # Taylor expansions, preprocessor identity, high-snr decay
 # ---------------------------------------------------------------------------
 
-def _taylor_coefficient(m: Moments) -> float:
+def _taylor_coefficient(m: Moments, snr: float) -> float:
+    require_snr(snr=snr)
     if abs(m.mean) > 1e-9 or abs(m.variance - 1.0) > 1e-9:
         raise ValueError("Taylor expansions require mean 0, variance 1")
     return m.fourth ** 2 - 6.0 * m.fourth - 2.0 * m.third ** 2 + 15.0
@@ -400,13 +406,13 @@ def _taylor_coefficient(m: Moments) -> float:
 
 def mmse_taylor(m: Moments, snr: float) -> float:
     """Cubic low-snr truncation of the MMSE for a zero-mean unit-variance law."""
-    c = _taylor_coefficient(m)
+    c = _taylor_coefficient(m, snr)
     return 1.0 - snr + snr ** 2 - (c / 6.0) * snr ** 3
 
 
 def mi_taylor(m: Moments, snr: float) -> float:
     """Quartic low-snr truncation of the mutual information (nats)."""
-    c = _taylor_coefficient(m)
+    c = _taylor_coefficient(m, snr)
     return 0.5 * snr - 0.25 * snr ** 2 + snr ** 3 / 6.0 - (c / 48.0) * snr ** 4
 
 
@@ -419,6 +425,7 @@ def preprocessor_derivative(law_x: InputLaw, noise_var: float,
     """
     if not isinstance(law_x, Gaussian):
         raise TypeError("preprocessor_derivative requires a Gaussian input law")
+    require_snr(snr=snr)
     if noise_var < 0:
         raise ValueError("noise_var must be >= 0")
     vx, vn = law_x.variance, noise_var

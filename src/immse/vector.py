@@ -20,7 +20,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.distance import cdist
 
 from .errors import DegenerateCovariance
-from .laws import require_finite
+from .laws import require_finite, require_probs, require_snr
 from .quadrature import McConfig, draw_thread, fd_derivative, fd_difference
 from .report import Report
 from .scalar import McEstimate
@@ -40,11 +40,10 @@ class AtomSet:
         object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
         if self.points.shape[0] != self.probs.size:
             raise ValueError("points/probs length mismatch")
-        require_finite(points=self.points, probs=self.probs)
+        require_finite(points=self.points)
+        require_probs(probs=self.probs)
         if self.points.shape[0] > 2 ** 16:
             raise ValueError("atom sets limited to 2^16 points")
-        if np.any(self.probs < 0) or abs(self.probs.sum() - 1.0) > 1e-12:
-            raise ValueError("probs must be nonnegative and sum to 1")
 
 
 @dataclass(frozen=True)
@@ -75,9 +74,8 @@ class VectorChannelModel:
         object.__setattr__(self, "H", np.atleast_2d(np.asarray(self.H, dtype=float)))
         object.__setattr__(self, "snr_diag",
                            np.asarray(self.snr_diag, dtype=float) * np.ones(self.H.shape[1]))
-        require_finite(H=self.H, snr_diag=self.snr_diag)
-        if np.any(self.snr_diag < 0):
-            raise ValueError("snr entries must be nonnegative")
+        require_finite(H=self.H)
+        require_snr(snr_diag=self.snr_diag)
         k = self.H.shape[1]
         if isinstance(self.input, AtomSet) and self.input.points.shape[1] != k:
             raise ValueError("atom dimension does not match H columns")
@@ -299,6 +297,7 @@ def de_bruijn_check(model: VectorChannelModel, snr: float,
     informations at the displaced t points share MC draws (common random
     numbers).
     """
+    require_snr(snr=snr)
     if snr <= 0:
         raise ValueError("de_bruijn_check requires snr > 0")
     l_dim = model.H.shape[0]
@@ -395,8 +394,7 @@ def likelihood_lemmas_check(model: VectorChannelModel, y, snr: float) -> Report:
 
     h = 1e-4 * (1.0 + np.linalg.norm(y))
     grad = np.zeros(l_dim)
-    lap_logl = 0.0
-    lap_l = 0.0
+    lap_logl = lap_l = 0.0
     f0 = log_l(y)
     for i in range(l_dim):
         e = np.zeros(l_dim)

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from immse import ct, dt, scalar
-from immse.cli import build_parser, main, parse_input_spec, parse_snr_grid
+from immse.cli import (build_parser, db_to_snr, main, parse_input_spec,
+                       parse_snr_grid)
 from immse.laws import DiscreteAtoms, Gaussian, GaussianMixture
 from immse.quadrature import McConfig
 from immse.report import Report
@@ -571,6 +572,59 @@ def test_simulate_unrunnable_config_is_usage_error(tmp_path, argv, capsys,
     assert main(["simulate", *argv, "--out", str(out)]) == 2
     assert not out.exists()
     assert not list(tmp_path.iterdir())
+
+
+# ---------------------------------------------------------------------------
+# one snr rule, one dB rule, one step rule
+# ---------------------------------------------------------------------------
+
+SNR_COMMANDS = ([("verify", suite) for suite in
+                 ("duncan", "thm7", "debruijn", "corollary3", "thm9", "lemmas")]
+                + [("simulate", "telegraph"), ("simulate", "constant-input")])
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command, name", SNR_COMMANDS)
+def test_bad_snr_is_usage_error(tmp_path, command, name, value, capsys,
+                                monkeypatch):
+    # every model holds its snr to laws.require_snr where it is built
+    monkeypatch.chdir(tmp_path)
+    assert main([command, name, f"--snr={value}", "--out", "o.json"]) == 2
+    err = capsys.readouterr().err
+    assert "usage error" in err and "snr" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_db_to_snr_converts_as_the_grid_does():
+    # the benchmark's 201 points, each converted alone, against the grid
+    grid = parse_snr_grid("-10:30:0.2", db=True)
+    points = -10.0 + 0.2 * np.arange(201)
+    assert np.array_equal([db_to_snr(repr(float(d))) for d in points], grid)
+    assert np.array_equal([db_to_snr(float(d)) for d in points], grid)
+    assert np.array_equal(db_to_snr(points), grid)
+    assert db_to_snr("4000") == np.inf
+
+
+def test_simulate_snr_db_converts_as_the_curve_grid(capsys):
+    # at 8.8 dB, Python's 10.0 ** 0.88 is one ulp away from the grid's value
+    grid_snr = parse_snr_grid("-10:30:0.2", db=True)[94]
+    assert 10.0 ** (8.8 / 10.0) != grid_snr
+    assert main(["simulate", "constant-input", "--snr-db", "8.8",
+                 "--paths", "100", "--horizon", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["snr"] == grid_snr
+
+
+@pytest.mark.parametrize("nu, snr", [(1.0, 1.0), (0.3, 7.0), (40.0, 2.0),
+                                     (3.0, 1234.5)])
+def test_default_step_is_half_the_ct_bound(tmp_path, nu, snr):
+    out = tmp_path / "s.json"
+    assert main(["simulate", "telegraph", "--nu", repr(nu), "--snr", repr(snr),
+                 "--paths", "1", "--out", str(out)]) == 0
+    step = json.loads(out.read_text())["dt"]
+    # bit for bit the literal rule the CLI used before the bound moved to ct
+    assert step == min(1e-3, 0.005 / max(nu, snr))
+    assert step <= ct.MAX_STEP / max(nu, snr)
+    assert _manifest(out)["params"]["dt"] is None
 
 
 # ---------------------------------------------------------------------------

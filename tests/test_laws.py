@@ -3,10 +3,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from immse import ct, dt, quadrature, represent, scalar, vector
 from immse.laws import (DiscreteAtoms, Gaussian, GaussianMixture,
                         GriddedDensity, binary_law, components, convolve,
-                        gaussian_components, moments, sample,
-                        standard_gaussian_law, variance)
+                        gaussian_components, moments, require_probs,
+                        require_snr, sample, standard_gaussian_law, variance)
+from immse.quadrature import McConfig
 from immse.scalar import (ScalarChannel, fisher_information, mmse,
                           mutual_information)
 
@@ -169,3 +171,111 @@ def test_sample_is_seed_deterministic():
     a = sample(standard_gaussian_law(), seed=5, n=100)
     b = sample(standard_gaussian_law(), seed=5, n=100)
     assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# One rule per input kind: ``require_snr`` and ``require_probs``
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("value, message", [
+    (np.nan, "gain must be finite"), (np.inf, "gain must be finite"),
+    (-1.0, "gain must be nonnegative"),
+    (np.array([1.0, np.nan]), "gain must be finite"),
+    (np.array([1.0, -0.5]), "gain must be nonnegative"),
+])
+def test_require_snr_names_the_argument(value, message):
+    with pytest.raises(ValueError, match=message):
+        require_snr(snr=1.0, gain=value)
+
+
+def test_require_snr_accepts_finite_nonnegative_values():
+    require_snr(snr=0.0, zero=-0.0, grid=np.array([0.0, 1e300]))
+
+
+@pytest.mark.parametrize("probs, message", [
+    ([0.5, np.nan], "p must be finite"),
+    ([1.5, -0.5], "p must be nonnegative and sum to 1"),
+    ([0.5, 0.5 + 1e-11], "p must be nonnegative and sum to 1"),
+])
+def test_require_probs_names_the_vector(probs, message):
+    with pytest.raises(ValueError, match=message):
+        require_probs(p=np.array(probs))
+    require_probs(p=np.array([0.25, 0.75 + 1e-13]))
+
+
+def _tiny_path():
+    return ct.simulate_telegraph(ct.TelegraphModel(1.0, 1.0), 0.05, 1e-3, 0)
+
+
+def _vector_model(snr=1.0):
+    points = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
+    return vector.VectorChannelModel(np.eye(2),
+                                     vector.AtomSet(points, np.full(4, 0.25)),
+                                     np.full(2, snr))
+
+
+MC = McConfig(seed=0, n_paths=100)
+AR = dt.ARProcess(0.9, 5)
+
+# every public function that takes a raw snr, called with that snr as s
+SNR_TAKERS = {
+    "ScalarChannel": lambda s: ScalarChannel(binary_law(), s),
+    "incremental_decompose": lambda s: scalar.incremental_decompose(s, 1.0),
+    "divergence_derivative": lambda s: scalar.divergence_derivative(
+        binary_law(), 0.5, s, MC),
+    "mmse_binary_closed": scalar.mmse_binary_closed,
+    "mi_binary_closed": scalar.mi_binary_closed,
+    "mmse_taylor": lambda s: scalar.mmse_taylor(moments(binary_law()), s),
+    "mi_taylor": lambda s: scalar.mi_taylor(moments(binary_law()), s),
+    "preprocessor_derivative": lambda s: scalar.preprocessor_derivative(
+        Gaussian(0.0, 1.0), 0.5, s),
+    "verify_immse": lambda s: scalar.verify_immse(binary_law(), [s]),
+    "verify_immse_integral": lambda s: scalar.verify_immse_integral(
+        binary_law(), s),
+    "lemma1_low_snr": lambda s: scalar.lemma1_low_snr(binary_law(), [s]),
+    "integrate_output": lambda s: quadrature.integrate_output(
+        lambda y: np.exp(-0.5 * y * y), binary_law(), s),
+    "snr_integral": lambda s: quadrature.snr_integral(lambda g: 1.0, s),
+    "fd_derivative": lambda s: quadrature.fd_derivative(lambda g: g, s),
+    "fd_difference": lambda s: quadrature.fd_difference(lambda g: g, s),
+    "TelegraphModel": lambda s: ct.TelegraphModel(1.0, s),
+    "thm7_differential_check": lambda s: ct.thm7_differential_check(1.0, s),
+    "verify_thm7": lambda s: ct.verify_thm7(1.0, [s]),
+    "spectral_quantities": lambda s: ct.spectral_quantities(ct.OUSpectrum(), s),
+    "ou_closed_forms": lambda s: ct.ou_closed_forms(ct.OUSpectrum(), s),
+    "spectral_report": lambda s: ct.spectral_report(ct.OUSpectrum(), s),
+    "wonham_filter": lambda s: ct.wonham_filter(_tiny_path(), s, 1.0),
+    "constant_input_ensemble": lambda s: ct.constant_input_ensemble(
+        binary_law(), s, 0.5, MC),
+    "time_snr_transform_check": lambda s: ct.time_snr_transform_check(
+        binary_law(), s, MC),
+    "time_snr_average_check": lambda s: ct.time_snr_average_check(
+        binary_law(), s),
+    "kalman_triple": lambda s: dt.kalman_triple(AR, s),
+    "dense_smoother_mmse": lambda s: dt.dense_smoother_mmse(AR, s),
+    "block_mi": lambda s: dt.block_mi(AR, s),
+    "block_mi_eig": lambda s: dt.block_mi_eig(AR, s),
+    "verify_corollary3": lambda s: dt.verify_corollary3(AR, s),
+    "verify_thm9": lambda s: dt.verify_thm9(AR, s),
+    "VectorChannelModel": _vector_model,
+    "de_bruijn_check": lambda s: vector.de_bruijn_check(_vector_model(), s, MC),
+    "likelihood_lemmas_check": lambda s: vector.likelihood_lemmas_check(
+        _vector_model(), np.zeros(2), s),
+    "nongauss_integrand": lambda s: represent.nongauss_integrand(
+        binary_law(), s),
+}
+# these draw random numbers: a bad snr must be rejected before the first draw
+DRAWS = {"divergence_derivative", "constant_input_ensemble",
+         "time_snr_transform_check"}
+
+
+@pytest.mark.parametrize("snr", [np.nan, np.inf, -1.0], ids=["nan", "inf", "neg"])
+@pytest.mark.parametrize("name", list(SNR_TAKERS))
+def test_every_raw_snr_is_checked(name, snr, monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a random number was drawn for a bad snr")
+
+    if name in DRAWS:
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(ValueError):
+        SNR_TAKERS[name](snr)

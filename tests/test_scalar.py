@@ -516,6 +516,29 @@ def test_posterior_sample_blocks_hold_a_bounded_number_of_weights(monkeypatch):
     assert max(sizes) <= scalar.BLOCK_WEIGHTS
 
 
+PAM16 = DiscreteAtoms(values=(2.0 * np.arange(1, 17) - 17.0) / np.sqrt(85.0),
+                      probs=np.full(16, 1 / 16))
+
+
+@pytest.mark.parametrize("law", [MIX3, PAM16], ids=["mix3", "pam16"])
+def test_what_the_blocks_of_at_leave_unchanged(law, monkeypatch):
+    # draws and log p_Y are computed row by row, so blocks of one output give
+    # the bits of the default blocks; E[X|y] and Var(X|y) are BLAS mat-vecs,
+    # which may round a row by how many rows its block holds, so for them
+    # only a repeat on the same y array is pinned
+    ch = ScalarChannel(law, 3.0)
+    y = 3.0 * np.random.default_rng(5).standard_normal(50)
+    logp = log_output_density(ch, y)
+    draws = posterior_sample(ch, y, np.random.default_rng(6))
+    mean, var = conditional_mean(ch, y), posterior_variance(ch, y)
+    assert np.array_equal(conditional_mean(ch, y), mean)
+    assert np.array_equal(posterior_variance(ch, y), var)
+    monkeypatch.setattr(scalar, "BLOCK_WEIGHTS", 1)
+    assert np.array_equal(log_output_density(ch, y), logp)
+    assert np.array_equal(posterior_sample(ch, y, np.random.default_rng(6)), draws)
+    assert [log_output_density(ch, v)[0] for v in y] == logp.tolist()
+
+
 def test_divergence_derivative_gaussian_oracle():
     # for Gaussian X, D(P_{Y|X=x} || P_Y) = 0.5[ln(1+s) + (1+s x^2)/(1+s) - 1]
     snr, x = 1.0, 1.0
