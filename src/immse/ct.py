@@ -628,6 +628,9 @@ def constant_input_ensemble(law: InputLaw, snr: float, t: float,
     conditional mean applied to it is the causal estimate.  Returns
     (ensemble MSE, its standard error, scalar mmse(snr*t)).
     """
+    require_finite(t=t)
+    if t <= 0:
+        raise ValueError("t must be > 0")
     ch = ScalarChannel(law, t * snr)     # rejects a bad snr before the draws
     rng = np.random.default_rng(mc.seed)
     n = mc.n_paths

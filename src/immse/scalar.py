@@ -426,6 +426,7 @@ def preprocessor_derivative(law_x: InputLaw, noise_var: float,
     if not isinstance(law_x, Gaussian):
         raise TypeError("preprocessor_derivative requires a Gaussian input law")
     require_snr(snr=snr)
+    require_finite(noise_var=noise_var)
     if noise_var < 0:
         raise ValueError("noise_var must be >= 0")
     vx, vn = law_x.variance, noise_var

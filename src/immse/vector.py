@@ -1,14 +1,15 @@
 """The vector Gaussian channel Y = H S X + N with S = diag(sqrt(snr_k)).
 
 Gaussian inputs get closed forms for mutual information, MMSE and the Fisher
-matrix; discrete atom sets get Monte Carlo engines with the exact posterior
-per sampled output from one kernel: with centres c_k = H S x_k, the
-log-weights y·c_k + log p_k - ||c_k||²/2 - ||y||²/2 are one matrix product
-per block of draws, one max/exp/sum gives the weights and log p_Y(y), and
-each engine's statistic is a matrix product of the weights.  Verification
-helpers cover the vector derivative identity dI/dsnr = mmse/2, the
-entropy/Fisher (de Bruijn) link, per-user snr derivatives, and the
-likelihood-ratio lemmas tying the score to the conditional mean.
+matrix, read off one Cholesky factor of Cov Y; discrete atom sets get Monte
+Carlo engines with the exact posterior per sampled output from one kernel:
+with centres c_k = H S x_k, the log-weights y·c_k + log p_k - ||c_k||²/2 -
+||y||²/2 are one matrix product per block of draws, one max/exp/sum gives
+the weights and log p_Y(y), and each engine's statistic is a matrix product
+of the weights.  Verification helpers cover the vector derivative identity
+dI/dsnr = mmse/2, the entropy/Fisher (de Bruijn) link, per-user snr
+derivatives, and the likelihood-ratio lemmas tying the score to the
+conditional mean.
 """
 from __future__ import annotations
 
@@ -25,7 +26,6 @@ from .quadrature import McConfig, draw_thread, fd_derivative, fd_difference
 from .report import Report
 from .scalar import McEstimate
 
-LOG_2PI = np.log(2.0 * np.pi)
 MC_CHUNK = 50_000      # draws per block of the atom engines
 
 
@@ -48,7 +48,7 @@ class AtomSet:
 
 @dataclass(frozen=True)
 class GaussianVec:
-    """Gaussian input N(mean, cov) on R^K."""
+    """Gaussian input N(mean, cov) on R^K, cov symmetric positive semidefinite."""
     mean: np.ndarray
     cov: np.ndarray
 
@@ -56,8 +56,16 @@ class GaussianVec:
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
         object.__setattr__(self, "cov", np.asarray(self.cov, dtype=float))
         require_finite(mean=self.mean, cov=self.cov)
+        k = self.mean.size
+        if self.mean.ndim != 1 or k == 0:
+            raise ValueError("mean must be a nonempty 1-d vector")
+        if self.cov.shape != (k, k):
+            raise ValueError(f"cov must be {k}x{k}, as mean has length {k}")
         if not np.allclose(self.cov, self.cov.T, atol=1e-12):
-            raise ValueError("covariance must be symmetric")
+            raise ValueError("cov must be symmetric")
+        eig = np.linalg.eigvalsh(self.cov)
+        if eig[0] < -1e-12 * max(eig[-1], 1.0):
+            raise ValueError(f"cov must be positive semidefinite (eigenvalue {eig[0]:.3g})")
 
 
 VectorInput = Union[AtomSet, GaussianVec]
@@ -76,11 +84,11 @@ class VectorChannelModel:
                            np.asarray(self.snr_diag, dtype=float) * np.ones(self.H.shape[1]))
         require_finite(H=self.H)
         require_snr(snr_diag=self.snr_diag)
-        k = self.H.shape[1]
-        if isinstance(self.input, AtomSet) and self.input.points.shape[1] != k:
-            raise ValueError("atom dimension does not match H columns")
-        if isinstance(self.input, GaussianVec) and self.input.cov.shape[0] != k:
-            raise ValueError("covariance dimension does not match H columns")
+        if not isinstance(self.input, (AtomSet, GaussianVec)):
+            raise TypeError("input must be an AtomSet or a GaussianVec")
+        x = self.input.points if isinstance(self.input, AtomSet) else self.input.mean
+        if x.shape[-1] != self.H.shape[1]:
+            raise ValueError("input dimension does not match H columns")
 
     @property
     def common_snr(self) -> float:
@@ -106,38 +114,39 @@ class FisherMatrix:
     se: float
 
 
-def _checked_cholesky(cov: np.ndarray):
-    eig = np.linalg.eigvalsh(cov)
-    if eig[0] <= 0 or eig[-1] / eig[0] > 1e12:
-        raise DegenerateCovariance(
-            f"covariance condition number {eig[-1] / max(eig[0], 1e-300):.3g} exceeds 1e12")
-    return cho_factor(cov)
-
-
 # ---------------------------------------------------------------------------
 # Gaussian closed forms
 # ---------------------------------------------------------------------------
 
-def gaussian_mi(model: VectorChannelModel) -> float:
-    """I(X;Y) = 0.5 logdet(I + A Σ Aᵀ) nats, with A = H S."""
-    if not isinstance(model.input, GaussianVec):
-        raise TypeError("gaussian_mi requires a Gaussian input")
-    a = model.effective_matrix
-    mat = np.eye(a.shape[0]) + a @ model.input.cov @ a.T
-    sign, logdet = np.linalg.slogdet(mat)
-    if sign <= 0:
-        raise DegenerateCovariance("output covariance not positive definite")
-    return 0.5 * logdet
-
-
-def gaussian_error_cov(model: VectorChannelModel) -> np.ndarray:
-    """Posterior covariance of X given Y: (Σ⁻¹ + Aᵀ A)⁻¹ with A = H S."""
+def _gaussian_output(model: VectorChannelModel):
+    """E Z, cho_factor(Cov Y) and 0.5 logdet Cov Y (the sum of the logs of the
+    factor's diagonal), with Cov Y = I + A Σ Aᵀ, for Z = A X and A = H S.
+    GaussianVec holds Σ ⪰ 0, so Cov Y ⪰ I and the factorization succeeds."""
     if not isinstance(model.input, GaussianVec):
         raise TypeError("requires a Gaussian input")
     a = model.effective_matrix
-    chol = _checked_cholesky(model.input.cov)
-    prec = cho_solve(chol, np.eye(a.shape[1])) + a.T @ a
-    return np.linalg.inv(prec)
+    chol = cho_factor(np.eye(a.shape[0]) + a @ model.input.cov @ a.T)
+    return a @ model.input.mean, chol, float(np.sum(np.log(np.diag(chol[0]))))
+
+
+def gaussian_mi(model: VectorChannelModel) -> float:
+    """I(X;Y) = 0.5 logdet(I + A Σ Aᵀ) nats, with A = H S."""
+    return _gaussian_output(model)[2]
+
+
+def gaussian_error_cov(model: VectorChannelModel) -> np.ndarray:
+    """Posterior covariance of X given Y: (Σ⁻¹ + Aᵀ A)⁻¹ with A = H S.
+
+    This information form keeps its digits relative to the MMSE at high snr,
+    where Σ - Σ Aᵀ Cov Y⁻¹ A Σ would cancel; so Σ must be well conditioned."""
+    if not isinstance(model.input, GaussianVec):
+        raise TypeError("requires a Gaussian input")
+    a, eye = model.effective_matrix, np.eye(model.H.shape[1])
+    eig = np.linalg.eigvalsh(model.input.cov)
+    if eig[0] <= 0 or eig[-1] > 1e12 * eig[0]:
+        raise DegenerateCovariance(f"cov eigenvalues {eig[0]:.3g} to {eig[-1]:.3g} span over 1e12")
+    prec = cho_solve(cho_factor(model.input.cov), eye) + a.T @ a
+    return cho_solve(cho_factor(prec), eye)
 
 
 def gaussian_mmse(model: VectorChannelModel) -> float:
@@ -255,8 +264,7 @@ def fisher_matrix(model: VectorChannelModel, mc: McConfig = McConfig()) -> Fishe
     eff = model.effective_matrix
     l_dim = eff.shape[0]
     if isinstance(model.input, GaussianVec):
-        cov_y = np.eye(l_dim) + eff @ model.input.cov @ eff.T
-        j = np.linalg.inv(cov_y)
+        j = cho_solve(_gaussian_output(model)[1], np.eye(l_dim))
         return FisherMatrix(j, j, 0.0)
     cov_sum, score_sum, score_sq = _posterior_cov_sums(model, mc)
     n = mc.n_paths
@@ -273,8 +281,7 @@ def fisher_matrix(model: VectorChannelModel, mc: McConfig = McConfig()) -> Fishe
 def verify_immse_vector(model: VectorChannelModel) -> Report:
     """Gaussian-input vector identity dI/dsnr = 0.5 * mmse(H X), to 1e-7."""
     s = model.common_snr
-    fd = fd_derivative(
-        lambda g: gaussian_mi(model.with_snr(np.full_like(model.snr_diag, g))), s)
+    fd = fd_derivative(lambda g: gaussian_mi(model.with_snr(g)), s)
     report = Report("immse-vector")
     report.add(f"dI/dsnr vs mmse/2 at snr={s:g}", fd, 0.5 * gaussian_mmse(model),
                1e-7)
@@ -305,12 +312,11 @@ def de_bruijn_check(model: VectorChannelModel, snr: float,
 
     def entropy_at(tv: float) -> float:
         s = 1.0 / tv
-        mi = _mi_value(model.with_snr(np.full(model.H.shape[1], s)), mc)
+        mi = _mi_value(model.with_snr(s), mc)
         return mi - 0.5 * l_dim * np.log(s / (2.0 * np.pi * np.e))
 
     fd = fd_difference(entropy_at, t)
-    base = model.with_snr(np.full(model.H.shape[1], snr))
-    fm = fisher_matrix(base, mc)
+    fm = fisher_matrix(model.with_snr(snr), mc)
     rhs = 0.5 * snr * float(np.trace(fm.score_route))
     is_gaussian = isinstance(model.input, GaussianVec)
     tol = 1e-7 if is_gaussian else 3.0 * max(fm.se * l_dim * snr, 1e-4)
@@ -358,9 +364,8 @@ def likelihood_lemmas_check(model: VectorChannelModel, y, snr: float) -> Report:
     and (Laplacian l)/l = E[||Z||^2|y].
     """
     y = np.asarray(y, dtype=float).reshape(-1)
-    model = model.with_snr(np.full(model.H.shape[1], snr))
-    eff = model.effective_matrix
-    l_dim = eff.shape[0]
+    model = model.with_snr(snr)
+    l_dim = model.H.shape[0]
 
     if isinstance(model.input, AtomSet):
         z_pts, const = _atom_centers(model)
@@ -372,25 +377,19 @@ def likelihood_lemmas_check(model: VectorChannelModel, y, snr: float) -> Report:
         def z_moments(pt):
             w = _atom_posterior(pt[None, :], z_pts, const)[0][0]
             return w @ z_pts, float(w @ np.einsum("kl,kl->k", z_pts, z_pts))
-    elif isinstance(model.input, GaussianVec):
-        cov_z = eff @ model.input.cov @ eff.T
-        mean_z = eff @ model.input.mean
-        cov_y = np.eye(l_dim) + cov_z
-        chol = _checked_cholesky(cov_y)
-        sign, logdet = np.linalg.slogdet(cov_y)
+    else:
+        mean_z, chol, half_logdet = _gaussian_output(model)
+        # Cov(Z|y) = Cov Z - Cov Z Cov Y⁻¹ Cov Z = I - Cov Y⁻¹ cancels nothing
+        trace_post = l_dim - np.trace(cho_solve(chol, np.eye(l_dim)))
 
         def log_l(pt):
             # log p_Y - log p_N for Gaussian Z.
-            quad_y = float(pt @ cho_solve(chol, pt - 2 * mean_z) + mean_z @ cho_solve(chol, mean_z))
-            return -0.5 * logdet - 0.5 * quad_y + 0.5 * float(pt @ pt)
+            d = pt - mean_z
+            return float(0.5 * pt @ pt - 0.5 * d @ cho_solve(chol, d)) - half_logdet
 
         def z_moments(pt):
-            gain = cov_z @ np.linalg.inv(cov_y)
-            zbar = mean_z + gain @ (pt - mean_z)
-            post = cov_z - gain @ cov_z
-            return zbar, float(zbar @ zbar + np.trace(post))
-    else:
-        raise TypeError("unsupported input")
+            zbar = pt - cho_solve(chol, pt - mean_z)    # y + grad log p_Y(y)
+            return zbar, float(zbar @ zbar + trace_post)
 
     h = 1e-4 * (1.0 + np.linalg.norm(y))
     grad = np.zeros(l_dim)

@@ -524,6 +524,16 @@ def test_constant_input_rejects_negative_snr_before_drawing():
         time_snr_transform_check(binary_law(), -1.0)
 
 
+@pytest.mark.parametrize("t", [0.0, -1.0, np.inf, np.nan])
+def test_constant_input_rejects_bad_t_before_drawing(t, monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a random number was drawn for a bad t")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(ValueError, match="^t must be"):
+        ct.constant_input_ensemble(binary_law(), 1.0, t)
+
+
 def test_time_snr_average_binary():
     report = time_snr_average_check(binary_law(), 2.0)
     assert report.passed, report.to_dict()

@@ -583,6 +583,12 @@ def test_preprocessor_derivative():
     assert report.passed, report.to_dict()
 
 
+@pytest.mark.parametrize("noise_var", [np.nan, np.inf])
+def test_preprocessor_derivative_rejects_nonfinite_noise_var(noise_var):
+    with pytest.raises(ValueError, match="noise_var must be finite"):
+        preprocessor_derivative(Gaussian(0.0, 1.0), noise_var, 1.0)
+
+
 def test_mmse_binary_closed_near_underflow():
     # e^{-snr/2} = 1e-304 at snr 1400: only the prefactor may be small
     assert mmse_binary_closed(1400.0) == pytest.approx(

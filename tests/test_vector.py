@@ -2,12 +2,14 @@
 import threading
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
 from immse import vector
 from immse.errors import DegenerateCovariance
+from immse.laws import binary_law
 from immse.quadrature import McConfig
 from immse.scalar import McEstimate, mi_binary_closed, mmse_binary_closed
 from immse.vector import (AtomSet, GaussianVec, VectorChannelModel, atom_mi,
@@ -43,6 +45,66 @@ def _binary_product_atoms(k_dim=2):
 def test_model_rejects_nonfinite(h, snr, make_input):
     with pytest.raises(ValueError, match="finite"):
         VectorChannelModel(H=h, input=make_input(), snr_diag=snr)
+
+
+@pytest.mark.parametrize("mean, cov, message", [
+    (np.zeros(2), -np.eye(2), "cov must be positive semidefinite"),
+    (np.zeros(2), [[1.0, 2.0], [2.0, 1.0]], "cov must be positive semidefinite"),
+    (np.zeros(3), np.eye(2), "cov must be 3x3"),
+    (np.zeros(2), np.ones((2, 3)), "cov must be 2x2"),
+    (np.zeros((2, 1)), np.eye(2), "mean must be"),
+], ids=["minus-identity", "indefinite", "mean-too-long", "not-square", "mean-2d"])
+def test_gaussian_vec_rejects_bad_mean_or_cov(mean, cov, message):
+    with pytest.raises(ValueError, match=message):
+        GaussianVec(mean, cov)
+
+
+def test_model_rejects_input_of_another_type():
+    with pytest.raises(TypeError, match="AtomSet or a GaussianVec"):
+        VectorChannelModel(H=np.eye(1), input=binary_law(), snr_diag=1.0)
+
+
+def test_rank_one_covariance_closed_forms():
+    # Σ = v vᵀ: Cov Y = I + u uᵀ with u = A v, so I(X;Y) = ln(1 + ||u||²)/2
+    # and, by Sherman-Morrison, J = Cov Y⁻¹ = I - u uᵀ/(1 + ||u||²)
+    v = np.array([0.6, -1.3])
+    model = VectorChannelModel(H=[[1.0, 0.5], [-0.2, 2.0], [0.7, 0.1]],
+                               input=GaussianVec(np.zeros(2), np.outer(v, v)),
+                               snr_diag=[2.0, 0.5])
+    u = model.effective_matrix @ v
+    assert gaussian_mi(model) == pytest.approx(0.5 * np.log1p(u @ u), rel=1e-13, abs=0)
+    j = np.eye(3) - np.outer(u, u) / (1.0 + u @ u)
+    assert np.abs(fisher_matrix(model).score_route - j).max() <= 1e-13
+
+
+@pytest.mark.parametrize("snr", [0.1, 1.0, 100.0, 1e6])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gaussian_routes_match_direct_formulas(seed, snr):
+    # I(X;Y) and J against slogdet and inv of Cov Y in double precision; the
+    # lemmas' E||Z|y||² and tr Cov(Z|y) against the gain form
+    # Cov Z - Cov Z Cov Y⁻¹ Cov Z in 40 digits, which in double precision
+    # cancels to 5e-9 relative at snr 1e6
+    model = _gaussian_model(seed=seed, snr=snr)
+    a = model.effective_matrix
+    cov_z = a @ model.input.cov @ a.T
+    cov_y = np.eye(3) + cov_z
+    assert gaussian_mi(model) == pytest.approx(
+        0.5 * np.linalg.slogdet(cov_y)[1], rel=1e-12, abs=0)
+    j = np.linalg.inv(cov_y)
+    assert np.abs(fisher_matrix(model).score_route - j).max() <= 1e-12 * np.abs(j).max()
+
+    y = np.array([0.3, -0.8, 0.5])
+    report = likelihood_lemmas_check(model, y, snr)
+    assert report.passed, report.to_dict()
+    with mp.workdps(40):
+        cz = mp.matrix(cov_z.tolist())
+        gain = cz * mp.inverse(mp.eye(3) + cz)
+        zbar = gain * mp.matrix(y.tolist())
+        trace_post = sum((cz - gain * cz)[i, i] for i in range(3))
+        z2 = float(sum(zbar[i] ** 2 for i in range(3)) + trace_post)
+        trace_post = float(trace_post)
+    assert report.checks[1].rhs == pytest.approx(trace_post, rel=1e-12, abs=0)
+    assert report.checks[2].rhs == pytest.approx(z2, rel=1e-12, abs=0)
 
 
 def test_gaussian_mi_rotation_invariance():
@@ -291,6 +353,14 @@ def test_degenerate_covariance_rejected():
                                input=GaussianVec(np.zeros(2), cov),
                                snr_diag=np.ones(2))
     with pytest.raises(DegenerateCovariance):
+        gaussian_error_cov(model)
+
+
+def test_degenerate_covariance_names_both_eigenvalues():
+    model = VectorChannelModel(H=np.eye(2),
+                               input=GaussianVec(np.zeros(2), np.diag([2.0, 1e-13])),
+                               snr_diag=np.ones(2))
+    with pytest.raises(DegenerateCovariance, match=r"eigenvalues 1e-13 to 2 "):
         gaussian_error_cov(model)
 
 
