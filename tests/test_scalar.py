@@ -1,5 +1,6 @@
 """Scalar channel: closed-form cross-checks, identities, and properties."""
 import numpy as np
+import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
@@ -26,6 +27,9 @@ SNR_GRID = [0.1, 0.5, 1.0, 2.0, 5.0, 10.0]
 MIX3 = GaussianMixture(weights=np.array([0.3, 0.5, 0.2]),
                        means=np.array([-1.5, 0.2, 1.8]),
                        variances=np.array([0.4, 0.9, 0.2]))
+
+PAM16 = DiscreteAtoms(values=(2.0 * np.arange(1, 17) - 17.0) / np.sqrt(85.0),
+                      probs=np.full(16, 1 / 16))
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +154,7 @@ def _difference_form(law, snr, y):
 
 @pytest.mark.parametrize("law", [
     binary_law(),
-    DiscreteAtoms(values=(2.0 * np.arange(1, 17) - 17.0) / np.sqrt(85.0),
-                  probs=np.full(16, 1 / 16)),
+    PAM16,
     MIX3,
     GriddedDensity(grid=np.linspace(-np.sqrt(3), np.sqrt(3), 201),
                    pdf=np.full(201, 1 / (2 * np.sqrt(3)))),
@@ -181,11 +184,56 @@ def test_posterior_stats_match_difference_form(law):
                       <= 1e-10 * np.maximum(np.abs(ref_logp), 1.0)), snr
 
 
+def _mpmath_posterior(law, snr, y):
+    """(log p_Y(y), E[X|y], Var(X|y)) at 40 digits from the law's components,
+    the variance as the centred sum."""
+    with mp.workdps(40):
+        rs, y = mp.sqrt(mp.mpf(snr)), mp.mpf(float(y))
+        logw, mu, pv = [], [], []
+        for w, m, v in zip(*([mp.mpf(float(x)) for x in a]
+                             for a in components(law))):
+            o = 1 + snr * v
+            logw.append(mp.log(w) - mp.log(o) / 2 - (y - rs * m) ** 2 / (2 * o))
+            mu.append((m + rs * v * y) / o)
+            pv.append(v / o)
+        top = max(logw)
+        e = [mp.exp(lw - top) for lw in logw]
+        total = mp.fsum(e)
+        mean = mp.fsum(a * b for a, b in zip(e, mu)) / total
+        var = mp.fsum(a * (c + (b - mean) ** 2)
+                      for a, b, c in zip(e, mu, pv)) / total
+        return (float(top + mp.log(total) - mp.log(2 * mp.pi) / 2),
+                float(mean), float(var))
+
+
+@pytest.mark.parametrize("law", [binary_law(), PAM16, MIX3],
+                         ids=["binary", "pam16", "mix3"])
+@pytest.mark.parametrize("snr", [0.1, 3.0, 300.0, 1e4])
+def test_posterior_queries_match_mpmath(law, snr):
+    # six outputs, each an offset from sqrt(snr) times a midpoint between
+    # neighbouring component means, so that at high snr the posterior is
+    # still split and Var(X|y) (down to 2e-269 for binary at snr 1e4) does
+    # not underflow, and |E[X|y]| stays above 0.08; worst measured: 2.9e-15
+    # (log p_Y), 4.7e-16 (E[X|y]) and 1.8e-12 (Var(X|y), binary at 1e4,
+    # the eps * (y - sqrt(snr) m)^2 of the log weights)
+    m = np.sort(components(law)[1])
+    mids = 0.5 * (m[:-1] + m[1:])
+    offsets = (-2.7, -1.3, -0.4, 0.6, 1.7, 3.1)
+    y = np.array([np.sqrt(snr) * mids[(i * mids.size) // 6] + z
+                  for i, z in enumerate(offsets)])
+    ch = ScalarChannel(law, snr)
+    ref = np.array([_mpmath_posterior(law, snr, v) for v in y]).T
+    got = (log_output_density(ch, y), conditional_mean(ch, y),
+           posterior_variance(ch, y))
+    for value, exact, rel in zip(got, ref, (1e-14, 1e-14, 1e-11)):
+        assert np.all(np.abs(value - exact) <= rel * np.abs(exact))
+
+
 UNEQUAL3 = DiscreteAtoms(values=(-1.0, 0.0, 2.0), probs=(0.2, 0.5, 0.3))
 
 
 # off centre, so that the centring in ``_expect`` shows; from snr 1e3 on its
-# calls have more nodes than one ``_at`` block holds (40 outputs of 401
+# calls have more nodes than one ``_at`` block holds (81 outputs of 401
 # components, BLOCK_WEIGHTS // 401)
 GRIDDED401 = GriddedDensity(grid=np.linspace(0.0, 2.0, 401),
                             pdf=np.full(401, 0.5))
@@ -470,9 +518,9 @@ def _one_shot_posterior_sample(ch, y, rng):
     then normals unless every component is an atom."""
     ys = np.atleast_1d(np.asarray(y, dtype=float))
     wgt, total, p, q, pv, _ = scalar._posterior(components(ch.law), ch.snr, ys)
-    cum = np.cumsum(wgt, axis=1)
+    cum = np.cumsum(wgt, axis=0)
     u = rng.random(ys.size) * total
-    idx = np.minimum((u[:, None] > cum).sum(axis=1), wgt.shape[1] - 1)
+    idx = np.minimum((u > cum).sum(axis=0), wgt.shape[0] - 1)
     draw = p[idx] + q[idx] * ys
     if np.any(pv > 0):
         draw = draw + np.sqrt(pv[idx]) * rng.standard_normal(ys.size)
@@ -483,8 +531,8 @@ ATOMS300 = DiscreteAtoms(values=np.linspace(-2.0, 2.0, 300),
                          probs=np.full(300, 1 / 300))
 
 
-@pytest.mark.parametrize("law, n", [(ATOMS300, 5_000), (MIX3, 40_000),
-                                    (binary_law(), 40_000)],
+@pytest.mark.parametrize("law, n", [(ATOMS300, 5_000), (MIX3, 80_000),
+                                    (binary_law(), 80_000)],
                          ids=["atoms300", "mix3", "binary"])
 def test_posterior_sample_in_blocks_equals_one_shot_draws(law, n):
     # the draws span many ``_at`` blocks and equal the one-call draws bit for bit
@@ -516,27 +564,28 @@ def test_posterior_sample_blocks_hold_a_bounded_number_of_weights(monkeypatch):
     assert max(sizes) <= scalar.BLOCK_WEIGHTS
 
 
-PAM16 = DiscreteAtoms(values=(2.0 * np.arange(1, 17) - 17.0) / np.sqrt(85.0),
-                      probs=np.full(16, 1 / 16))
-
-
-@pytest.mark.parametrize("law", [MIX3, PAM16], ids=["mix3", "pam16"])
+@pytest.mark.parametrize("law", [binary_law(), MIX3, PAM16, ATOMS300],
+                         ids=["binary", "mix3", "pam16", "atoms300"])
 def test_what_the_blocks_of_at_leave_unchanged(law, monkeypatch):
-    # draws and log p_Y are computed row by row, so blocks of one output give
-    # the bits of the default blocks; E[X|y] and Var(X|y) are BLAS mat-vecs,
-    # which may round a row by how many rows its block holds, so for them
-    # only a repeat on the same y array is pinned
+    # every sum over components runs in component order, and a lone output
+    # is evaluated as two, so each query gives a y the same bits asked alone,
+    # in one-output blocks and in blocks of three (the last one of two);
+    # ATOMS300 has the 8 or more components at which numpy would sum a lone
+    # output pairwise
     ch = ScalarChannel(law, 3.0)
     y = 3.0 * np.random.default_rng(5).standard_normal(50)
-    logp = log_output_density(ch, y)
+    queries = (conditional_mean, posterior_variance, log_output_density,
+               lambda ch, y: q_moment(ch, y, 2))
+    full = [query(ch, y) for query in queries]
     draws = posterior_sample(ch, y, np.random.default_rng(6))
-    mean, var = conditional_mean(ch, y), posterior_variance(ch, y)
-    assert np.array_equal(conditional_mean(ch, y), mean)
-    assert np.array_equal(posterior_variance(ch, y), var)
-    monkeypatch.setattr(scalar, "BLOCK_WEIGHTS", 1)
-    assert np.array_equal(log_output_density(ch, y), logp)
-    assert np.array_equal(posterior_sample(ch, y, np.random.default_rng(6)), draws)
-    assert [log_output_density(ch, v)[0] for v in y] == logp.tolist()
+    for query, out in zip(queries, full):
+        assert [float(np.ravel(query(ch, v))[0]) for v in y] == out.tolist()
+    for weights in (1, 3 * components(law)[0].size):
+        monkeypatch.setattr(scalar, "BLOCK_WEIGHTS", weights)
+        for query, out in zip(queries, full):
+            assert np.array_equal(query(ch, y), out), weights
+        assert np.array_equal(posterior_sample(ch, y, np.random.default_rng(6)),
+                              draws)
 
 
 def test_divergence_derivative_gaussian_oracle():
