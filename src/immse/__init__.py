@@ -13,8 +13,7 @@ Modules:
 
 __version__ = "0.1.0"
 
-from .errors import (DegenerateCovariance, ImmseError, NonConvergence,
-                     StepTooLarge, TailNotResolved)
+from .errors import ImmseError, NonConvergence, StepTooLarge, TailNotResolved
 from .laws import (DiscreteAtoms, Gaussian, GaussianMixture, GriddedDensity,
                    InputLaw, binary_law, standard_gaussian_law)
 from .quadrature import McConfig
@@ -24,8 +23,7 @@ from .scalar import ScalarChannel, conditional_mean, mmse, mutual_information
 __all__ = [
     "__version__",
     "Check", "Report",
-    "DegenerateCovariance", "ImmseError", "NonConvergence", "StepTooLarge",
-    "TailNotResolved",
+    "ImmseError", "NonConvergence", "StepTooLarge", "TailNotResolved",
     "DiscreteAtoms", "Gaussian", "GaussianMixture", "GriddedDensity",
     "InputLaw", "binary_law", "standard_gaussian_law",
     "McConfig",

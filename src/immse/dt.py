@@ -5,7 +5,8 @@ variance 1 - a^2 (stationary variance 1).  Everything here is exact linear
 algebra: Kalman filter / predictor / fixed-interval smoother error variances,
 the block mutual information 0.5 logdet(I + snr * Sigma), the per-index
 derivative identity dI/dsnr = 0.5 * sum_i mmse_i, and the sandwich bounds
-(snr/2) sum cmmse_i <= I <= (snr/2) sum pmmse_i.
+(snr/2) sum cmmse_i <= I <= (snr/2) sum pmmse_i.  Dense conditioning and
+the block MI are ``vector``'s Gaussian routes on the channel with H = I.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import vector
 from .laws import require_snr
 from .quadrature import fd_derivative
 from .report import Report
@@ -72,23 +74,22 @@ def kalman_triple(p: ARProcess, snr: float) -> MmseTriple:
     return MmseTriple(cmmse=p_filt, pmmse=p_pred, mmse=p_sm)
 
 
-def dense_smoother_mmse(p: ARProcess, snr: float) -> np.ndarray:
-    """Smoother error variances by direct joint-Gaussian conditioning.
-
-    The posterior covariance of X^n given Y^n is (Sigma^{-1} + snr I)^{-1};
-    its diagonal is the per-index noncausal MMSE.  O(n^3) oracle route.
-    """
+def _block(p: ARProcess, snr: float) -> vector.VectorChannelModel:
+    """The block X^n -> Y^n as the vector channel with H = I."""
     require_snr(snr=snr)
-    sigma = p.covariance()
-    post = np.linalg.inv(np.linalg.inv(sigma) + snr * np.eye(p.n))
-    return np.diag(post).copy()
+    gauss = vector.GaussianVec(np.zeros(p.n), p.covariance())
+    return vector.VectorChannelModel(np.eye(p.n), gauss, snr)
+
+
+def dense_smoother_mmse(p: ARProcess, snr: float) -> np.ndarray:
+    """Smoother error variances by direct joint-Gaussian conditioning: the
+    diagonal of the block's posterior covariance.  O(n^3) oracle route."""
+    return np.diag(vector.gaussian_error_cov(_block(p, snr))).copy()
 
 
 def block_mi(p: ARProcess, snr: float) -> float:
-    """I(X^n; Y^n) = 0.5 logdet(I + snr * Sigma) nats; at snr >= 0 each
-    eigenvalue of I + snr * Sigma is at least 1."""
-    require_snr(snr=snr)
-    return 0.5 * np.linalg.slogdet(np.eye(p.n) + snr * p.covariance())[1]
+    """I(X^n; Y^n) = 0.5 logdet(I + snr * Sigma) nats."""
+    return vector.gaussian_mi(_block(p, snr))
 
 
 def block_mi_eig(p: ARProcess, snr: float) -> float:

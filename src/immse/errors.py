@@ -13,10 +13,6 @@ class StepTooLarge(ImmseError):
     """Simulation time step exceeds the discretisation bound."""
 
 
-class DegenerateCovariance(ImmseError):
-    """Covariance matrix too ill-conditioned for reliable factorization."""
-
-
 class TailNotResolved(ImmseError):
     """An snr integral was to be closed beyond its end on a tail that
     diverges: its integrand falls no faster than 1/snr there."""

@@ -1,7 +1,7 @@
 """The vector Gaussian channel Y = H S X + N with S = diag(sqrt(snr_k)).
 
-Gaussian inputs get closed forms for mutual information, MMSE and the Fisher
-matrix, read off one Cholesky factor of Cov Y; discrete atom sets get Monte
+Gaussian inputs get closed forms, from one Cholesky factor of Cov Y and a
+square-root posterior covariance with no Σ⁻¹; discrete atom sets get Monte
 Carlo engines with the exact posterior per sampled output from one kernel:
 with centres c_k = H S x_k, the log-weights y·c_k + log p_k - ||c_k||²/2 -
 ||y||²/2 are one matrix product per block of draws, one max/exp/sum gives
@@ -17,10 +17,9 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, lapack, solve_triangular
 from scipy.spatial.distance import cdist
 
-from .errors import DegenerateCovariance
 from .laws import require_finite, require_probs, require_snr
 from .quadrature import McConfig, draw_thread, fd_derivative, fd_difference
 from .report import Report
@@ -83,6 +82,8 @@ class VectorChannelModel:
         object.__setattr__(self, "snr_diag",
                            np.asarray(self.snr_diag, dtype=float) * np.ones(self.H.shape[1]))
         require_finite(H=self.H)
+        if 0 in self.H.shape:
+            raise ValueError(f"H must have a row and a column, not shape {self.H.shape}")
         require_snr(snr_diag=self.snr_diag)
         if not isinstance(self.input, (AtomSet, GaussianVec)):
             raise TypeError("input must be an AtomSet or a GaussianVec")
@@ -135,22 +136,23 @@ def gaussian_mi(model: VectorChannelModel) -> float:
 
 
 def gaussian_error_cov(model: VectorChannelModel) -> np.ndarray:
-    """Posterior covariance of X given Y: (Σ⁻¹ + Aᵀ A)⁻¹ with A = H S.
-
-    This information form keeps its digits relative to the MMSE at high snr,
-    where Σ - Σ Aᵀ Cov Y⁻¹ A Σ would cancel; so Σ must be well conditioned."""
+    """Posterior covariance of X given Y: L (I + BᵀB)⁻¹ Lᵀ = GᵀG, with Σ = L Lᵀ
+    by pivoted Cholesky (L is K x rank), B = A L, A = H S, Rᵀ R = I + BᵀB from
+    the QR of [B; I] and G = R⁻ᵀ Lᵀ.  It takes no Σ⁻¹, so Σ may be singular
+    (even 0), and no term of size snr cancels, so it keeps its digits."""
     if not isinstance(model.input, GaussianVec):
         raise TypeError("requires a Gaussian input")
-    a, eye = model.effective_matrix, np.eye(model.H.shape[1])
-    eig = np.linalg.eigvalsh(model.input.cov)
-    if eig[0] <= 0 or eig[-1] > 1e12 * eig[0]:
-        raise DegenerateCovariance(f"cov eigenvalues {eig[0]:.3g} to {eig[-1]:.3g} span over 1e12")
-    prec = cho_solve(cho_factor(model.input.cov), eye) + a.T @ a
-    return cho_solve(cho_factor(prec), eye)
+    c, piv, rank, _ = lapack.dpstrf(model.input.cov, lower=1)
+    chol = np.empty((c.shape[0], rank))
+    chol[piv - 1] = np.tril(c)[:, :rank]    # dpstrf leaves the rest of c as it was
+    b = model.effective_matrix @ chol
+    r = np.linalg.qr(np.vstack([b, np.eye(rank)]), mode="r")
+    g = solve_triangular(r, chol.T, trans="T")
+    return g.T @ g
 
 
 def gaussian_mmse(model: VectorChannelModel) -> float:
-    """MMSE in estimating H X: tr(H (Σ⁻¹ + snr HᵀH)⁻¹ Hᵀ)."""
+    """MMSE in estimating H X: tr(H E Hᵀ), E from ``gaussian_error_cov``."""
     model.common_snr    # enforce a single snr for the H X target
     err = gaussian_error_cov(model)
     return float(np.trace(model.H @ err @ model.H.T))
@@ -334,6 +336,8 @@ def multiuser_derivative(model: VectorChannelModel, k: int,
     snr_k values (common random numbers).
     """
     s = model.snr_diag.copy()
+    if not (isinstance(k, (int, np.integer)) and 0 <= k < s.size):
+        raise ValueError(f"k must be an integer in [0, {s.size}), not {k!r}")
     if s[k] <= 0:
         raise ValueError("multiuser_derivative requires snr_k > 0")
 

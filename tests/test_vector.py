@@ -8,7 +8,6 @@ import pytest
 from scipy.special import logsumexp
 
 from immse import vector
-from immse.errors import DegenerateCovariance
 from immse.laws import binary_law
 from immse.quadrature import McConfig
 from immse.scalar import McEstimate, mi_binary_closed, mmse_binary_closed
@@ -26,6 +25,25 @@ def _gaussian_model(seed=0, l_dim=3, k_dim=3, snr=1.0):
     cov = a @ a.T + 0.5 * np.eye(k_dim)
     return VectorChannelModel(H=h, input=GaussianVec(np.zeros(k_dim), cov),
                               snr_diag=np.full(k_dim, snr))
+
+
+def _rank_one_model(snr_diag):
+    # Σ = v vᵀ is singular: GaussianVec accepts it and its MMSE is finite
+    v = np.array([0.6, -1.3])
+    return VectorChannelModel(H=[[1.0, 0.5], [-0.2, 2.0], [0.7, 0.1]],
+                              input=GaussianVec(np.zeros(2), np.outer(v, v)),
+                              snr_diag=snr_diag)
+
+
+def _gain_form_mmse(model):
+    """tr(H E Hᵀ) with E = Σ - Σ Aᵀ Cov Y⁻¹ A Σ in 60 digits, from the
+    model's double-precision entries."""
+    with mp.workdps(60):
+        a, h = mp.matrix(model.effective_matrix.tolist()), mp.matrix(model.H.tolist())
+        cov = mp.matrix(model.input.cov.tolist())
+        err = cov - cov * a.T * mp.inverse(mp.eye(a.rows) + a * cov * a.T) * a * cov
+        heh = h * err * h.T
+        return float(sum(heh[i, i] for i in range(h.rows)))
 
 
 def _binary_product_atoms(k_dim=2):
@@ -67,11 +85,8 @@ def test_model_rejects_input_of_another_type():
 def test_rank_one_covariance_closed_forms():
     # Σ = v vᵀ: Cov Y = I + u uᵀ with u = A v, so I(X;Y) = ln(1 + ||u||²)/2
     # and, by Sherman-Morrison, J = Cov Y⁻¹ = I - u uᵀ/(1 + ||u||²)
-    v = np.array([0.6, -1.3])
-    model = VectorChannelModel(H=[[1.0, 0.5], [-0.2, 2.0], [0.7, 0.1]],
-                               input=GaussianVec(np.zeros(2), np.outer(v, v)),
-                               snr_diag=[2.0, 0.5])
-    u = model.effective_matrix @ v
+    model = _rank_one_model([2.0, 0.5])
+    u = model.effective_matrix @ np.array([0.6, -1.3])
     assert gaussian_mi(model) == pytest.approx(0.5 * np.log1p(u @ u), rel=1e-13, abs=0)
     j = np.eye(3) - np.outer(u, u) / (1.0 + u @ u)
     assert np.abs(fisher_matrix(model).score_route - j).max() <= 1e-13
@@ -117,6 +132,30 @@ def test_gaussian_mi_rotation_invariance():
                                                  abs=1e-12)
 
 
+def _oracle_cov(kind, k):
+    """K x K Σ: full rank, or singular with integer factors, or zero."""
+    if kind == "full-rank":
+        b = np.random.default_rng(k).standard_normal((k, k))
+        return b @ b.T + 0.5 * np.eye(k)
+    v = np.array([[2.0, 1.0], [-1.0, 0.0], [3.0, -2.0]])[:k]
+    v = {"rank-one": v[:, :1], "low-rank": v[:, :k - 1], "zero": 0.0 * v}[kind]
+    return v @ v.T
+
+
+@pytest.mark.parametrize("snr", [1.0, 1e3, 1e6, 1e9])
+@pytest.mark.parametrize("k_dim", [3, 2])
+@pytest.mark.parametrize("cov", ["full-rank", "rank-one", "low-rank", "zero"])
+def test_gaussian_mmse_matches_gain_form_oracle(cov, k_dim, snr):
+    # tr(H E Hᵀ) to 1e-12 relative against the gain form, which loses about
+    # log10(snr) digits to cancellation and so is taken in 60 digits; Σ = 0
+    # has rank 0 and must give E = 0 exactly
+    h = np.random.default_rng(10 + k_dim).standard_normal((3, k_dim))
+    model = VectorChannelModel(H=h, input=GaussianVec(np.zeros(k_dim),
+                                                      _oracle_cov(cov, k_dim)),
+                               snr_diag=snr)
+    assert gaussian_mmse(model) == pytest.approx(_gain_form_mmse(model), rel=1e-12, abs=0)
+
+
 def test_gaussian_error_cov_matches_direct_inverse():
     model = _gaussian_model(seed=3, snr=2.0)
     a = model.effective_matrix
@@ -124,10 +163,12 @@ def test_gaussian_error_cov_matches_direct_inverse():
     assert np.allclose(gaussian_error_cov(model), direct, atol=1e-12)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("seed", [0, 1, 2, "rank-one"])
 @pytest.mark.parametrize("snr", [0.5, 1.0, 4.0])
 def test_vector_derivative_identity_gaussian(seed, snr):
-    report = verify_immse_vector(_gaussian_model(seed=seed, snr=snr))
+    model = (_rank_one_model(snr) if seed == "rank-one"
+             else _gaussian_model(seed=seed, snr=snr))
+    report = verify_immse_vector(model)
     assert report.passed, report.to_dict()
 
 
@@ -324,11 +365,23 @@ def test_de_bruijn_rejects_zero_snr():
 
 
 def test_multiuser_derivative_gaussian():
-    model = _gaussian_model(seed=9, k_dim=2, l_dim=2, snr=1.0)
-    uneven = model.with_snr(np.array([0.8, 1.7]))
-    for k in (0, 1):
-        report = multiuser_derivative(uneven, k)
-        assert report.passed, report.to_dict()
+    full = _gaussian_model(seed=9, k_dim=2, l_dim=2, snr=1.0)
+    for uneven in (full.with_snr(np.array([0.8, 1.7])), _rank_one_model([0.8, 1.7])):
+        for k in (0, 1):
+            report = multiuser_derivative(uneven, k)
+            assert report.passed, report.to_dict()
+
+
+@pytest.mark.parametrize("h, inp, k, message", [
+    ([[1.0, 0.5]], GaussianVec(np.zeros(2), np.eye(2)), -1, "k must be an integer"),
+    ([[1.0, 0.5]], GaussianVec(np.zeros(2), np.eye(2)), 2, "k must be an integer"),
+    ([[1.0, 0.5]], GaussianVec(np.zeros(2), np.eye(2)), 0.5, "k must be an integer"),
+    (np.zeros((0, 2)), GaussianVec(np.zeros(2), np.eye(2)), 0, "H must have"),
+    (np.zeros((2, 0)), AtomSet(points=np.zeros((1, 0)), probs=[1.0]), 0, "H must have"),
+], ids=["k=-1", "k=K", "k=0.5", "H-0x2", "H-2x0"])
+def test_multiuser_rejects_bad_user_and_model_rejects_empty_h(h, inp, k, message):
+    with pytest.raises(ValueError, match=message):
+        multiuser_derivative(VectorChannelModel(H=h, input=inp, snr_diag=1.0), k)
 
 
 def test_multiuser_derivative_rejects_zero_snr():
@@ -347,21 +400,14 @@ def test_likelihood_lemmas_atoms_and_gaussian():
     assert likelihood_lemmas_check(gauss, y, 0.7).passed
 
 
-def test_degenerate_covariance_rejected():
-    cov = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
-    model = VectorChannelModel(H=np.eye(2),
-                               input=GaussianVec(np.zeros(2), cov),
+@pytest.mark.parametrize("cov", [[[1.0, 1.0], [1.0, 1.0 + 1e-15]], np.diag([2.0, 1e-13])],
+                         ids=["near-singular", "span-1e13"])
+def test_formerly_degenerate_covariance_matches_oracle(cov):
+    # Σ's eigenvalues are 5.6e-16 and 2, or 1e-13 and 2: a span far over
+    # 1e12, which a route through Σ⁻¹ could not serve
+    model = VectorChannelModel(H=np.eye(2), input=GaussianVec(np.zeros(2), cov),
                                snr_diag=np.ones(2))
-    with pytest.raises(DegenerateCovariance):
-        gaussian_error_cov(model)
-
-
-def test_degenerate_covariance_names_both_eigenvalues():
-    model = VectorChannelModel(H=np.eye(2),
-                               input=GaussianVec(np.zeros(2), np.diag([2.0, 1e-13])),
-                               snr_diag=np.ones(2))
-    with pytest.raises(DegenerateCovariance, match=r"eigenvalues 1e-13 to 2 "):
-        gaussian_error_cov(model)
+    assert gaussian_mmse(model) == pytest.approx(_gain_form_mmse(model), rel=1e-12, abs=0)
 
 
 def test_common_snr_guard():
